@@ -19,6 +19,8 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Optional, Sequence
 
+from .formats import split_ident
+
 Element = tuple[Fraction, ...]
 
 
@@ -227,31 +229,6 @@ class DivisionAlgebraReport:
     samples: int
     seed: int
 
-    def to_json_dict(self) -> dict:
-        def elem(x):
-            return [str(c) for c in x]
-
-        return {
-            "algebra": self.algebra,
-            "dim": self.dim,
-            "norm_multiplicative": self.norm_multiplicative,
-            "alternative": self.alternative,
-            "zero_divisor": [elem(self.zero_divisor[0]), elem(self.zero_divisor[1])]
-            if self.zero_divisor
-            else None,
-            "norm_witness": [elem(self.norm_witness[0]), elem(self.norm_witness[1])]
-            if self.norm_witness
-            else None,
-            "alternative_witness": [
-                elem(self.alternative_witness[0]),
-                elem(self.alternative_witness[1]),
-            ]
-            if self.alternative_witness
-            else None,
-            "samples": self.samples,
-            "seed": self.seed,
-        }
-
 
 def _pair_family(alg: HypercomplexAlgebra):
     """All e_i + s*e_j with i < j and s = +-1, in deterministic order."""
@@ -368,15 +345,7 @@ def epsilon_symbol(indices: Sequence[int]) -> int:
     for i in indices:
         if not 1 <= i <= n:
             raise IndexOutOfRange(f"index {i} outside 1..{n}")
-    if len(set(indices)) != n:
-        return 0
-    sign = 1
-    seq = list(indices)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if seq[i] > seq[j]:
-                sign = -sign
-    return sign
+    return _perm_sign(indices)
 
 
 def _perm_sign(seq: Sequence[int]) -> int:
@@ -435,7 +404,7 @@ class CrossProductCase:
         ok = (
             (self.tag == "three" and (self.r, self.n) == (2, 3))
             or (self.tag == "seven" and (self.r, self.n) == (2, 7))
-            or (self.tag == "epsilon" and self.r == self.n - 1 and self.n >= 2)
+            or (self.tag == "epsilon" and self.r == self.n - 1 and 2 <= self.n <= 8)
             or (
                 self.tag == "complex_structure"
                 and self.r == 1
@@ -449,20 +418,16 @@ class CrossProductCase:
 
 
 def cross_case(ident: str) -> CrossProductCase:
-    """Parse ``three``, ``seven``, ``epsilon:<n>``, ``j:<n>``, ``triple8``."""
-    key = ident.lower()
-    if key == "three":
-        return CrossProductCase("three", 3, 2)
-    if key == "seven":
-        return CrossProductCase("seven", 7, 2)
-    if key == "triple8":
-        return CrossProductCase("triple8", 8, 3)
-    if key.startswith("epsilon:"):
-        n = int(key.split(":")[1])
-        return CrossProductCase("epsilon", n, n - 1)
-    if key.startswith("j:"):
-        n = int(key.split(":")[1])
-        return CrossProductCase("complex_structure", n, 1)
+    """Parse ``three``, ``seven``, ``epsilon:<n>`` (2 <= n <= 8), ``j:<n>``
+    (even n >= 2) and ``triple8``."""
+    name, params = split_ident(ident, UnknownCase)
+    fixed = {"three": (3, 2), "seven": (7, 2), "triple8": (8, 3)}
+    if name in fixed and not params:
+        return CrossProductCase(name, *fixed[name])
+    if name == "epsilon" and len(params) == 1:
+        return CrossProductCase("epsilon", params[0], params[0] - 1)
+    if name == "j" and len(params) == 1:
+        return CrossProductCase("complex_structure", params[0], 1)
     raise UnknownCase(f"unknown cross-product case {ident!r}")
 
 
@@ -536,22 +501,6 @@ class CrossAxiomsReport:
             and self.multilinearity_ok
             and self.alternating_ok
         )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "case": self.case,
-            "n": self.n,
-            "r": self.r,
-            "orthogonality_ok": self.orthogonality_ok,
-            "norm_identity_ok": self.norm_identity_ok,
-            "multilinearity_ok": self.multilinearity_ok,
-            "alternating_ok": self.alternating_ok,
-            "basis_tuples": self.basis_tuples,
-            "trials": self.trials,
-            "seed": self.seed,
-            "witness": self.witness,
-            "all_ok": self.all_ok,
-        }
 
 
 def cross_axioms_report(
@@ -656,7 +605,8 @@ class Chirotope:
         return tuple(itertools.combinations(range(1, self.n + 1), self.r))
 
     @cached_property
-    def _by_subset(self) -> dict[tuple[int, ...], int]:
+    def by_subset(self) -> dict[tuple[int, ...], int]:
+        """The sign of each sorted r-subset of 1..n."""
         return dict(zip(self._subsets, self.signs))
 
     def sign(self, indices: Sequence[int]) -> int:
@@ -664,9 +614,9 @@ class Chirotope:
         key = tuple(sorted(indices))
         if len(set(indices)) != len(indices):
             return 0
-        if key not in self._by_subset:
+        if key not in self.by_subset:
             raise IndexOutOfRange(f"{indices} is not an r-subset of 1..{self.n}")
-        return self._by_subset[key] * _perm_sign(tuple(indices))
+        return self.by_subset[key] * _perm_sign(tuple(indices))
 
     def support_matroid(self):
         """Matroid whose bases are the subsets with nonzero sign, built
@@ -675,16 +625,6 @@ class Chirotope:
 
         bases = [s for s, sg in zip(self._subsets, self.signs) if sg != 0]
         return matroids.make_matroid(range(1, self.n + 1), bases)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "r": self.r,
-            "signs": {
-                " ".join(str(i) for i in s): sg
-                for s, sg in zip(self._subsets, self.signs)
-            },
-        }
 
 
 def chirotope_of_configuration(points: Sequence[Sequence]) -> Chirotope:

@@ -10,26 +10,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
 from . import algebras, complexes, graphs, matroids
+from .formats import fractions, ints, split_ident, to_json
 
 
 class InputError(ValueError):
     """Unreadable or unparsable input source."""
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (set, frozenset)):
-        return sorted(_jsonable(v) for v in obj)
-    if isinstance(obj, Fraction):
-        return str(obj) if obj.denominator != 1 else obj.numerator
-    return obj
 
 
 def _read_source(value: str) -> str:
@@ -42,53 +32,40 @@ def _read_source(value: str) -> str:
         raise InputError(f"cannot read {value!r}: {exc}") from exc
 
 
-def _looks_like_path(value: str) -> bool:
-    import os
-
-    return value == "-" or os.path.exists(value)
-
-
-def _load_matroid(value: str, bound: int) -> matroids.Matroid:
-    if _looks_like_path(value):
-        return matroids.parse_matroid(_read_source(value), bound=bound)
-    return matroids.parse_named(value)
-
-
-def _load_graph(value: str) -> graphs.Multigraph:
-    if _looks_like_path(value):
-        return graphs.parse_graph(_read_source(value))
-    return graphs.named_graph(value)
+# Source kind -> (parse file text under a ground bound, build a named
+# object).  The library functions are looked up when called, so a function
+# replaced on its module is the one that runs.
+_LOADERS = {
+    "matroid": (lambda t, b: matroids.parse_matroid(t, bound=b), lambda v: matroids.parse_named(v)),
+    "graph": (lambda t, b: graphs.parse_graph(t), lambda v: graphs.named_graph(v)),
+    "embedding": (lambda t, b: graphs.parse_embedding(t), lambda v: graphs.named_embedding(v)),
+    "complex": (
+        lambda t, b: complexes.parse_complex(t),
+        lambda v: complexes.named_complex(*split_ident(v, complexes.BadParams)),
+    ),
+}
 
 
-def _load_embedding(value: str) -> graphs.Embedding:
-    if _looks_like_path(value):
-        return graphs.parse_embedding(_read_source(value))
-    return graphs.named_embedding(value)
-
-
-def _load_complex(value: str) -> complexes.SimplicialComplex:
-    if _looks_like_path(value):
-        return complexes.parse_complex(_read_source(value))
-    name, _, rest = value.partition(":")
-    params = tuple(int(p) for p in rest.split(",")) if rest else ()
-    if name == "genus":
-        name, params = "genus_surface", params
-    return complexes.named_complex(name, params)
+def _load(kind: str, value: str, bound: int = matroids.GROUND_BOUND):
+    """A file path (anything existing or holding ``.`` or a separator),
+    ``-`` for stdin, or otherwise a named object."""
+    parse, named = _LOADERS[kind]
+    if value == "-" or os.path.exists(value) or "." in value or os.sep in value:
+        return parse(_read_source(value), bound)
+    return named(value)
 
 
 def _parse_elements(text: str) -> tuple[int, ...]:
-    if not text:
-        return ()
-    return tuple(int(t) for t in text.replace(",", " ").split())
+    return ints(text.replace(",", " ").split(), matroids.BadInput)
 
 
 def _parse_vector(text: str) -> tuple[Fraction, ...]:
-    return tuple(Fraction(t) for t in text.replace(",", " ").split())
+    return fractions(text.replace(",", " ").split(), algebras.AlgebraError)
 
 
-def _emit(args, report: dict, lines: list[str]) -> None:
+def _emit(args, report, lines: list[str]) -> None:
     if args.json:
-        print(json.dumps(_jsonable(report), sort_keys=True))
+        print(json.dumps(to_json(report), sort_keys=True))
     else:
         for line in lines:
             print(line)
@@ -109,7 +86,9 @@ def _cmd_matroid(args) -> int:
     bound = args.bound or matroids.GROUND_BOUND
     if args.action == "validate":
         try:
-            m = _load_matroid(args.source, bound)
+            m = _load("matroid", args.source, bound)
+        except (matroids.BadInput, matroids.UnknownName, matroids.BadParams):
+            raise
         except matroids.MatroidError as exc:
             _emit(
                 args,
@@ -122,7 +101,7 @@ def _cmd_matroid(args) -> int:
         _emit(args, rep, [f"valid matroid: {m!r}", m.to_text().rstrip()])
         return 0
 
-    m = _load_matroid(args.source, bound)
+    m = _load("matroid", args.source, bound)
     if args.action == "dual":
         d = m.dual()
         _emit(args, _matroid_summary(d), [d.to_text().rstrip()])
@@ -136,13 +115,12 @@ def _cmd_matroid(args) -> int:
         return 0
     if args.action == "classify":
         rep = matroids.classify(m, bound=args.bound or 10)
-        lines = [f"{k}: {v}" for k, v in rep.to_json_dict().items() if k != "witnesses"]
+        lines = [f"{k}: {v}" for k, v in to_json(rep).items() if k != "witnesses"]
         lines += [f"witness[{k}]: {v}" for k, v in rep.witnesses.items()]
-        _emit(args, rep.to_json_dict(), lines)
+        _emit(args, rep, lines)
         return 0
     if args.action == "check-duality":
         rep = matroids.check_duality_axioms(m)
-        d = rep.to_json_dict()
         lines = [
             f"involution_ok: {rep.involution_ok}",
             f"ground_preserved_ok: {rep.ground_preserved_ok}",
@@ -152,21 +130,21 @@ def _cmd_matroid(args) -> int:
             for e, (a, b) in rep.delete_contract_ok.items()
         ]
         lines.append(f"all_ok: {rep.all_ok}")
-        _emit(args, d, lines)
+        _emit(args, rep, lines)
         return 0 if rep.all_ok else 1
     if args.action == "isomorphic":
-        other = _load_matroid(args.target, bound)
+        other = _load("matroid", args.target, bound)
         ok, bij = matroids.is_isomorphic(m, other)
         rep = {"isomorphic": ok, "bijection": bij}
         _emit(args, rep, [f"isomorphic: {ok}" + (f" via {bij}" if bij else "")])
         return 0
     if args.action == "has-minor":
-        target = _load_matroid(args.target, bound)
+        target = _load("matroid", args.target, bound)
         found, wit = matroids.has_minor(m, target)
         rep = {
             "has_minor": found,
-            "deletions": list(wit[0]) if wit else None,
-            "contractions": list(wit[1]) if wit else None,
+            "deletions": wit[0] if wit else None,
+            "contractions": wit[1] if wit else None,
         }
         lines = [f"has_minor: {found}"]
         if wit:
@@ -183,25 +161,25 @@ def _cmd_matroid(args) -> int:
 def _cmd_graph(args) -> int:
     if args.action == "platonic":
         rows = graphs.platonic_solids()
-        rep = {"rows": [r.to_json_dict() for r in rows]}
+        rep = {"rows": rows}
         lines = ["p q V E F name"] + [
             f"{r.p} {r.q} {r.vertices} {r.edges} {r.faces} {r.name}" for r in rows
         ]
         _emit(args, rep, lines)
         return 0
     if args.action == "invariants":
-        g = _load_graph(args.source)
+        g = _load("graph", args.source)
         inv = graphs.graph_invariants(g)
         _emit(
             args,
-            inv.to_json_dict(),
+            inv,
             [f"components: {inv.components}", f"rank: {inv.rank}", f"nullity: {inv.nullity}"],
         )
         return 0
     if args.action == "euler":
-        emb = _load_embedding(args.source)
+        emb = _load("embedding", args.source)
         t = graphs.trace_faces(emb)
-        rep = t.to_json_dict()
+        rep = to_json(t)
         rep["vertices"] = emb.graph.vertex_count
         rep["edges"] = len(emb.graph.edges)
         lines = [
@@ -214,12 +192,12 @@ def _cmd_graph(args) -> int:
         _emit(args, rep, lines)
         return 0
     if args.action == "dual":
-        emb = _load_embedding(args.source)
+        emb = _load("embedding", args.source)
         d = graphs.dual_embedding(emb)
-        _emit(args, graphs.embedding_to_json_dict(d), [graphs.embedding_to_text(d).rstrip()])
+        _emit(args, d, [graphs.embedding_to_text(d).rstrip()])
         return 0
     if args.action == "planar":
-        g = _load_graph(args.source)
+        g = _load("graph", args.source)
         rep = graphs.is_planar(g, bound=args.bound or 20)
         lines = [f"planar: {rep.planar}", f"note: {rep.note}"]
         if rep.obstruction:
@@ -227,12 +205,12 @@ def _cmd_graph(args) -> int:
                 f"obstruction: {rep.obstruction} at deletions={list(rep.deletions)} "
                 f"contractions={list(rep.contractions)}"
             )
-        _emit(args, rep.to_json_dict(), lines)
+        _emit(args, rep, lines)
         return 0
     if args.action == "blocks":
-        g = _load_graph(args.source)
+        g = _load("graph", args.source)
         bl = graphs.blocks(g)
-        rep = {"blocks": [b.to_json_dict() for b in bl]}
+        rep = {"blocks": bl}
         lines = [
             f"block {i}: vertices {list(b.vertices)} edges {list(b.edge_indices)}"
             for i, b in enumerate(bl)
@@ -240,7 +218,7 @@ def _cmd_graph(args) -> int:
         _emit(args, rep, lines)
         return 0
     if args.action == "cycle-matroid":
-        g = _load_graph(args.source)
+        g = _load("graph", args.source)
         m = graphs.cycle_matroid(g, bound=args.bound or matroids.GROUND_BOUND)
         _emit(args, _matroid_summary(m), [m.to_text().rstrip()])
         return 0
@@ -253,13 +231,13 @@ def _cmd_graph(args) -> int:
 
 def _cmd_complex(args) -> int:
     if args.action == "genus-duality":
-        emb = _load_embedding(args.source)
+        emb = _load("embedding", args.source)
         rep = complexes.genus_duality_check(emb)
-        d = rep.to_json_dict()
+        d = to_json(rep)
         lines = [f"{k}: {v}" for k, v in d.items()]
         _emit(args, d, lines)
         return 0 if rep.all_ok else 1
-    k = _load_complex(args.source)
+    k = _load("complex", args.source)
     if args.action in ("chi", "named"):
         rep = {
             "alpha": list(k.alpha),
@@ -281,7 +259,7 @@ def _cmd_complex(args) -> int:
         return 0 if alt == chi else 1
     if args.action == "index-sum":
         rep = complexes.index_sum_canonical(k)
-        d = rep.to_json_dict()
+        d = to_json(rep)
         _emit(args, d, [f"{key}: {val}" for key, val in d.items()])
         return 0
     raise InputError(f"unknown complex action {args.action!r}")
@@ -310,7 +288,6 @@ def _cmd_algebra(args) -> int:
     if args.action == "report":
         alg = algebras.algebra_by_name(args.algebra)
         rep = algebras.division_algebra_report(alg, sample_count=args.trials, seed=args.seed)
-        d = rep.to_json_dict()
         lines = [
             f"algebra: {alg.name} (dim {alg.dim})",
             f"norm_multiplicative: {rep.norm_multiplicative}",
@@ -318,12 +295,12 @@ def _cmd_algebra(args) -> int:
             f"zero_divisor: {_fmt_pair(rep.zero_divisor)}",
             f"samples: {rep.samples} (seed {rep.seed})",
         ]
-        _emit(args, d, lines)
+        _emit(args, rep, lines)
         return 0
     if args.action == "zero-divisors":
         alg = algebras.algebra_by_name(args.algebra)
         rep = algebras.division_algebra_report(alg, sample_count=0, seed=args.seed)
-        d = {"algebra": alg.name, "zero_divisor": d_pair(rep.zero_divisor)}
+        d = {"algebra": alg.name, "zero_divisor": rep.zero_divisor}
         lines = [f"zero_divisor: {_fmt_pair(rep.zero_divisor)}"]
         _emit(args, d, lines)
         return 0
@@ -331,26 +308,24 @@ def _cmd_algebra(args) -> int:
         case = algebras.cross_case(args.case)
         vectors = [_parse_vector(v) for v in args.vectors]
         out = algebras.cross_product(case, vectors)
-        rep = {"case": case.tag, "n": case.n, "r": case.r, "result": [str(c) for c in out]}
+        rep = {"case": case.tag, "n": case.n, "r": case.r, "result": out}
         _emit(args, rep, ["result: " + " ".join(str(c) for c in out)])
         return 0
     if args.action == "cross-check":
         case = algebras.cross_case(args.case)
         rep = algebras.cross_axioms_report(case, trials=args.trials, seed=args.seed)
-        d = rep.to_json_dict()
+        d = to_json(rep)
         _emit(args, d, [f"{k}: {v}" for k, v in d.items()])
         return 0 if rep.all_ok else 1
     if args.action == "hodge":
-        comps = {}
+        comps: dict[tuple[int, ...], Fraction] = {}
         for item in args.components:
             key, _, val = item.partition("=")
-            idx = tuple(int(t) for t in key.replace(",", " ").split())
-            comps[idx] = Fraction(val) if val else Fraction(1)
+            idx = ints(key.replace(",", " ").split(), algebras.AlgebraError)
+            coeff = fractions([val], algebras.AlgebraError)[0] if val else Fraction(1)
+            comps[idx] = comps.get(idx, 0) + coeff  # the map is linear
         out = algebras.hodge_dual(comps, args.n)
-        rep = {
-            "n": args.n,
-            "result": {" ".join(str(i) for i in k): str(v) for k, v in sorted(out.items())},
-        }
+        rep = {"n": args.n, "result": out}
         lines = [
             f"{' '.join(str(i) for i in k)}: {v}" for k, v in sorted(out.items())
         ]
@@ -360,7 +335,7 @@ def _cmd_algebra(args) -> int:
         points = [_parse_vector(p) for p in args.points]
         ch = algebras.chirotope_of_configuration(points)
         m = ch.support_matroid()
-        rep = ch.to_json_dict()
+        rep = to_json({"n": ch.n, "r": ch.r, "signs": ch.by_subset})
         rep["support_matroid"] = _matroid_summary(m)
         lines = [f"n: {ch.n}", f"rank: {ch.r}"]
         lines += [f"{k}: {v}" for k, v in rep["signs"].items()]
@@ -384,12 +359,6 @@ def _fmt_elem(x) -> str:
             coeff = "" if c == 1 else ("-" if c == -1 else f"{c}*")
             terms.append(f"{coeff}e{i}")
     return " + ".join(terms).replace("+ -", "- ") if terms else "0"
-
-
-def d_pair(pair):
-    if pair is None:
-        return None
-    return [[str(c) for c in pair[0]], [str(c) for c in pair[1]]]
 
 
 # ---------------------------------------------------------------------------
@@ -489,13 +458,15 @@ def main(argv=None) -> int:
         if args.domain == "algebra":
             return _cmd_algebra(args)
         parser.error(f"unknown domain {args.domain!r}")
-    except matroids.MatroidError as exc:
+    except (
+        matroids.MatroidError,
+        graphs.GraphError,
+        complexes.ComplexError,
+        algebras.AlgebraError,
+    ) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except (graphs.GraphError, complexes.ComplexError, algebras.AlgebraError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except (InputError, json.JSONDecodeError, KeyError) as exc:
+    except (InputError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2

@@ -16,6 +16,7 @@ from typing import Iterable
 
 from . import gf2
 from . import graphs
+from .formats import read_records
 
 
 class ComplexError(ValueError):
@@ -156,8 +157,8 @@ def _connected_sum(t1: list[frozenset[int]], t2: list[frozenset[int]]) -> list[f
 def named_complex(name: str, params: tuple[int, ...] = ()) -> SimplicialComplex:
     """``sphere`` (n <= 5): boundary of the (n+1)-simplex.
 
-    ``genus_surface`` (g <= 4): the 7-vertex torus, connected-summed g
-    times (g = 0 gives the tetrahedron boundary).
+    ``genus_surface`` or ``genus`` (g <= 4): the 7-vertex torus,
+    connected-summed g times (g = 0 gives the tetrahedron boundary).
     """
     name = name.lower()
     if name == "sphere":
@@ -168,7 +169,7 @@ def named_complex(name: str, params: tuple[int, ...] = ()) -> SimplicialComplex:
             raise BadParams("sphere dimension must be 0..5")
         verts = range(n + 2)
         return make_complex(itertools.combinations(verts, n + 1))
-    if name == "genus_surface":
+    if name in ("genus_surface", "genus"):
         if len(params) != 1:
             raise BadParams("genus_surface needs a genus")
         (g,) = params
@@ -245,14 +246,6 @@ class IndexReport:
     sinks: int
     index_sum: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "sources": self.sources,
-            "saddles": self.saddles,
-            "sinks": self.sinks,
-            "index_sum": self.index_sum,
-        }
-
 
 def index_sum_canonical(k: SimplicialComplex) -> IndexReport:
     """Sum of +1 sources, -1 saddles, +1 sinks on a closed surface."""
@@ -300,25 +293,6 @@ class GenusDualityReport:
             and self.genus_law_ok
         )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "vertices": self.vertices,
-            "edges": self.edges,
-            "faces": self.faces,
-            "genus": self.genus,
-            "virtual_vertices": self.virtual_vertices,
-            "virtual_vertices_dual": self.virtual_vertices_dual,
-            "rank_aug": self.rank_aug,
-            "nullity_aug": self.nullity_aug,
-            "rank_aug_dual": self.rank_aug_dual,
-            "nullity_aug_dual": self.nullity_aug_dual,
-            "virtual_euler_ok": self.virtual_euler_ok,
-            "rank_exchange_ok": self.rank_exchange_ok,
-            "nullity_exchange_ok": self.nullity_exchange_ok,
-            "genus_law_ok": self.genus_law_ok,
-            "all_ok": self.all_ok,
-        }
-
 
 def genus_duality_check(emb: graphs.Embedding) -> GenusDualityReport:
     """Verify the virtual-vertex duality identities on any connected
@@ -360,19 +334,7 @@ def genus_duality_check(emb: graphs.Embedding) -> GenusDualityReport:
 
 def parse_complex(text: str) -> SimplicialComplex:
     """Parse ``s: 1 2 3`` lines (one maximal simplex each) or JSON."""
-    text = text.strip()
-    if text.startswith("{"):
-        import json
-
-        data = json.loads(text)
+    data = read_records(text, {"s": 0}, ComplexError)
+    if isinstance(data, dict):
         return make_complex(data["maximal"])
-    maximal = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("s:"):
-            maximal.append([int(v) for v in line[2:].split()])
-        else:
-            raise ComplexError(f"unrecognized line {raw!r}")
-    return make_complex(maximal)
+    return make_complex(vals for _, vals in data)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Optional
 
+from .formats import read_records, split_ident
 from .matroids import Matroid, TooManyBases, _canonical_bases
 from . import matroids
 
@@ -113,9 +114,6 @@ class GraphInvariants:
     rank: int
     nullity: int
 
-    def to_json_dict(self) -> dict:
-        return {"components": self.components, "rank": self.rank, "nullity": self.nullity}
-
 
 def graph_invariants(g: Multigraph) -> GraphInvariants:
     """Component count k, rank V - k, nullity E - rank."""
@@ -152,6 +150,13 @@ class Embedding:
                 seen.add(d)
         if len(seen) != 2 * len(g.edges):
             raise NonCellular("every edge must contribute exactly two darts")
+
+    def to_json_dict(self) -> dict:
+        return {
+            "vertices": self.graph.vertex_count,
+            "edges": [list(e) for e in self.graph.edges],
+            "rotation": [[list(dart) for dart in cyc] for cyc in self.rotation],
+        }
 
 
 def _face_orbits(
@@ -198,17 +203,6 @@ class TracedFaces:
     genus: Optional[int]
     chi_by_component: tuple[int, ...]
     genus_by_component: tuple[int, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "faces": [[list(d) for d in f] for f in self.faces],
-            "face_count": self.face_count,
-            "component_count": self.component_count,
-            "chi": self.chi,
-            "genus": self.genus,
-            "chi_by_component": list(self.chi_by_component),
-            "genus_by_component": list(self.genus_by_component),
-        }
 
 
 def trace_faces(emb: Embedding) -> TracedFaces:
@@ -274,16 +268,6 @@ class DualityReport:
             and self.rank - self.nullity_dual + 2 == self.euler_chi
         )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "rank": self.rank,
-            "nullity": self.nullity,
-            "rank_dual": self.rank_dual,
-            "nullity_dual": self.nullity_dual,
-            "euler_chi": self.euler_chi,
-            "duality_ok": self.duality_ok,
-        }
-
 
 def rank_nullity_duality_report(emb: Embedding) -> DualityReport:
     """Check rank* = nullity and nullity* = rank on a planar embedding."""
@@ -310,20 +294,6 @@ class PlanarityReport:
     contractions: Optional[tuple[int, ...]]
     embedding: Optional[Embedding]
     note: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "planar": self.planar,
-            "obstruction": self.obstruction,
-            "deletions": list(self.deletions) if self.deletions is not None else None,
-            "contractions": list(self.contractions)
-            if self.contractions is not None
-            else None,
-            "embedding": embedding_to_json_dict(self.embedding)
-            if self.embedding is not None
-            else None,
-            "note": self.note,
-        }
 
 
 def _rotation_candidates(g: Multigraph):
@@ -406,16 +376,6 @@ class PlatonicRow:
     faces: int
     name: str
 
-    def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "q": self.q,
-            "vertices": self.vertices,
-            "edges": self.edges,
-            "faces": self.faces,
-            "name": self.name,
-        }
-
 
 _PLATONIC_NAMES = {
     (3, 3): "tetrahedron",
@@ -460,18 +420,18 @@ def platonic_solids() -> list[PlatonicRow]:
 
 @dataclass(frozen=True)
 class Block:
-    """A biconnected component, keeping its original edge indices."""
+    """A biconnected component, keeping its original edge indices.
 
-    graph: Multigraph
+    ``edges`` joins positions in ``vertices``; ``graph`` is that subgraph.
+    """
+
     vertices: tuple[int, ...]
     edge_indices: tuple[int, ...]
+    edges: tuple[tuple[int, int], ...]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "vertices": list(self.vertices),
-            "edge_indices": list(self.edge_indices),
-            "edges": [list(e) for e in self.graph.edges],
-        }
+    @cached_property
+    def graph(self) -> Multigraph:
+        return Multigraph(len(self.vertices), self.edges)
 
 
 def blocks(g: Multigraph) -> list[Block]:
@@ -532,7 +492,7 @@ def blocks(g: Multigraph) -> list[Block]:
         vs = sorted({v for ei in es for v in g.edges[ei]})
         vmap = {v: i for i, v in enumerate(vs)}
         sub_edges = tuple((vmap[g.edges[ei][0]], vmap[g.edges[ei][1]]) for ei in sorted(es))
-        out.append(Block(Multigraph(len(vs), sub_edges), tuple(vs), tuple(sorted(es))))
+        out.append(Block(tuple(vs), tuple(sorted(es)), sub_edges))
     return out
 
 
@@ -644,8 +604,19 @@ def _complete_graph(n: int) -> Multigraph:
 
 
 @lru_cache(maxsize=None)
-def named_graph(name: str) -> Multigraph:
-    name = name.lower()
+def named_graph(ident: str) -> Multigraph:
+    """``k4``/``tetrahedron``, ``k5``, ``k33``, ``cube``, ``octahedron``,
+    ``triangle``/``c3``, and ``cycle:n``/``path:n`` for n >= 1."""
+    name, params = split_ident(ident, GraphError)
+    if name in ("cycle", "path"):
+        if len(params) != 1 or params[0] < 1:
+            raise GraphError(f"{name} needs one size n >= 1, got {ident!r}")
+        (n,) = params
+        if name == "cycle":
+            return Multigraph(n, tuple((i, (i + 1) % n) for i in range(n)))
+        return Multigraph(n, tuple((i, i + 1) for i in range(n - 1)))
+    if params:
+        raise UnknownGraphName(f"unknown graph name {ident!r}")
     if name in ("k4", "tetrahedron"):
         return _complete_graph(4)
     if name == "k5":
@@ -664,13 +635,7 @@ def named_graph(name: str) -> Multigraph:
         return Multigraph(6, edges)
     if name == "triangle" or name == "c3":
         return Multigraph(3, ((0, 1), (1, 2), (0, 2)))
-    if name.startswith("cycle:"):
-        n = int(name.split(":")[1])
-        return Multigraph(n, tuple((i, (i + 1) % n) for i in range(n)))
-    if name.startswith("path:"):
-        n = int(name.split(":")[1])
-        return Multigraph(n, tuple((i, i + 1) for i in range(n - 1)))
-    raise UnknownGraphName(f"unknown graph name {name!r}")
+    raise UnknownGraphName(f"unknown graph name {ident!r}")
 
 
 def _one_vertex_surface(genus: int) -> Embedding:
@@ -684,17 +649,20 @@ def _one_vertex_surface(genus: int) -> Embedding:
 
 
 @lru_cache(maxsize=None)
-def named_embedding(name: str) -> Embedding:
-    """Named embeddings: planar solids get a searched genus-0 rotation."""
-    name = name.lower()
-    if name == "torus":
+def named_embedding(ident: str) -> Embedding:
+    """Named embeddings: ``torus``, ``genus:g`` (one vertex, 2g loops), and
+    every named planar graph with a searched genus-0 rotation."""
+    name, params = split_ident(ident, GraphError)
+    if name == "torus" and not params:
         return _one_vertex_surface(1)
-    if name.startswith("genus:"):
-        return _one_vertex_surface(int(name.split(":")[1]))
-    g = named_graph(name)
+    if name == "genus":
+        if len(params) != 1:
+            raise GraphError(f"genus needs one parameter, got {ident!r}")
+        return _one_vertex_surface(params[0])
+    g = named_graph(ident)
     emb = find_planar_embedding(g)
     if emb is None:
-        raise UnknownGraphName(f"no planar embedding available for {name!r}")
+        raise UnknownGraphName(f"no planar embedding available for {ident!r}")
     return emb
 
 
@@ -804,32 +772,32 @@ def disjoint_union_embeddings(embs: list[Embedding]) -> Embedding:
 # text / JSON formats
 
 
-def parse_graph(text: str) -> Multigraph:
-    """Parse ``v:``/``e:`` lines or the JSON equivalent."""
-    text = text.strip()
-    if text.startswith("{"):
-        import json
+_GRAPH_KEYS = {"v": 0, "e": 0, "rot": 1}
 
-        data = json.loads(text)
+
+def _graph_of(data) -> Multigraph:
+    if isinstance(data, dict):
         return Multigraph(data["vertices"], tuple(tuple(e) for e in data["edges"]))
     nv = None
     edges = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("v:"):
-            nv = int(line[2:])
-        elif line.startswith("e:"):
-            u, v = line[2:].split()
-            edges.append((int(u), int(v)))
-        elif line.startswith("rot"):
-            continue
-        else:
-            raise GraphError(f"unrecognized line {raw!r}")
+    for key, vals in data:
+        if key == "v":
+            if len(vals) != 1:
+                raise GraphError("'v:' takes one vertex count")
+            (nv,) = vals
+        elif key == "e":
+            if len(vals) != 2:
+                raise GraphError("'e:' takes two endpoints")
+            edges.append(vals)
     if nv is None:
         raise GraphError("missing 'v:' line")
     return Multigraph(nv, tuple(edges))
+
+
+def parse_graph(text: str) -> Multigraph:
+    """Parse ``v:``/``e:`` lines or the JSON equivalent; ``rot`` lines are
+    read and ignored."""
+    return _graph_of(read_records(text, _GRAPH_KEYS, GraphError))
 
 
 def parse_embedding(text: str) -> Embedding:
@@ -837,46 +805,29 @@ def parse_embedding(text: str) -> Embedding:
 
     +k is end 0 of edge k-1, -k is end 1; JSON uses explicit dart pairs.
     """
-    text = text.strip()
-    if text.startswith("{"):
-        import json
-
-        data = json.loads(text)
-        g = Multigraph(data["vertices"], tuple(tuple(e) for e in data["edges"]))
+    data = read_records(text, _GRAPH_KEYS, GraphError)
+    g = _graph_of(data)
+    if isinstance(data, dict):
         rot = tuple(tuple((e, s) for e, s in cyc) for cyc in data["rotation"])
         return Embedding(g, rot)
-    g = parse_graph(text)
     rot: list[tuple[Dart, ...]] = [()] * g.vertex_count
     seen_rot = set()
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line.startswith("rot"):
+    for key, vals in data:
+        if key != "rot":
             continue
-        head, _, rest = line.partition(":")
-        v = int(head[3:])
-        cyc = []
-        for tok in rest.split():
-            k = int(tok)
-            if k == 0:
-                raise GraphError("signed edge references are 1-based")
-            cyc.append((abs(k) - 1, 0 if k > 0 else 1))
-        rot[v] = tuple(cyc)
+        v, refs = vals[0], vals[1:]
+        if not 0 <= v < g.vertex_count:
+            raise GraphError(f"rot vertex {v} outside 0..{g.vertex_count - 1}")
+        if 0 in refs:
+            raise GraphError("signed edge references are 1-based")
+        rot[v] = tuple((abs(k) - 1, 0 if k > 0 else 1) for k in refs)
         seen_rot.add(v)
-    if len(seen_rot) != g.vertex_count and any(
-        g.degree(v) > 0 and v not in seen_rot for v in range(g.vertex_count)
-    ):
+    if any(v not in seen_rot and g.degree(v) > 0 for v in range(g.vertex_count)):
         raise GraphError("every vertex with incident edges needs a rot line")
     return Embedding(g, tuple(rot))
 
 
-def graph_to_json_dict(g: Multigraph) -> dict:
-    return {"vertices": g.vertex_count, "edges": [list(e) for e in g.edges]}
-
-
-def embedding_to_json_dict(emb: Embedding) -> dict:
-    d = graph_to_json_dict(emb.graph)
-    d["rotation"] = [[list(dart) for dart in cyc] for cyc in emb.rotation]
-    return d
+embedding_to_json_dict = Embedding.to_json_dict
 
 
 def embedding_to_text(emb: Embedding) -> str:

@@ -12,10 +12,11 @@ witnesses.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Optional
+
+from .formats import read_records, split_ident
 
 GROUND_BOUND = 12
 
@@ -89,6 +90,10 @@ class BadParams(MatroidError):
 
 class TooManyBases(MatroidError):
     """A generated basis family would exceed the ground bound."""
+
+
+class BadInput(MatroidError):
+    """Unparsable matroid text or element token."""
 
 
 # ---------------------------------------------------------------------------
@@ -550,14 +555,7 @@ def named_matroid(name: str, params: tuple[int, ...] = ()) -> Matroid:
 
 def parse_named(ident: str) -> Matroid:
     """Parse identifiers like ``fano`` or ``uniform:2,4``."""
-    if ":" in ident:
-        name, _, rest = ident.partition(":")
-        try:
-            params = tuple(int(p) for p in rest.split(","))
-        except ValueError:
-            raise BadParams(f"bad parameters in {ident!r}") from None
-        return named_matroid(name, params)
-    return named_matroid(ident)
+    return named_matroid(*split_ident(ident, BadParams))
 
 
 # ---------------------------------------------------------------------------
@@ -584,17 +582,6 @@ class DualityAxiomReport:
             and self.ground_preserved_ok
             and all(a and b for a, b in self.delete_contract_ok.values())
         )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "involution_ok": self.involution_ok,
-            "ground_preserved_ok": self.ground_preserved_ok,
-            "delete_contract_ok": {
-                str(e): list(v) for e, v in self.delete_contract_ok.items()
-            },
-            "counterexample": self.counterexample,
-            "all_ok": self.all_ok,
-        }
 
 
 def check_duality_axioms(m: Matroid) -> DualityAxiomReport:
@@ -741,16 +728,6 @@ class ClassificationReport:
     transversal: Optional[bool]
     witnesses: dict[str, str]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "binary": self.binary,
-            "regular": self.regular,
-            "graphic": self.graphic,
-            "cographic": self.cographic,
-            "transversal": self.transversal,
-            "witnesses": dict(self.witnesses),
-        }
-
 
 def _excluded_minor_scan(m: Matroid, targets: list[tuple[str, Matroid]]):
     for name, t in targets:
@@ -877,24 +854,10 @@ def classify(m: Matroid, bound: int = 10) -> ClassificationReport:
 
 def parse_matroid(text: str, bound: int = GROUND_BOUND) -> Matroid:
     """Parse the line format (``ground:`` then ``basis:`` lines) or JSON."""
-    text = text.strip()
-    if text.startswith("{"):
-        data = json.loads(text)
+    data = read_records(text, {"ground": 0, "basis": 0}, BadInput)
+    if isinstance(data, dict):
         return make_matroid(data["ground"], data["bases"], bound=bound)
-    ground = None
-    bases = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, _, rest = line.partition(":")
-        vals = [int(v) for v in rest.split()]
-        if key.strip() == "ground":
-            ground = vals
-        elif key.strip() == "basis":
-            bases.append(vals)
-        else:
-            raise MatroidError(f"unrecognized line {raw!r}")
-    if ground is None:
-        raise MatroidError("missing 'ground:' line")
-    return make_matroid(ground, bases, bound=bound)
+    grounds = [vals for key, vals in data if key == "ground"]
+    if not grounds:
+        raise BadInput("missing 'ground:' line")
+    return make_matroid(grounds[-1], [vals for key, vals in data if key == "basis"], bound=bound)

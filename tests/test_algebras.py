@@ -357,3 +357,9 @@ def test_chirotope_support_always_a_matroid():
             continue
         m = ch.support_matroid()  # make_matroid validates the axioms
         assert m.rank == r
+
+
+def test_cross_case_bounds():
+    for ident in ("epsilon:9", "epsilon:1", "epsilon:x", "j:-2", "j:", "three:1"):
+        with pytest.raises(A.UnknownCase):
+            A.cross_case(ident)

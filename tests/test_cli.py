@@ -1,8 +1,16 @@
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualities.cli import main
+
+# Exact --json stdout and exit code of every argv in
+# test_json_mode_is_stable and every README CLI line (``algebra report``
+# runs 20 trials instead of 500 to keep the test fast).
+GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
 
 
 def run(capsys, *argv):
@@ -246,3 +254,107 @@ def test_json_mode_is_stable(capsys, argv):
     code, data = run_json(capsys, *argv)
     assert code == 0
     assert json.loads(json.dumps(data, sort_keys=True)) == data
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda c: " ".join(c["argv"]))
+def test_json_output_is_byte_identical(capsys, case):
+    code, out, _ = run(capsys, *case["argv"])
+    assert (code, out) == (case["code"], case["stdout"])
+
+
+def test_algebra_hodge_sums_repeated_keys(capsys):
+    code, data = run_json(capsys, "algebra", "hodge", "--n", "2", "1=1", "1=2")
+    assert code == 0 and data["result"] == {"2": "3"}
+
+
+def test_validate_missing_path_exit_2(capsys, tmp_path):
+    code, out, err = run(capsys, "matroid", "validate", str(tmp_path / "nonexist.txt"))
+    assert code == 2 and out == "" and "cannot read" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("matroid", "validate", "FILE:ground: 1 2 x\nbasis: 1 2\n"),
+        ("matroid", "minor", "fano", "--delete", "a"),
+        ("complex", "betti", "FILE:s: 1 2 a\n"),
+        ("complex", "betti", "genus:x"),
+        ("complex", "genus-duality", "genus:9999999999"),
+        ("graph", "euler", "cycle:x"),
+        ("graph", "euler", "cycle:0"),
+        ("graph", "blocks", "path:0"),
+        ("graph", "euler", "genus:-1"),
+        ("graph", "euler", "FILE:v: 1\nrot 5:\n"),
+        ("algebra", "cross", "--case", "epsilon:x", "--", "1,0"),
+        ("algebra", "cross-check", "--case", "epsilon:9", "--trials", "1"),
+        ("algebra", "cross", "--case", "three", "--", "1/0,1,0", "0,1,0"),
+        ("algebra", "hodge", "--n", "3", "--", "1,a"),
+        ("algebra", "hodge", "--n", "3", "--", "1=2/0"),
+        ("algebra", "chirotope", "--", "1,0", "0,1", "x"),
+    ],
+    ids=" ".join,
+)
+def test_malformed_input_exit_2(capsys, tmp_path, argv):
+    argv = list(argv)
+    for i, a in enumerate(argv):
+        if a.startswith("FILE:"):
+            path = tmp_path / "in.txt"
+            path.write_text(a[5:])
+            argv[i] = str(path)
+    code, out, err = run(capsys, *argv[:2], "--json", *argv[2:])
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
+# Tokens that are malformed, negative, huge or just out of range, mixed
+# with ordinary small integers.
+TOKENS = st.sampled_from(
+    ["x", "", "-1", "1.5", "1/0", "-3/0", "2/3", "nan", "1e3", "64", "65", "9999999999"]
+) | st.integers(-3, 9).map(str)
+
+
+@st.composite
+def cheap_commands(draw, workdir):
+    t = [draw(TOKENS) for _ in range(3)]
+
+    def write(name, text):
+        path = workdir / name
+        path.write_text(text)
+        return str(path)
+
+    vector = ",".join(t)
+    graph = draw(st.sampled_from(["cycle", "path", "genus"]))
+    surface = draw(st.sampled_from(["sphere", "genus"]))
+    case = draw(st.sampled_from(["epsilon", "j"]))
+    nv = draw(st.integers(0, 3))
+    choices = [
+        ["matroid", "validate", write("m.txt", f"ground: 1 2 {t[0]}\nbasis: 1 {t[1]}\n")],
+        ["matroid", "minor", "fano", "--delete", t[0], "--contract", t[1]],
+        ["matroid", "dual", str(workdir / f"missing-{t[0]}.txt")],
+        ["graph", "euler", f"{graph}:{t[0]}"],
+        ["graph", "euler", write("g.txt", f"v: {nv}\ne: 0 {t[0]}\nrot {t[1]}: 1 {t[2]}\n")],
+        ["complex", "betti", f"{surface}:{t[0]}"],
+        ["complex", "betti", write("c.txt", f"s: 1 {t[0]} {t[1]}\n")],
+        ["algebra", "cross", "--case", f"{case}:{t[0]}", "--", vector],
+        ["algebra", "cross", "--case", "three", "--", vector, "0,1,0"],
+        ["algebra", "hodge", f"--n={t[2]}", "--", f"{t[0]}={t[1]}"],
+        ["algebra", "chirotope", "--", vector, "1,0,0", t[2]],
+    ]
+    return draw(st.sampled_from(choices))
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def test_fuzz_exit_codes(workdir):
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @given(cheap_commands(workdir))
+    def check(argv):
+        try:
+            code = main(argv[:2] + ["--json"] + argv[2:])
+        except SystemExit as exc:  # argparse rejects the argument vector
+            code = exc.code
+        assert code in (0, 1, 2)
+
+    check()

@@ -426,3 +426,15 @@ def test_parse_errors():
         G.parse_graph("v: 2\nbogus\n")
     with pytest.raises(G.GraphError):
         G.parse_embedding("v: 2\ne: 0 1\nrot 0: 1\n")
+
+
+def test_parse_and_named_bounds():
+    for text in ("v: 1\nrot 5:\n", "v: 2\nrot -1:\n", "v: 2\ne: 0\n", "v: 1 2\n", "rot: 1\n"):
+        with pytest.raises(G.GraphError):
+            G.parse_embedding(text)
+    for ident in ("cycle:0", "path:-1", "cycle:x", "cycle:1,2", "k4:1"):
+        with pytest.raises(G.GraphError):
+            G.named_graph(ident)
+    for ident in ("genus:-1", "genus:9999999999", "genus"):
+        with pytest.raises(G.GraphError):
+            G.named_embedding(ident)
