@@ -365,10 +365,25 @@ def _fmt_elem(x) -> str:
 # parser
 
 
+# Largest --trials value; each trial costs a few exact products, so the
+# ceiling keeps one command to seconds.
+TRIALS_MAX = 5000
+
+
+def _trials(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if not 0 <= n <= TRIALS_MAX:
+        raise argparse.ArgumentTypeError(f"{n} outside 0..{TRIALS_MAX}")
+    return n
+
+
 def _common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true", help="emit one JSON object")
     p.add_argument("--seed", type=int, default=0, help="seed for random trials")
-    p.add_argument("--trials", type=int, default=200, help="random trial count")
+    p.add_argument("--trials", type=_trials, default=200, help=f"random trial count, 0..{TRIALS_MAX}")
     p.add_argument("--bound", type=int, default=None, help="search/size bound")
 
 

@@ -16,7 +16,7 @@ from typing import Iterable
 
 from . import gf2
 from . import graphs
-from .formats import read_records
+from .formats import json_ints, read_records
 
 
 class ComplexError(ValueError):
@@ -336,5 +336,5 @@ def parse_complex(text: str) -> SimplicialComplex:
     """Parse ``s: 1 2 3`` lines (one maximal simplex each) or JSON."""
     data = read_records(text, {"s": 0}, ComplexError)
     if isinstance(data, dict):
-        return make_complex(data["maximal"])
+        return make_complex(json_ints(data, "maximal", 2, ComplexError))
     return make_complex(vals for _, vals in data)

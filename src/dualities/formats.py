@@ -42,11 +42,12 @@ def fractions(tokens: Iterable[str], error: type[Exception]) -> tuple[Fraction, 
 def read_records(text: str, keys: dict[str, int], error: type[Exception]) -> dict | Records:
     """Read the line format every input file shares, or a JSON object.
 
-    JSON text is returned as the decoded object.  Otherwise each line,
-    with ``#`` comments dropped, is ``key [args]: tokens``; ``keys`` maps
-    every accepted key to the number of integer arguments its head
-    carries (``rot 3:`` carries one).  The result lists ``(key, ints)``
-    per line, head arguments first.
+    JSON text is returned as the decoded object, whose fields are read
+    with ``json_ints``.  Otherwise each line, with ``#`` comments dropped,
+    is ``key [args]: tokens``; ``keys`` maps every accepted key to the
+    number of integer arguments its head carries (``rot 3:`` carries
+    one).  The result lists ``(key, ints)`` per line, head arguments
+    first.
     """
     text = text.strip()
     if text.startswith("{"):
@@ -65,6 +66,32 @@ def read_records(text: str, keys: dict[str, int], error: type[Exception]) -> dic
             raise error(f"unrecognized line {raw!r}")
         records.append((words[0], ints(words[1:] + rest.split(), error)))
     return records
+
+
+def json_ints(data: dict, key: str, depth: int, error: type[Exception]):
+    """``data[key]`` of a JSON source as plain ints nested ``depth`` lists deep.
+
+    Every parser reads its integer fields through here, so a missing key
+    or a string, float, bool or null where an integer or list belongs
+    raises ``error``.  Lists come back as tuples.
+    """
+    if key not in data:
+        raise error(f"JSON input needs {key!r}")
+    level = [data[key]]
+    for _ in range(depth):
+        if not all(type(v) is list for v in level):
+            break
+        level = [x for v in level for x in v]
+    else:
+        if all(type(v) is int for v in level):
+            return _tuples(data[key], depth)
+    raise error(f"{key!r} must hold plain integers at list depth {depth}")
+
+
+def _tuples(value, depth: int):
+    if depth < 2:
+        return tuple(value) if depth else value
+    return tuple([_tuples(v, depth - 1) for v in value])
 
 
 def split_ident(ident: str, error: type[Exception]) -> tuple[str, tuple[int, ...]]:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Optional
 
-from .formats import read_records, split_ident
+from .formats import json_ints, read_records, split_ident
 from .matroids import Matroid, TooManyBases, _canonical_bases
 from . import matroids
 
@@ -774,23 +774,31 @@ def disjoint_union_embeddings(embs: list[Embedding]) -> Embedding:
 
 _GRAPH_KEYS = {"v": 0, "e": 0, "rot": 1}
 
+# Largest vertex count a graph or embedding file may declare; every
+# vertex costs a rotation list and union-find slot before any check runs.
+VERTEX_BOUND = 4096
+
 
 def _graph_of(data) -> Multigraph:
     if isinstance(data, dict):
-        return Multigraph(data["vertices"], tuple(tuple(e) for e in data["edges"]))
-    nv = None
-    edges = []
-    for key, vals in data:
-        if key == "v":
-            if len(vals) != 1:
-                raise GraphError("'v:' takes one vertex count")
-            (nv,) = vals
-        elif key == "e":
-            if len(vals) != 2:
-                raise GraphError("'e:' takes two endpoints")
-            edges.append(vals)
-    if nv is None:
-        raise GraphError("missing 'v:' line")
+        nv = json_ints(data, "vertices", 0, GraphError)
+        edges = json_ints(data, "edges", 2, GraphError)
+    else:
+        nv = None
+        edges = []
+        for key, vals in data:
+            if key == "v":
+                if len(vals) != 1:
+                    raise GraphError("'v:' takes one vertex count")
+                (nv,) = vals
+            elif key == "e":
+                edges.append(vals)
+        if nv is None:
+            raise GraphError("missing 'v:' line")
+    if nv > VERTEX_BOUND:
+        raise GraphError(f"{nv} vertices exceed the bound {VERTEX_BOUND}")
+    if any(len(e) != 2 for e in edges):
+        raise GraphError("an edge takes two endpoints")
     return Multigraph(nv, tuple(edges))
 
 
@@ -808,7 +816,9 @@ def parse_embedding(text: str) -> Embedding:
     data = read_records(text, _GRAPH_KEYS, GraphError)
     g = _graph_of(data)
     if isinstance(data, dict):
-        rot = tuple(tuple((e, s) for e, s in cyc) for cyc in data["rotation"])
+        rot = json_ints(data, "rotation", 3, GraphError)
+        if any(len(d) != 2 for cyc in rot for d in cyc):
+            raise GraphError("a dart is an [edge, end] pair")
         return Embedding(g, rot)
     rot: list[tuple[Dart, ...]] = [()] * g.vertex_count
     seen_rot = set()

@@ -5,8 +5,8 @@ bases, each a frozenset, kept in lexicographic order.  Ground sets are
 capped (12 elements by default), so the family always fits in memory.
 That choice makes duality literal set complementation, minors a direct
 recomputation of the family, and every search in this module (minor
-containment, isomorphism, classification) exhaustive with deterministic
-witnesses.
+containment, isomorphism, excluded minors) exhaustive with deterministic
+witnesses.  Graphic realizations are built directly from the circuits.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Optional
 
-from .formats import read_records, split_ident
+from .formats import json_ints, read_records, split_ident
 
 GROUND_BOUND = 12
 
@@ -747,36 +747,174 @@ def _graphic_targets() -> list[tuple[str, Matroid]]:
     ]
 
 
-def _realization_witness(m: Matroid) -> Optional[str]:
-    """Try to exhibit a multigraph whose cycle matroid matches ``m``.
+def _bits(mask: int):
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    Tries vertex counts rank+1 and rank+2 over multigraph edge multisets;
-    gives up (returns None) when the candidate space is too large.
+
+def _circuits(m: Matroid) -> list[int]:
+    """Every circuit as an element-index mask, smallest first.
+
+    Each circuit is the fundamental circuit of one of its elements with
+    respect to a basis holding the rest, so the bases yield them all.
+    """
+    bases = m._mask_set
+    singles = [1 << i for i in range(len(m.ground))]
+    found = set()
+    for b in m._masks:
+        inside = [f for f in singles if b & f]
+        for e in singles:
+            if not b & e:
+                found.add(e | sum(f for f in inside if b ^ f | e in bases))
+    return sorted(found, key=lambda c: (c.bit_count(), c))
+
+
+def _ear_ends(ends: dict[int, tuple[int, int]], through: list[int]) -> Optional[tuple[int, int]]:
+    """The built vertices (a, b) an ear must join, or None if none fit.
+
+    ``through`` lists C - ear for every circuit C through the ear inside
+    the built part plus the ear.  Each must be an a-b path of the built
+    graph, which fixes (a, b), and the built graph may have no other a-b
+    path.
+    """
+    pair = None
+    for s in through:
+        degree: dict[int, int] = {}
+        for e in _bits(s):
+            for v in ends[e]:
+                degree[v] = degree.get(v, 0) + 1
+        odd = tuple(sorted(v for v, d in degree.items() if d % 2))
+        if len(odd) != 2 or max(degree.values()) > 2 or pair not in (None, odd):
+            return None
+        pair = odd
+    a, b = pair
+    adj: dict[int, list[int]] = {}
+    for u, v in ends.values():
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    count = 0
+
+    def walk(v: int, seen: set[int]) -> None:
+        nonlocal count
+        for w in adj[v]:
+            if count > len(through):
+                return
+            if w == b:
+                count += 1
+            elif w not in seen:
+                walk(w, seen | {w})
+
+    walk(a, {a})
+    return pair if count == len(through) else None
+
+
+def _realize_component(part: int, cs: list[int]) -> Optional[tuple[int, dict[int, tuple[int, int]]]]:
+    """Vertex count and edge ends of a 2-connected graph realizing one
+    connected component (a mask ``part``, circuits ``cs`` smallest first).
+
+    The smallest circuit is laid out as a cycle; then the circuit with the
+    fewest unbuilt elements is added, whose unbuilt part (the ear) is a
+    single path between two built vertices.  Elements lying in the same
+    circuits (a series class) may be permuted freely along a path, so
+    only the order of whole classes is branched on, within an ear and
+    around the first cycle.  The ear's endpoints are forced by the built
+    graph; a dead end backtracks to an earlier order.
+    """
+    series: dict[int, list[int]] = {}
+    for e in _bits(part):
+        series.setdefault(sum(1 << j for j, c in enumerate(cs) if c >> e & 1), []).append(e)
+    class_of = {e: k for k, cls in enumerate(series.values()) for e in cls}
+
+    def runs(mask: int) -> list[list[int]]:
+        out: dict[int, list[int]] = {}
+        for e in _bits(mask):
+            out.setdefault(class_of[e], []).append(e)
+        return list(out.values())
+
+    built = cs[0]
+    plan = []
+    while built != part:
+        ear = min((c & ~built for c in cs if c & built and c & ~built), key=int.bit_count)
+        built |= ear
+        inside = [c for c in cs if c & ear and not c & ~built]
+        if any(c & ear != ear for c in inside):
+            return None  # the ear's elements are not in series: not graphic
+        plan.append((runs(ear), [c & ~ear for c in inside]))
+
+    ends: dict[int, tuple[int, int]] = {}
+
+    def attach(k: int, nv: int) -> Optional[int]:
+        if k == len(plan):
+            return nv
+        ear_runs, through = plan[k]
+        pair = _ear_ends(ends, through)
+        if pair is None:
+            return None
+        for order in itertools.permutations(ear_runs):
+            seq = [e for run in order for e in run]
+            path = [pair[0], *range(nv, nv + len(seq) - 1), pair[1]]
+            for i, e in enumerate(seq):
+                ends[e] = (path[i], path[i + 1])
+            done = attach(k + 1, nv + len(seq) - 1)
+            if done is not None:
+                return done
+        for e in seq:
+            del ends[e]
+        return None
+
+    head, *rest = runs(cs[0])
+    size = cs[0].bit_count()
+    for order in itertools.permutations(rest):
+        for i, e in enumerate(head + [e for run in order for e in run]):
+            ends[e] = (i, (i + 1) % size)
+        nv = attach(0, size)
+        if nv is not None:
+            return nv, ends
+    return None
+
+
+def _realization_witness(m: Matroid) -> Optional[str]:
+    """A graph whose cycle matroid is ``m`` itself, or None if ``m`` is not
+    graphic.
+
+    Edge i of the graph is ground element ``m.ground[i]``.  A loop is a
+    loop at vertex 0, a coloop a pendant edge, and each larger connected
+    component is built from its circuits by ``_realize_component``; the
+    components share vertex 0, which leaves the cycle matroid unchanged.
+    The graph is returned only after its cycle matroid has been checked
+    equal to ``m`` under that labelling.
     """
     from . import graphs
 
-    ne = len(m.ground)
-    for extra in (1, 2):
-        nv = m.rank + extra
-        if nv < 1 or nv > 8:
-            continue
-        slots = [(u, v) for u in range(nv) for v in range(u, nv)]
-        total = 1
-        for i in range(ne):
-            total = total * (len(slots) + i) // (i + 1)
-        if total > 300_000:
-            continue
-        for combo in itertools.combinations_with_replacement(slots, ne):
-            g = graphs.Multigraph(nv, tuple(combo))
-            try:
-                cm = graphs.cycle_matroid(g)
-            except MatroidError:
-                continue
-            if len(cm.bases) != len(m.bases) or cm.rank != m.rank:
-                continue
-            if is_isomorphic(cm, m)[0]:
-                return f"cycle matroid of graph with edges {list(combo)}"
-    return None
+    circuits = _circuits(m)
+    parts: list[int] = []
+    for c in circuits:
+        for p in [p for p in parts if p & c]:
+            parts.remove(p)
+            c |= p
+        parts.append(c)
+    edges = [(0, 0)] * len(m.ground)
+    nv = 1
+    for part in parts:
+        if part.bit_count() == 1:
+            continue  # a loop
+        placed = _realize_component(part, [c for c in circuits if c & part])
+        if placed is None:
+            return None
+        size, ends = placed
+        for e, (u, v) in ends.items():  # keep vertex 0, shift the rest
+            edges[e] = (u and u + nv - 1, v and v + nv - 1)
+        nv += size - 1
+    for e in _bits(m.full_mask - sum(parts)):  # coloops
+        edges[e] = (0, nv)
+        nv += 1
+    g = graphs.Multigraph(nv, tuple(edges))
+    if graphs.cycle_matroid(g, bound=len(edges))._masks != m._masks:
+        return None
+    return f"cycle matroid of graph with edges {edges}"
 
 
 def classify(m: Matroid, bound: int = 10) -> ClassificationReport:
@@ -784,8 +922,10 @@ def classify(m: Matroid, bound: int = 10) -> ClassificationReport:
 
     binary: no U(2,4) minor; regular: additionally no Fano or dual-Fano
     minor; graphic: additionally no dual M(K5) / dual M(K3,3) minor;
-    cographic: dual graphic.  Transversal search is attempted only for
-    grounds of at most 7 elements (None otherwise).
+    cographic: dual graphic.  A graphic side is witnessed by a labelled
+    realizing graph, ``cycle matroid of graph with edges [...]``, whose
+    edge i is ground element i in sorted order.  Transversal search is
+    attempted only for grounds of at most 7 elements (None otherwise).
     """
     if len(m.ground) > bound:
         raise GroundTooLarge(f"classification capped at {bound} elements")
@@ -815,11 +955,7 @@ def classify(m: Matroid, bound: int = 10) -> ClassificationReport:
     def graphic_side(mm: Matroid) -> tuple[bool, str]:
         nm, w = _excluded_minor_scan(mm, targets)
         if nm is None:
-            wit_text = "no excluded minor (exhaustive search)"
-            real = _realization_witness(mm)
-            if real is not None:
-                wit_text = real
-            return True, wit_text
+            return True, _realization_witness(mm) or "no excluded minor (exhaustive search)"
         return False, f"{nm} minor at deletions={w[0]} contractions={w[1]}"
 
     graphic, gw = graphic_side(m)
@@ -856,7 +992,9 @@ def parse_matroid(text: str, bound: int = GROUND_BOUND) -> Matroid:
     """Parse the line format (``ground:`` then ``basis:`` lines) or JSON."""
     data = read_records(text, {"ground": 0, "basis": 0}, BadInput)
     if isinstance(data, dict):
-        return make_matroid(data["ground"], data["bases"], bound=bound)
+        return make_matroid(
+            json_ints(data, "ground", 1, BadInput), json_ints(data, "bases", 2, BadInput), bound=bound
+        )
     grounds = [vals for key, vals in data if key == "ground"]
     if not grounds:
         raise BadInput("missing 'ground:' line")

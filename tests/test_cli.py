@@ -1,11 +1,12 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualities.cli import main
+from dualities.cli import build_parser, main
 
 # Exact --json stdout and exit code of every argv in
 # test_json_mode_is_stable and every README CLI line (``algebra report``
@@ -291,6 +292,16 @@ def test_validate_missing_path_exit_2(capsys, tmp_path):
         ("algebra", "hodge", "--n", "3", "--", "1,a"),
         ("algebra", "hodge", "--n", "3", "--", "1=2/0"),
         ("algebra", "chirotope", "--", "1,0", "0,1", "x"),
+        ("matroid", "validate", 'FILE:{"ground": [1, "a"], "bases": [[1]]}'),
+        ("matroid", "validate", 'FILE:{"ground": [1, 2], "bases": [[1.0]]}'),
+        ("matroid", "validate", 'FILE:{"bases": [[1]]}'),
+        ("graph", "invariants", 'FILE:{"vertices": "x", "edges": []}'),
+        ("graph", "invariants", 'FILE:{"vertices": true, "edges": []}'),
+        ("graph", "invariants", 'FILE:{"vertices": 2, "edges": [[0, 1, 1]]}'),
+        ("graph", "euler", 'FILE:{"vertices": 2, "edges": [[0, 1]], "rotation": [[[0, null]], [[0, 1]]]}'),
+        ("graph", "euler", 'FILE:{"vertices": 2, "edges": [[0, 1]], "rotation": [[0], [[0, 1]]]}'),
+        ("complex", "betti", 'FILE:{"maximal": [["a"]]}'),
+        ("complex", "betti", 'FILE:{"maximal": [1, 2]}'),
     ],
     ids=" ".join,
 )
@@ -305,11 +316,43 @@ def test_malformed_input_exit_2(capsys, tmp_path, argv):
     assert code == 2 and out == "" and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("source", ["v: 3000000\n", '{"vertices": 3000000, "edges": []}'])
+def test_vertex_count_bound_exit_2(capsys, tmp_path, source):
+    path = tmp_path / "huge.txt"
+    path.write_text(source)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "graph", "invariants", str(path))
+    assert code == 2 and "4096" in err
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("trials", ["-1", "5001", "x"])
+def test_trials_out_of_range_exit_2(capsys, trials):
+    with pytest.raises(SystemExit) as exc:
+        main(["algebra", "report", "--algebra", "c", "--trials", trials])
+    assert exc.value.code == 2
+    assert "--trials" in capsys.readouterr().err
+
+
+def test_trials_range_ends_accepted():
+    for trials in (0, 5000):
+        args = build_parser().parse_args(["algebra", "report", "--trials", str(trials)])
+        assert args.trials == trials
+
+
 # Tokens that are malformed, negative, huge or just out of range, mixed
 # with ordinary small integers.
 TOKENS = st.sampled_from(
     ["x", "", "-1", "1.5", "1/0", "-3/0", "2/3", "nan", "1e3", "64", "65", "9999999999"]
 ) | st.integers(-3, 9).map(str)
+
+
+# JSON values of every kind, nested up to a few lists deep.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 5) | st.sampled_from([1.0, 2.5, "x", "1"]),
+    lambda inner: st.lists(inner, max_size=3),
+    max_leaves=6,
+)
 
 
 @st.composite
@@ -320,6 +363,12 @@ def cheap_commands(draw, workdir):
         path = workdir / name
         path.write_text(text)
         return str(path)
+
+    def json_source(name, valid):
+        # one field of a valid JSON source replaced by an arbitrary value
+        data = dict(valid)
+        data[draw(st.sampled_from(sorted(data)))] = draw(JSON_VALUES)
+        return write(name, json.dumps(data))
 
     vector = ",".join(t)
     graph = draw(st.sampled_from(["cycle", "path", "genus"]))
@@ -338,6 +387,14 @@ def cheap_commands(draw, workdir):
         ["algebra", "cross", "--case", "three", "--", vector, "0,1,0"],
         ["algebra", "hodge", f"--n={t[2]}", "--", f"{t[0]}={t[1]}"],
         ["algebra", "chirotope", "--", vector, "1,0,0", t[2]],
+        ["matroid", "validate", json_source("m.json", {"ground": [1, 2], "bases": [[1], [2]]})],
+        ["graph", "invariants", json_source("g.json", {"vertices": 2, "edges": [[0, 1]]})],
+        [
+            "graph",
+            "euler",
+            json_source("e.json", {"vertices": 2, "edges": [[0, 1]], "rotation": [[[0, 0]], [[0, 1]]]}),
+        ],
+        ["complex", "betti", json_source("c.json", {"maximal": [[1, 2], [2, 3]]})],
     ]
     return draw(st.sampled_from(choices))
 

@@ -1,9 +1,12 @@
+import ast
 import itertools
 import random
+import re
 
 import pytest
 
 from dualities import gf2
+from dualities import graphs as G
 from dualities import matroids as M
 from dualities.algebras import det_rational
 
@@ -523,6 +526,88 @@ def test_classify_transversal_skipped_above_seven():
     assert rep.transversal is None
     assert "skipped" in rep.witnesses["transversal"]
     assert rep.graphic and not rep.cographic
+
+
+GRAPH_WITNESS = re.compile(r"cycle matroid of graph with edges (\[.*\])")
+
+
+def realizes(text, m):
+    """The witness graph, edge i read as ground element i, has exactly the
+    bases of ``m`` as its spanning forests (labelled, not up to
+    isomorphism)."""
+    hit = GRAPH_WITNESS.fullmatch(text)
+    if hit is None:
+        return False
+    edges = ast.literal_eval(hit.group(1))
+    if len(edges) != len(m.ground):
+        return False
+    nv = 1 + max((max(e) for e in edges), default=0)
+    if forest_rank(edges, nv, range(len(edges))) != m.rank:
+        return False
+    forests = {
+        frozenset(m.ground[i] for i in combo)
+        for combo in itertools.combinations(range(len(edges)), m.rank)
+        if forest_rank(edges, nv, combo) == m.rank
+    }
+    return forests == set(m.bases)
+
+
+def relabelled(m, rng):
+    labels = rng.sample(range(100), len(m.ground))
+    return M.relabel(m, dict(zip(m.ground, labels)))
+
+
+def test_graphic_witness_realizes_random_multigraphs():
+    rng = random.Random(31)
+    seen = {"loop": 0, "parallel": 0, "bridge": 0, "cographic": 0}
+    for _ in range(80):
+        nv = rng.randint(1, 6)
+        edges = [(rng.randrange(nv), rng.randrange(nv)) for _ in range(rng.randint(0, 10))]
+        m = relabelled(G.cycle_matroid(G.Multigraph(nv, tuple(edges))), rng)
+        rep = M.classify(m)
+        assert rep.graphic and realizes(rep.witnesses["graphic"], m)
+        if rep.cographic:
+            assert realizes(rep.witnesses["cographic"], m.dual())
+        seen["loop"] += any(u == v for u, v in edges)
+        seen["parallel"] += len(set(map(frozenset, edges))) < len(edges)
+        seen["bridge"] += bool(m.coloops)
+        seen["cographic"] += rep.cographic
+    assert min(seen.values()) > 0, seen
+
+
+def test_graphic_witness_realizes_planar_duals():
+    rng = random.Random(32)
+    for _ in range(25):
+        emb = G.random_planar_embedding(rng, max_vertices=6, max_edges=10)
+        m = relabelled(G.cycle_matroid(G.dual_embedding(emb).graph), rng)
+        rep = M.classify(m)
+        assert rep.graphic and rep.cographic
+        assert realizes(rep.witnesses["graphic"], m)
+        assert realizes(rep.witnesses["cographic"], m.dual())
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        G.named_graph("k5"),
+        G.named_graph("k33"),
+        # two triangles joined by a bridge: 7 elements of rank 5
+        G.Multigraph(6, ((0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3))),
+    ],
+    ids=["mk5", "mk33", "cactus"],
+)
+def test_graphic_witness_beyond_multiset_search(graph):
+    m = relabelled(G.cycle_matroid(graph), random.Random(33))
+    rep = M.classify(m)
+    assert realizes(rep.witnesses["graphic"], m)
+
+
+@pytest.mark.parametrize("name", ["fano", "fano_dual", "uniform:2,4", "mk5", "mk33"])
+def test_no_realization_for_non_graphic(name):
+    m = M.parse_named(name)
+    if name.startswith("mk"):
+        m = m.dual()
+    assert M._realization_witness(m) is None
 
 
 def test_matroid_counts_match_known_sequence():
