@@ -4,6 +4,14 @@ All scalars are exact rationals: every identity checked here (norm
 composition, alternativity, orthogonality, Gram determinants) is an
 exact theorem, so there is no floating-point mode and no tolerance.
 
+The API takes and returns ``Fraction`` tuples, but the arithmetic runs on
+``int``: each public function clears the denominators of every argument
+vector once (multiplying it by the positive lcm of its denominators),
+calls an integer kernel, and divides the result by the product of those
+lcms.  Every operation here is multilinear in its argument vectors, so
+this is exact.  The reports generate integer samples and call the
+kernels directly; only their witnesses are converted back.
+
 Two octonion presentations are provided: the doubling construction
 applied three times, and a table read off the seven cyclic triples of
 the Fano plane.  They differ entry-wise (different sign conventions) but
@@ -17,6 +25,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import lcm, prod
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .formats import split_ident
@@ -57,11 +66,41 @@ class UnknownCase(AlgebraError):
 
 
 def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+    """The one scalar check: an exact ``int`` (not ``bool``) or ``Fraction``."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int) and not isinstance(x, bool):
+        return Fraction(x)
+    raise AlgebraError(f"scalars must be int or Fraction, got {type(x).__name__} {x!r}")
 
 
 def as_element(coeffs: Iterable) -> Element:
     return tuple(_frac(c) for c in coeffs)
+
+
+def _clear(coeffs: Iterable) -> tuple[list[int], int]:
+    """Integers m and the positive lcm d of the denominators, with
+    coeffs = m / d."""
+    fs = [_frac(c) for c in coeffs]
+    d = lcm(*(c.denominator for c in fs))
+    return [c.numerator * (d // c.denominator) for c in fs], d
+
+
+def _element(ints: Iterable, den: int = 1) -> Element:
+    """Back to the API: the ``Fraction`` tuple ints / den."""
+    if den == 1:
+        return tuple(c if isinstance(c, Fraction) else Fraction(c) for c in ints)
+    return tuple(Fraction(c, den) for c in ints)
+
+
+def _dot(x: Sequence, y: Sequence):
+    return sum(a * b for a, b in zip(x, y))
+
+
+def _unit(i: int, n: int) -> list[int]:
+    v = [0] * n
+    v[i] = 1
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -78,14 +117,28 @@ class HypercomplexAlgebra:
     provenance: str
 
     def __post_init__(self):
-        for i in range(self.dim):
-            s, k = self.table[0][i]
-            assert (s, k) == (1, i), "e_0 must be a left identity"
-            s, k = self.table[i][0]
-            assert (s, k) == (1, i), "e_0 must be a right identity"
-            for j in range(self.dim):
-                s, k = self.table[i][j]
-                assert s in (-1, 1) and 0 <= k < self.dim
+        dim, table = self.dim, self.table
+        if not (isinstance(dim, int) and dim >= 1):
+            raise AlgebraError(f"dimension must be a positive int, got {dim!r}")
+        if len(table) != dim or any(len(row) != dim for row in table):
+            raise AlgebraError(f"table must have {dim} rows of {dim} entries")
+        for i, row in enumerate(table):
+            for j, entry in enumerate(row):
+                if not (
+                    isinstance(entry, tuple)
+                    and len(entry) == 2
+                    and entry[0] in (-1, 1)
+                    and isinstance(entry[1], int)
+                    and 0 <= entry[1] < dim
+                ):
+                    raise AlgebraError(
+                        f"entry ({i}, {j}) must be (+-1, k) with 0 <= k < {dim}, got {entry!r}"
+                    )
+        for i in range(dim):
+            if table[0][i] != (1, i):
+                raise AlgebraError("e_0 must be a left identity")
+            if table[i][0] != (1, i):
+                raise AlgebraError("e_0 must be a right identity")
 
     def __repr__(self):
         return f"HypercomplexAlgebra({self.name}, dim={self.dim})"
@@ -102,28 +155,36 @@ class HypercomplexAlgebra:
             raise DimMismatch(f"need {self.dim} coefficients, got {len(x)}")
         return x
 
+    @cached_property
+    def _rows(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+        """Row i of the table as (j, k, sign) with e_i e_j = sign * e_k;
+        built on the first product, not at construction."""
+        return tuple(
+            tuple((j, k, s) for j, (s, k) in enumerate(row)) for row in self.table
+        )
+
+    def _mul(self, x: Sequence[int], y: Sequence[int]) -> list[int]:
+        """The integer kernel: bilinear extension of the basis table."""
+        out = [0] * self.dim
+        for xi, row in zip(x, self._rows):
+            if xi:
+                for j, k, s in row:
+                    out[k] += s * xi * y[j]
+        return out
+
     def multiply(self, x: Element, y: Element) -> Element:
         """Bilinear extension of the basis table."""
         if len(x) != self.dim or len(y) != self.dim:
             raise DimMismatch("element length does not match algebra dimension")
-        out = [Fraction(0)] * self.dim
-        table = self.table
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            row = table[i]
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                s, k = row[j]
-                out[k] += xi * yj if s > 0 else -(xi * yj)
-        return tuple(out)
+        (xs, dx), (ys, dy) = _clear(x), _clear(y)
+        return _element(self._mul(xs, ys), dx * dy)
 
     def conjugate(self, x: Element) -> Element:
+        x = self.element(x)
         return (x[0],) + tuple(-c for c in x[1:])
 
     def norm_sq(self, x: Element) -> Fraction:
-        return sum(c * c for c in x)
+        return sum(c * c for c in self.element(x))
 
 
 def norm_and_conjugate(alg: HypercomplexAlgebra, x: Element) -> tuple[Fraction, Element]:
@@ -230,18 +291,43 @@ class DivisionAlgebraReport:
     seed: int
 
 
-def _pair_family(alg: HypercomplexAlgebra):
-    """All e_i + s*e_j with i < j and s = +-1, in deterministic order."""
-    for i, j in itertools.combinations(range(alg.dim), 2):
-        for s in (1, -1):
-            x = [Fraction(0)] * alg.dim
-            x[i] = Fraction(1)
-            x[j] = Fraction(s)
-            yield tuple(x)
+def _pair_family(dim: int) -> list[tuple[int, int, int]]:
+    """All e_i + s*e_j with i < j and s = +-1, as (i, j, s), in
+    deterministic order."""
+    return [
+        (i, j, s) for i, j in itertools.combinations(range(dim), 2) for s in (1, -1)
+    ]
 
 
-def _random_element(alg: HypercomplexAlgebra, rng: random.Random) -> Element:
-    return tuple(Fraction(rng.randint(-5, 5)) for _ in range(alg.dim))
+def _pair_vector(dim: int, i: int, j: int, s: int) -> list[int]:
+    x = _unit(i, dim)
+    x[j] = s
+    return x
+
+
+def _pair_zero_divisor(alg: HypercomplexAlgebra) -> Optional[tuple[Element, Element]]:
+    """First (x, y) of the pair family, in family order for x then y, with
+    x y = 0.  (e_i + s e_j)(e_k + t e_l) has the four signed basis terms
+    e_i e_k, t e_i e_l, s e_j e_k and st e_j e_l, each +-1 times a basis
+    element; it vanishes exactly when they cancel in two pairs.  A term is
+    coded as +-(index + 1), so two terms cancel when their codes sum to 0."""
+    code = [[s * (k + 1) for s, k in row] for row in alg.table]
+    fam = _pair_family(alg.dim)
+    for i, j, s in fam:
+        ci, cj = code[i], code[j]
+        for k, l, t in fam:
+            a, b = ci[k], t * ci[l]
+            c, d = s * cj[k], s * t * cj[l]
+            if (
+                (a == -b and c == -d)
+                or (a == -c and b == -d)
+                or (a == -d and b == -c)
+            ):
+                return (
+                    _element(_pair_vector(alg.dim, i, j, s)),
+                    _element(_pair_vector(alg.dim, k, l, t)),
+                )
+    return None
 
 
 def division_algebra_report(
@@ -251,55 +337,53 @@ def division_algebra_report(
     pairs plus seeded random integer pairs, and an exhaustive zero-divisor
     search over products of e_i +- e_j pairs."""
     rng = random.Random(seed)
-    zero = tuple(Fraction(0) for _ in range(alg.dim))
+    dim, mul = alg.dim, alg._mul
 
-    pairs = [(alg.e(i), alg.e(j)) for i in range(alg.dim) for j in range(alg.dim)]
-    pairs += [
-        (_random_element(alg, rng), _random_element(alg, rng))
-        for _ in range(sample_count)
-    ]
+    def rand_element():
+        return [rng.randint(-5, 5) for _ in range(dim)]
+
+    basis = [_unit(i, dim) for i in range(dim)]
+    pairs = [(x, y) for x in basis for y in basis]
+    pairs += [(rand_element(), rand_element()) for _ in range(sample_count)]
 
     norm_ok, norm_wit = True, None
     alt_ok, alt_wit = True, None
     for x, y in pairs:
-        if norm_ok and alg.norm_sq(alg.multiply(x, y)) != alg.norm_sq(x) * alg.norm_sq(y):
-            norm_ok, norm_wit = False, (x, y)
+        if norm_ok:
+            xy = mul(x, y)
+            if _dot(xy, xy) != _dot(x, x) * _dot(y, y):
+                norm_ok, norm_wit = False, (x, y)
         if alt_ok:
-            xx = alg.multiply(x, x)
-            if alg.multiply(xx, y) != alg.multiply(x, alg.multiply(x, y)):
+            xx = mul(x, x)
+            if mul(xx, y) != mul(x, mul(x, y)) or mul(mul(y, x), x) != mul(y, xx):
                 alt_ok, alt_wit = False, (x, y)
-            else:
-                yx = alg.multiply(y, x)
-                if alg.multiply(yx, x) != alg.multiply(y, alg.multiply(x, x)):
-                    alt_ok, alt_wit = False, (x, y)
         if not norm_ok and not alt_ok:
             break
 
     # the combination family catches sedenion failures that pure basis
     # pairs can miss
     if alt_ok:
-        for x in _pair_family(alg):
-            for j in range(alg.dim):
-                y = alg.e(j)
-                xx = alg.multiply(x, x)
-                if alg.multiply(xx, y) != alg.multiply(x, alg.multiply(x, y)):
-                    alt_ok, alt_wit = False, (x, y)
-                    break
-            if not alt_ok:
+        for i, j, s in _pair_family(dim):
+            x = _pair_vector(dim, i, j, s)
+            xx = mul(x, x)
+            y = next((y for y in basis if mul(xx, y) != mul(x, mul(x, y))), None)
+            if y is not None:
+                alt_ok, alt_wit = False, (x, y)
                 break
 
-    zd = None
-    fam = list(_pair_family(alg))
-    for x in fam:
-        for y in fam:
-            if alg.multiply(x, y) == zero:
-                zd = (x, y)
-                break
-        if zd:
-            break
+    def witness(pair):
+        return None if pair is None else (_element(pair[0]), _element(pair[1]))
 
     return DivisionAlgebraReport(
-        alg.name, alg.dim, norm_ok, alt_ok, zd, norm_wit, alt_wit, sample_count, seed
+        alg.name,
+        alg.dim,
+        norm_ok,
+        alt_ok,
+        _pair_zero_divisor(alg),
+        witness(norm_wit),
+        witness(alt_wit),
+        sample_count,
+        seed,
     )
 
 
@@ -307,32 +391,40 @@ def division_algebra_report(
 # exact linear algebra helpers
 
 
+def _det(m: list[list[int]]) -> int:
+    """Integer determinant by fraction-free Bareiss elimination (Bareiss,
+    1968): after step k every entry below row k is a (k+1)-minor, so each
+    division by the previous pivot is exact.  Overwrites ``m``."""
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            p = next((r for r in range(k + 1, n) if m[r][k]), None)
+            if p is None:
+                return 0
+            m[k], m[p] = m[p], m[k]
+            sign = -sign
+        rk, pk = m[k], m[k][k]
+        for ri in m[k + 1 :]:
+            a = ri[k]
+            for c in range(k + 1, n):
+                ri[c] = (pk * ri[c] - a * rk[c]) // prev
+        prev = pk
+    return sign * m[-1][-1] if n else 1
+
+
 def det_rational(rows: Sequence[Sequence]) -> Fraction:
-    """Exact determinant by Gaussian elimination over the rationals."""
-    n = len(rows)
-    m = [[_frac(x) for x in row] for row in rows]
-    if any(len(row) != n for row in m):
+    """Exact determinant: each row is scaled to integers, which scales the
+    determinant by the product of the row lcms."""
+    cleared = [_clear(row) for row in rows]
+    if any(len(m) != len(cleared) for m, _ in cleared):
         raise BadDims("determinant needs a square matrix")
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col]:
-                factor = m[r][col] * inv
-                for c in range(col, n):
-                    m[r][c] -= factor * m[col][c]
-    return det
+    return Fraction(_det([m for m, _ in cleared]), prod(d for _, d in cleared))
 
 
 def dot(x: Sequence, y: Sequence) -> Fraction:
-    return sum(_frac(a) * _frac(b) for a, b in zip(x, y))
+    (xs, dx), (ys, dy) = _clear(x), _clear(y)
+    return Fraction(_dot(xs, ys), dx * dy)
 
 
 # ---------------------------------------------------------------------------
@@ -431,15 +523,60 @@ def cross_case(ident: str) -> CrossProductCase:
     raise UnknownCase(f"unknown cross-product case {ident!r}")
 
 
-def _epsilon_cross(vectors: Sequence[Element], n: int) -> Element:
-    """Component j is the determinant of the arguments stacked over the
-    j-th unit row, i.e. the epsilon contraction with the result index last."""
+def _epsilon_cross(vectors: Sequence[Sequence[int]], n: int) -> list[int]:
+    """Component j is the determinant of the n-1 arguments stacked over the
+    j-th unit row, i.e. the epsilon contraction with the result index last:
+    the cofactor (-1)^(n-1+j) times the maximal minor of the arguments
+    without column j.  The minors of the first k rows on every k-set of
+    columns are built row by row (Laplace expansion along the newest row),
+    so all n cofactors share their sub-minors."""
+    minors = {0: 1}  # column bitmask -> minor of the rows so far
+    for row in vectors:
+        grown: dict[int, int] = {}
+        for mask, m in minors.items():
+            if not m:
+                continue
+            for c, a in enumerate(row):
+                bit = 1 << c
+                if a and not mask & bit:
+                    # cofactor sign of the last row's entry in column c:
+                    # -1 per chosen column to the right of c
+                    term = -a * m if (mask >> c).bit_count() & 1 else a * m
+                    grown[mask | bit] = grown.get(mask | bit, 0) + term
+        minors = grown
+    full = (1 << n) - 1
+    return [
+        (-1) ** (n - 1 + j) * minors.get(full ^ (1 << j), 0) for j in range(n)
+    ]
+
+
+def _rotate(v: Sequence) -> list:
+    """The block rotation J, (v0, v1, ...) -> (-v1, v0, ...), with J^2 = -I."""
     out = []
-    for j in range(n):
-        unit = [Fraction(1) if c == j else Fraction(0) for c in range(n)]
-        rows = [list(v) for v in vectors] + [unit]
-        out.append(det_rational(rows))
-    return tuple(out)
+    for k in range(0, len(v), 2):
+        out += (-v[k + 1], v[k])
+    return out
+
+
+def _cross(case: CrossProductCase, vs: Sequence[Sequence[int]]) -> list:
+    """The integer kernel of ``cross_product``.  triple8 halves exactly and
+    keeps a ``Fraction`` for any odd component."""
+    if case.tag in ("three", "epsilon"):
+        return _epsilon_cross(vs, case.n)
+    if case.tag == "complex_structure":
+        return _rotate(vs[0])
+    mul = fano_octonion_algebra()._mul
+    if case.tag == "seven":
+        return mul([0, *vs[0]], [0, *vs[1]])[1:]
+    if case.tag == "triple8":
+        a, b, c = vs
+        b_conj = [b[0]] + [-t for t in b[1:]]
+        left, right = mul(a, mul(b_conj, c)), mul(c, mul(b_conj, a))
+        return [
+            (l - r) // 2 if (l - r) % 2 == 0 else Fraction(l - r, 2)
+            for l, r in zip(left, right)
+        ]
+    raise UnknownCase(case.tag)
 
 
 def cross_product(case: CrossProductCase, vectors: Sequence[Sequence]) -> Element:
@@ -450,33 +587,16 @@ def cross_product(case: CrossProductCase, vectors: Sequence[Sequence]) -> Elemen
     embeddings; complex_structure: the block rotation J with J^2 = -I;
     triple8: the octonion triple product (a(b* c) - c(b* a)) / 2.
     """
-    vs = [as_element(v) for v in vectors]
+    vs = [list(v) for v in vectors]
     if len(vs) != case.r:
         raise CaseArityMismatch(f"case needs {case.r} vectors, got {len(vs)}")
     for v in vs:
         if len(v) != case.n:
             raise DimMismatch(f"vectors must have dimension {case.n}")
-    if case.tag in ("three", "epsilon"):
-        return _epsilon_cross(vs, case.n)
-    if case.tag == "seven":
-        alg = fano_octonion_algebra()
-        x = (Fraction(0),) + vs[0]
-        y = (Fraction(0),) + vs[1]
-        return alg.multiply(x, y)[1:]
-    if case.tag == "complex_structure":
-        (v,) = vs
-        out = []
-        for k in range(0, case.n, 2):
-            out.append(-v[k + 1])
-            out.append(v[k])
-        return tuple(out)
-    if case.tag == "triple8":
-        alg = fano_octonion_algebra()
-        a, b, c = vs
-        left = alg.multiply(a, alg.multiply(alg.conjugate(b), c))
-        right = alg.multiply(c, alg.multiply(alg.conjugate(b), a))
-        return tuple((l - r) / 2 for l, r in zip(left, right))
-    raise UnknownCase(case.tag)
+    if case.tag == "complex_structure":  # no arithmetic: stays on its inputs
+        return tuple(_rotate(as_element(vs[0])))
+    cleared = [_clear(v) for v in vs]
+    return _element(_cross(case, [m for m, _ in cleared]), prod(d for _, d in cleared))
 
 
 @dataclass(frozen=True)
@@ -514,16 +634,19 @@ def cross_axioms_report(
     rng = random.Random(seed)
     n, r = case.n, case.r
 
-    def unit(i):
-        return tuple(Fraction(1) if j == i else Fraction(0) for j in range(n))
+    def cross(args):
+        return _cross(case, args)
 
     def rand_vec():
-        return tuple(Fraction(rng.randint(-4, 4)) for _ in range(n))
+        return [rng.randint(-4, 4) for _ in range(n)]
+
+    def shown(args):
+        return tuple(_element(a) for a in args)
 
     tuples = []
     if n**r <= 5000:
         tuples = [
-            tuple(unit(i) for i in combo)
+            tuple(_unit(i, n) for i in combo)
             for combo in itertools.product(range(n), repeat=r)
         ]
     basis_count = len(tuples)
@@ -532,13 +655,13 @@ def cross_axioms_report(
     orth = norm = True
     witness = None
     for args in tuples:
-        x = cross_product(case, args)
-        if orth and any(dot(x, a) != 0 for a in args):
-            orth, witness = False, f"orthogonality at {args}"
+        x = cross(args)
+        if orth and any(_dot(x, a) != 0 for a in args):
+            orth, witness = False, f"orthogonality at {shown(args)}"
         if norm:
-            gram = [[dot(a, b) for b in args] for a in args]
-            if dot(x, x) != det_rational(gram):
-                norm, witness = False, witness or f"norm at {args}"
+            gram = [[_dot(a, b) for b in args] for a in args]
+            if _dot(x, x) != _det(gram):
+                norm, witness = False, witness or f"norm at {shown(args)}"
         if not orth and not norm:
             break
 
@@ -547,18 +670,16 @@ def cross_axioms_report(
         slot = rng.randrange(r)
         args = [rand_vec() for _ in range(r)]
         u, v = rand_vec(), rand_vec()
-        a, b = Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3))
-        combo = tuple(a * ui + b * vi for ui, vi in zip(u, v))
+        a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+        combo = [a * ui + b * vi for ui, vi in zip(u, v)]
         args_combo = list(args)
         args_combo[slot] = combo
         args_u = list(args)
         args_u[slot] = u
         args_v = list(args)
         args_v[slot] = v
-        lhs = cross_product(case, args_combo)
-        xu = cross_product(case, args_u)
-        xv = cross_product(case, args_v)
-        rhs = tuple(a * p + b * q for p, q in zip(xu, xv))
+        lhs = cross(args_combo)
+        rhs = [a * p + b * q for p, q in zip(cross(args_u), cross(args_v))]
         if lhs != rhs:
             multi, witness = False, witness or f"multilinearity at slot {slot}"
             break
@@ -570,16 +691,13 @@ def cross_axioms_report(
             i, j = rng.sample(range(r), 2)
             swapped = list(args)
             swapped[i], swapped[j] = swapped[j], swapped[i]
-            x = cross_product(case, args)
-            y = cross_product(case, swapped)
-            if tuple(-c for c in x) != y:
+            if [-c for c in cross(args)] != cross(swapped):
                 alt, witness = False, witness or f"alternation at swap {(i, j)}"
                 break
         if n**r <= 5000:
             for combo in itertools.product(range(n), repeat=r):
                 if len(set(combo)) < r:
-                    args = tuple(unit(i) for i in combo)
-                    if any(c != 0 for c in cross_product(case, args)):
+                    if any(cross([_unit(i, n) for i in combo])):
                         alt, witness = False, witness or f"repeat args {combo} gave nonzero"
                         break
 
@@ -637,11 +755,12 @@ def chirotope_of_configuration(points: Sequence[Sequence]) -> Chirotope:
         raise BadDims("all points need the same coordinate length")
     if n > 10 or r > 4:
         raise BadDims("configuration capped at 10 points of rank at most 4")
-    cols = [as_element(p) for p in points]
+    # scaling a point by the positive lcm of its denominators keeps every sign
+    cols = [_clear(p)[0] for p in points]
     signs = []
     for combo in itertools.combinations(range(n), r):
-        d = det_rational([[cols[c][row] for c in combo] for row in range(r)])
-        signs.append(0 if d == 0 else (1 if d > 0 else -1))
+        d = _det([list(cols[c]) for c in combo])  # the transposed minor
+        signs.append((d > 0) - (d < 0))
     if all(s == 0 for s in signs):
         raise RankDeficient("all maximal minors vanish")
     return Chirotope(n, r, tuple(signs))

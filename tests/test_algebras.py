@@ -1,8 +1,14 @@
 import itertools
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualities import algebras as A
 from dualities import matroids as M
@@ -10,6 +16,83 @@ from dualities import matroids as M
 
 def neg(x):
     return tuple(-c for c in x)
+
+
+# ---------------------------------------------------------------------------
+# Fraction references: the loops the library ran before its integer kernels
+
+
+def ref_multiply(alg, x, y):
+    """Bilinear extension of the basis table, one Fraction product per term."""
+    out = [F(0)] * alg.dim
+    for i, xi in enumerate(x):
+        if not xi:
+            continue
+        row = alg.table[i]
+        for j, yj in enumerate(y):
+            if not yj:
+                continue
+            s, k = row[j]
+            out[k] += xi * yj if s > 0 else -(xi * yj)
+    return tuple(out)
+
+
+def ref_det(rows):
+    """Gaussian elimination over the rationals."""
+    n = len(rows)
+    m = [[F(x) for x in row] for row in rows]
+    det = F(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col]), None)
+        if pivot is None:
+            return F(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        inv = 1 / m[col][col]
+        for r in range(col + 1, n):
+            if m[r][col]:
+                factor = m[r][col] * inv
+                for c in range(col, n):
+                    m[r][c] -= factor * m[col][c]
+    return det
+
+
+def ref_cross(case, vectors):
+    """The defining formula of each cross-product case, on Fractions."""
+    vs = [tuple(F(c) for c in v) for v in vectors]
+    n = case.n
+    if case.tag in ("three", "epsilon"):
+        units = [[F(int(c == j)) for c in range(n)] for j in range(n)]
+        return tuple(ref_det([*vs, unit]) for unit in units)
+    if case.tag == "complex_structure":
+        (v,) = vs
+        return tuple(c for k in range(0, n, 2) for c in (-v[k + 1], v[k]))
+    O = A.fano_octonion_algebra()
+    if case.tag == "seven":
+        return ref_multiply(O, (F(0), *vs[0]), (F(0), *vs[1]))[1:]
+    a, b, c = vs
+    b_conj = O.conjugate(b)
+    left = ref_multiply(O, a, ref_multiply(O, b_conj, c))
+    right = ref_multiply(O, c, ref_multiply(O, b_conj, a))
+    return tuple((l - r) / 2 for l, r in zip(left, right))
+
+
+def sympy_det(rows):
+    return F(str(sympy.Matrix([[sympy.Rational(str(x)) for x in row] for row in rows]).det()))
+
+
+rationals = st.builds(F, st.integers(-9, 9), st.integers(1, 7))
+# a zero entry now and then makes singular matrices and zero pivots likely
+sparse_rationals = st.one_of(st.just(F(0)), rationals)
+PROPERTY = settings(max_examples=100, derandomize=True, deadline=None, database=None)
+ALGEBRAS = ["r", "c", "h", "o", "o-fano", "sedenion"]
+CROSS_IDENTS = (
+    ["three", "seven", "triple8"]
+    + [f"epsilon:{n}" for n in range(2, 9)]
+    + [f"j:{n}" for n in (2, 4, 6, 8)]
+)
 
 
 def naive_det(rows):
@@ -72,6 +155,70 @@ def test_identity_element():
         x = tuple(F(rng.randint(-9, 9)) for _ in range(alg.dim))
         assert alg.multiply(alg.e(0), x) == x
         assert alg.multiply(x, alg.e(0)) == x
+
+
+def test_table_shape_and_entries_are_checked():
+    row0 = ((1, 0), (1, 1))
+    bad = [
+        (row0,),  # one row in dimension 2
+        (row0, ((1, 1), (5, 9))),  # sign 5, index 9
+        (row0, ((1, 1), (1, 2))),  # index 2 in dimension 2
+        (row0, ((1, 1),)),  # a short row
+        (row0, ((1, 1), (-1, 0)), row0),  # three rows
+        (((1, 0), (1, 0)), ((1, 1), (-1, 0))),  # e_0 e_1 = e_0
+        (row0, ((1, 0), (-1, 0))),  # e_1 e_0 = e_0
+        (row0, ((1, 1), (-1,))),  # an entry that is not a pair
+    ]
+    for table in bad:
+        with pytest.raises(A.AlgebraError):
+            A.HypercomplexAlgebra("bad", 2, table, "test")
+    C = A.HypercomplexAlgebra("C", 2, (row0, ((1, 1), (-1, 0))), "test")
+    assert C.multiply(C.e(1), C.e(1)) == neg(C.e(0))
+
+
+def test_table_check_survives_optimize_flag():
+    # asserts vanish under python -O; the table check must not
+    code = (
+        "from dualities import algebras as A\n"
+        "try:\n"
+        "    A.HypercomplexAlgebra('bad', 2, (((1, 0), (1, 1)), ((1, 1), (5, 9))), 't')\n"
+        "except A.AlgebraError:\n"
+        "    print('rejected')\n"
+    )
+    src = str(Path(A.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True, text=True, env={"PYTHONPATH": src}, timeout=60,
+    )
+    assert out.stdout.strip() == "rejected", out.stderr
+
+
+def test_scalars_must_be_int_or_fraction():
+    H = A.cayley_dickson_algebra(2)
+    case = A.cross_case("three")
+    for bad in (0.1, 1.0, "1", "1/2", True, None, 1j):
+        with pytest.raises(A.AlgebraError):
+            A.as_element([1, bad])
+        with pytest.raises(A.AlgebraError):
+            H.element([bad, 0, 0, 0])
+        with pytest.raises(A.AlgebraError):
+            H.multiply(H.e(1), (F(1), bad, F(0), F(0)))
+        with pytest.raises(A.AlgebraError):
+            A.norm_and_conjugate(H, (F(1), bad, F(0), F(0)))
+        with pytest.raises(A.AlgebraError):
+            A.cross_product(case, [[bad, 0, 0], [0, 1, 0]])
+        with pytest.raises(A.AlgebraError):
+            A.det_rational([[1, bad], [0, 1]])
+        with pytest.raises(A.AlgebraError):
+            A.dot([1, bad], [1, 1])
+        with pytest.raises(A.AlgebraError):
+            A.hodge_dual({(1,): bad}, 3)
+        with pytest.raises(A.AlgebraError):
+            A.chirotope_of_configuration([[1, 0], [bad, 1]])
+    with pytest.raises(A.DimMismatch):
+        A.norm_and_conjugate(H, (F(1), F(0)))
+    assert A.as_element([2, F(1, 3)]) == (F(2), F(1, 3))
+    assert all(type(c) is F for c in A.as_element([2, F(1, 3)]))
 
 
 def test_multiply_dim_mismatch():
@@ -159,6 +306,45 @@ def test_sedenions_fail():
     assert S.multiply(x, y) == zero
 
 
+def E(*coeffs):
+    return tuple(F(c) for c in coeffs)
+
+
+SEDENION_ZERO_DIVISOR = (
+    E(0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0),
+    E(0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1),
+)
+# the first random sample fails both norm composition and alternativity
+SEDENION_FIRST_FAILURE = {
+    0: (
+        E(1, 1, -5, -1, 3, 2, 1, -1, 2, 0, 4, -2, 3, -3, -1, -3),
+        E(-4, 4, -1, 3, 4, -3, -1, -4, -4, 5, 0, 2, 3, -4, 0, 1),
+    ),
+    1: (
+        E(-3, 4, -4, -1, -4, 2, 2, 2, 5, 1, -2, -4, 2, -5, 1, 1),
+        E(4, -5, 2, -1, -2, 4, -4, 0, -5, -5, -5, 5, 3, -5, 1, 5),
+    ),
+    2: (
+        E(-5, -4, -4, 0, -3, 5, -1, -1, 4, -2, 4, -5, 4, 5, -3, 1),
+        E(5, 1, 3, 0, 3, 2, 3, -1, -5, -5, 0, 2, 0, 1, 1, 3),
+    ),
+    3: (
+        E(-2, 4, 3, -3, 0, 4, 2, 5, 4, -4, 4, -5, 2, -1, 3, -2),
+        E(-2, 2, 3, 3, 2, 1, 5, -3, -2, 5, -3, 3, 1, -5, 5, -4),
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SEDENION_FIRST_FAILURE))
+def test_sedenion_witnesses_pinned(seed):
+    rep = A.division_algebra_report(A.cayley_dickson_algebra(4), sample_count=12, seed=seed)
+    assert rep.zero_divisor == SEDENION_ZERO_DIVISOR
+    assert rep.norm_witness == SEDENION_FIRST_FAILURE[seed]
+    assert rep.alternative_witness == SEDENION_FIRST_FAILURE[seed]
+    for pair in (rep.zero_divisor, rep.norm_witness, rep.alternative_witness):
+        assert all(type(c) is F for v in pair for c in v)
+
+
 def test_fano_and_cd_octonions_share_profile():
     a = A.division_algebra_report(A.cayley_dickson_algebra(3), 50, seed=2)
     b = A.division_algebra_report(A.fano_octonion_algebra(), 50, seed=2)
@@ -187,6 +373,74 @@ def test_det_matches_naive():
         for _ in range(10):
             rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
             assert A.det_rational(rows) == naive_det(rows)
+
+
+@PROPERTY
+@given(st.integers(0, 6).flatmap(lambda n: st.lists(st.lists(sparse_rationals, min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_det_matches_sympy(rows):
+    assert A.det_rational(rows) == sympy_det(rows) == ref_det(rows)
+
+
+def test_det_singular_and_zero_first_pivot():
+    rows = [[0, 1, 2], [3, 4, 5], [6, 7, 8]]  # zero first pivot, singular
+    assert A.det_rational(rows) == 0 == sympy_det(rows)
+    rows = [[0, F(1, 2), 2], [F(3, 4), 4, 5], [6, 7, F(-8, 3)]]
+    assert A.det_rational(rows) == sympy_det(rows) != 0
+    assert A.det_rational([[0, 0], [0, 1]]) == 0
+    assert A.det_rational([]) == 1
+    with pytest.raises(A.BadDims):
+        A.det_rational([[1, 2], [3]])
+
+
+@pytest.mark.parametrize("name", ALGEBRAS)
+def test_multiply_matches_reference(name):
+    alg = A.algebra_by_name(name)
+    elements = st.lists(sparse_rationals, min_size=alg.dim, max_size=alg.dim).map(tuple)
+
+    @PROPERTY
+    @given(elements, elements)
+    def check(x, y):
+        got = alg.multiply(x, y)
+        assert got == ref_multiply(alg, x, y)
+        assert all(type(c) is F for c in got)
+
+    check()
+
+
+@pytest.mark.parametrize("ident", CROSS_IDENTS)
+def test_cross_product_matches_reference(ident):
+    case = A.cross_case(ident)
+    vector = st.lists(sparse_rationals, min_size=case.n, max_size=case.n)
+
+    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @given(st.lists(vector, min_size=case.r, max_size=case.r))
+    def check(vectors):
+        got = A.cross_product(case, vectors)
+        assert got == ref_cross(case, vectors)
+        assert all(type(c) is F for c in got)
+
+    check()
+
+
+@PROPERTY
+@given(
+    st.integers(1, 4).flatmap(
+        lambda r: st.lists(
+            st.lists(sparse_rationals, min_size=r, max_size=r), min_size=r, max_size=8
+        )
+    )
+)
+def test_chirotope_signs_match_sympy(points):
+    r = len(points[0])
+    want = []
+    for combo in itertools.combinations(range(len(points)), r):
+        d = sympy_det([[points[c][row] for c in combo] for row in range(r)])
+        want.append((d > 0) - (d < 0))
+    if not any(want):
+        with pytest.raises(A.RankDeficient):
+            A.chirotope_of_configuration(points)
+    else:
+        assert list(A.chirotope_of_configuration(points).signs) == want
 
 
 # ---------------------------------------------------------------------------
