@@ -296,71 +296,128 @@ class PlanarityReport:
     note: str
 
 
-def _rotation_candidates(g: Multigraph):
-    """All rotation systems, first incident dart pinned per vertex."""
+def _incident_darts(g: Multigraph) -> list[list[Dart]]:
+    """Darts at each vertex in incidence order: by edge index, end 0 first."""
     incident: list[list[Dart]] = [[] for _ in range(g.vertex_count)]
     for e, (u, v) in enumerate(g.edges):
         incident[u].append((e, 0))
         incident[v].append((e, 1))
-    pools = []
-    for darts in incident:
-        if len(darts) <= 1:
-            pools.append([tuple(darts)])
-        else:
-            first, rest = darts[0], darts[1:]
-            pools.append([(first,) + perm for perm in itertools.permutations(rest)])
-    return itertools.product(*pools)
+    return incident
 
 
-def find_planar_embedding(
-    g: Multigraph, max_candidates: int = 2_000_000
-) -> Optional[Embedding]:
-    """Exhaustive rotation-system search for an all-genus-0 embedding.
+def _block_faces(blk: Block) -> Optional[list[list[Dart]]]:
+    """Oriented face walks of a plane embedding of a 2-connected block, in
+    block-local darts, or None if the block is not planar.
 
-    Returns the first genus-0 rotation in canonical order, or None if
-    none exists or the candidate space exceeds ``max_candidates``.
+    By Whitney's criterion the block is planar exactly when the dual of
+    its cycle matroid is graphic.  Each vertex star of a realizing graph
+    is a bond of that graph, so a cycle of the block, and these cycles
+    are the faces.  A traversal of faces that share an edge orients them
+    so every edge is walked once in each direction.
     """
-    total = 1
-    for v in range(g.vertex_count):
-        d = g.degree(v)
-        for i in range(2, d):
-            total *= i
-        if total > max_candidates:
+    edges = blk.edges
+    cm = cycle_matroid(blk.graph, bound=len(edges))
+    dual_edges = matroids._realization_witness(cm.dual())
+    if dual_edges is None:
+        return None
+    stars: dict[int, list[int]] = {}
+    for e, ends in enumerate(dual_edges):
+        for x in ends:
+            stars.setdefault(x, []).append(e)
+    faces = []
+    for star in stars.values():
+        at: dict[int, list[int]] = {}
+        for e in star:
+            for v in edges[e]:
+                at.setdefault(v, []).append(e)
+        e, s = star[0], 0
+        face = []
+        for _ in star:  # the star is a cycle: leave each vertex by its other edge
+            face.append((e, s))
+            w = edges[e][1 - s]
+            e = next(f for f in at[w] if f != e)
+            s = 0 if edges[e][0] == w else 1
+        faces.append(face)
+    faces_of: dict[int, list[int]] = {}
+    for fi, face in enumerate(faces):
+        for e, _ in face:
+            faces_of.setdefault(e, []).append(fi)
+    todo, oriented = [0], {0}
+    while todo:
+        for e, s in faces[todo.pop()]:
+            for fj in faces_of[e]:
+                if fj not in oriented:
+                    if (e, s) in faces[fj]:  # walked the same way: reverse it
+                        faces[fj] = [(f, 1 - t) for f, t in reversed(faces[fj])]
+                    oriented.add(fj)
+                    todo.append(fj)
+    return faces
+
+
+def find_planar_embedding(g: Multigraph) -> Optional[Embedding]:
+    """A genus-0 rotation system of ``g``, or None if ``g`` is not planar.
+
+    Each block is embedded on its own: a loop or a bridge directly, a
+    larger block from the face walks of ``_block_faces``, with rotation
+    successor rot_next(d) = succ(reverse(d)) for the face successor succ.
+    At a cut vertex the blocks' rotations are concatenated.  Each vertex's
+    list starts at its first incident dart, and of the rotation and its
+    mirror the one with the smaller key in incidence order is returned.
+    When the embedding is unique up to mirror image (a 3-connected graph,
+    such as every named polyhedron), that is the first genus-0 rotation
+    in incidence order.  The embedding is returned only after
+    ``trace_faces`` gives genus 0 on every component.
+    """
+    rot_next: dict[Dart, Dart] = {}
+    for blk in blocks(g):
+        if len(blk.edges) == 1:  # a loop turns to its other end, a bridge to itself
+            (e,) = blk.edge_indices
+            loop = blk.edges[0][0] == blk.edges[0][1]
+            rot_next[(e, 0)], rot_next[(e, 1)] = ((e, 1), (e, 0)) if loop else ((e, 0), (e, 1))
+            continue
+        faces = _block_faces(blk)
+        if faces is None:
             return None
-    for rotation in _rotation_candidates(g):
-        emb = Embedding(g, tuple(rotation))
-        traced = trace_faces(emb)
-        if all(gc == 0 for gc in traced.genus_by_component):
-            return emb
-    return None
+        for face in faces:
+            for i, (e, s) in enumerate(face):  # rot_next(reverse(d)) = succ(d)
+                f, t = face[(i + 1) % len(face)]
+                rot_next[(blk.edge_indices[e], 1 - s)] = (blk.edge_indices[f], t)
+    incident = _incident_darts(g)
+    rotation = []
+    for darts in incident:
+        cyc: list[Dart] = []
+        for d in darts:  # append each block's cycle at its first dart
+            while d not in cyc:
+                cyc.append(d)
+                d = rot_next[d]
+        rotation.append(cyc)
+    mirror = [cyc[:1] + cyc[:0:-1] for cyc in rotation]
+    pos = {d: i for darts in incident for i, d in enumerate(darts)}
+    best = min(rotation, mirror, key=lambda rot: [[pos[d] for d in cyc] for cyc in rot])
+    emb = Embedding(g, tuple(map(tuple, best)))
+    if any(trace_faces(emb).genus_by_component):
+        return None
+    return emb
 
 
 def is_planar(g: Multigraph, bound: int = 20) -> PlanarityReport:
-    """Minor-excluded planarity with explicit witnesses.
+    """Planarity by Whitney's criterion, with explicit witnesses.
 
-    Nonplanar iff the cycle matroid has an M(K5) or M(K3,3) minor; the
-    witness is the delete/contract pair.  A planar verdict is certified,
-    when the graph has at most 8 vertices, by an explicit genus-0
-    rotation system found by exhaustive search.
+    ``find_planar_embedding`` decides it: a planar verdict always carries
+    a genus-0 rotation system.  Only a non-planar graph has its cycle
+    matroid scanned for an M(K5) or M(K3,3) minor, whose delete/contract
+    pair is the negative witness.
     """
     if len(g.edges) > bound:
         raise TooLarge(f"planarity search capped at {bound} edges")
+    emb = find_planar_embedding(g)
+    if emb is not None:
+        note = "dual cycle matroid of every block is graphic (Whitney); genus-0 rotation system exhibited"
+        return PlanarityReport(True, None, None, None, emb, note)
     cm = cycle_matroid(g, bound=max(bound, len(g.edges)))
-    for name, key in (("M(K5)", "mk5"), ("M(K3,3)", "mk33")):
-        found, wit = matroids.has_minor(cm, matroids.named_matroid(key))
-        if found:
-            return PlanarityReport(
-                False, name, wit[0], wit[1], None, f"{name} minor found"
-            )
-    emb = None
-    note = "no M(K5)/M(K3,3) minor (exhaustive search)"
-    if g.vertex_count <= 8:
-        emb = find_planar_embedding(g)
-        if emb is not None:
-            note += "; genus-0 rotation system exhibited"
-        else:
-            note += "; rotation search skipped (space too large)"
-    return PlanarityReport(True, None, None, None, emb, note)
+    targets = [("M(K5)", matroids.named_matroid("mk5")), ("M(K3,3)", matroids.named_matroid("mk33"))]
+    name, wit = matroids._excluded_minor_scan(cm, targets)
+    return PlanarityReport(False, name, wit[0], wit[1], None, f"{name} minor found")
 
 
 # ---------------------------------------------------------------------------
@@ -651,7 +708,8 @@ def _one_vertex_surface(genus: int) -> Embedding:
 @lru_cache(maxsize=None)
 def named_embedding(ident: str) -> Embedding:
     """Named embeddings: ``torus``, ``genus:g`` (one vertex, 2g loops), and
-    every named planar graph with a searched genus-0 rotation."""
+    every named planar graph with the genus-0 rotation of
+    ``find_planar_embedding``."""
     name, params = split_ident(ident, GraphError)
     if name == "torus" and not params:
         return _one_vertex_surface(1)
@@ -741,13 +799,8 @@ def random_cellular_embedding(
         v = rng.randrange(vertices)
         edges.append((min(u, v), max(u, v)))
     g = Multigraph(vertices, tuple(edges))
-    incident: list[list[Dart]] = [[] for _ in range(vertices)]
-    for e, (u, v) in enumerate(g.edges):
-        incident[u].append((e, 0))
-        incident[v].append((e, 1))
     rot = []
-    for darts in incident:
-        darts = list(darts)
+    for darts in _incident_darts(g):
         rng.shuffle(darts)
         rot.append(tuple(darts))
     return Embedding(g, tuple(rot))

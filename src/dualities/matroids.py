@@ -6,7 +6,9 @@ capped (12 elements by default), so the family always fits in memory.
 That choice makes duality literal set complementation, minors a direct
 recomputation of the family, and every search in this module (minor
 containment, isomorphism, excluded minors) exhaustive with deterministic
-witnesses.  Graphic realizations are built directly from the circuits.
+witnesses.  Graphic realizations are built directly from the circuits;
+they decide graphic and cographic, and an excluded-minor search runs only
+to witness a side that has none.
 """
 
 from __future__ import annotations
@@ -876,9 +878,9 @@ def _realize_component(part: int, cs: list[int]) -> Optional[tuple[int, dict[int
     return None
 
 
-def _realization_witness(m: Matroid) -> Optional[str]:
-    """A graph whose cycle matroid is ``m`` itself, or None if ``m`` is not
-    graphic.
+def _realization_witness(m: Matroid) -> Optional[list[tuple[int, int]]]:
+    """The edge list of a graph whose cycle matroid is ``m`` itself, or
+    None if ``m`` is not graphic.
 
     Edge i of the graph is ground element ``m.ground[i]``.  A loop is a
     loop at vertex 0, a coloop a pendant edge, and each larger connected
@@ -914,54 +916,53 @@ def _realization_witness(m: Matroid) -> Optional[str]:
     g = graphs.Multigraph(nv, tuple(edges))
     if graphs.cycle_matroid(g, bound=len(edges))._masks != m._masks:
         return None
-    return f"cycle matroid of graph with edges {edges}"
+    return edges
 
 
 def classify(m: Matroid, bound: int = 10) -> ClassificationReport:
-    """Classify by excluded minors plus a transversal-presentation search.
+    """Classify by graphic realization, excluded minors and a
+    transversal-presentation search.
 
-    binary: no U(2,4) minor; regular: additionally no Fano or dual-Fano
-    minor; graphic: additionally no dual M(K5) / dual M(K3,3) minor;
-    cographic: dual graphic.  A graphic side is witnessed by a labelled
-    realizing graph, ``cycle matroid of graph with edges [...]``, whose
-    edge i is ground element i in sorted order.  Transversal search is
-    attempted only for grounds of at most 7 elements (None otherwise).
+    ``m`` and its dual are realized first (``_realization_witness``).  A
+    graphic side is witnessed by a labelled realizing graph, ``cycle
+    matroid of graph with edges [...]``, whose edge i is ground element i
+    in sorted order; if either side is graphic, ``m`` is regular and so
+    binary, and those two witnesses name that graph.  Only a side without a
+    realization is scanned for an excluded minor, which becomes its
+    negative witness: binary is no U(2,4) minor, regular additionally no
+    Fano or dual-Fano minor, graphic additionally no dual M(K5) / dual
+    M(K3,3) minor.  Transversal search is attempted only for grounds of
+    at most 7 elements (None otherwise).
     """
     if len(m.ground) > bound:
         raise GroundTooLarge(f"classification capped at {bound} elements")
 
-    witnesses: dict[str, str] = {}
     targets = _graphic_targets()
-
-    name, wit = _excluded_minor_scan(m, targets[:1])
-    binary = name is None
-    if binary:
-        witnesses["binary"] = "no U(2,4) minor (exhaustive delete/contract search)"
+    sides = {"graphic": m, "cographic": m.dual()}
+    edges = {key: _realization_witness(mm) for key, mm in sides.items()}
+    realized = [key for key in sides if edges[key] is not None]
+    if realized:
+        targets = targets[3:]  # a regular matroid has no U(2,4)/fano/fano_dual minor
+    texts, minors = {}, {}
+    for key, mm in sides.items():
+        if edges[key] is not None:
+            texts[key] = f"cycle matroid of graph with edges {edges[key]}"
+        else:
+            minors[key], wit = _excluded_minor_scan(mm, targets)
+            texts[key] = f"{minors[key]} minor at deletions={wit[0]} contractions={wit[1]}"
+    if realized:
+        key = realized[0]
+        text = texts[key] if key == "graphic" else "dual is the " + texts[key]
+        binary = regular = True
+        witnesses = {"binary": f"{key}, so binary: {text}", "regular": f"{key}, so regular: {text}"}
     else:
-        witnesses["binary"] = f"{name} minor at deletions={wit[0]} contractions={wit[1]}"
-
-    if not binary:
-        regular = False
-        witnesses["regular"] = witnesses["binary"]
-    else:
-        name, wit = _excluded_minor_scan(m, targets[1:3])
-        regular = name is None
-        witnesses["regular"] = (
-            "no U(2,4)/fano/fano_dual minor (exhaustive search)"
-            if regular
-            else f"{name} minor at deletions={wit[0]} contractions={wit[1]}"
-        )
-
-    def graphic_side(mm: Matroid) -> tuple[bool, str]:
-        nm, w = _excluded_minor_scan(mm, targets)
-        if nm is None:
-            return True, _realization_witness(mm) or "no excluded minor (exhaustive search)"
-        return False, f"{nm} minor at deletions={w[0]} contractions={w[1]}"
-
-    graphic, gw = graphic_side(m)
-    witnesses["graphic"] = gw
-    cographic, cw = graphic_side(m.dual())
-    witnesses["cographic"] = cw
+        binary = minors["graphic"] != "U(2,4)"
+        regular = binary and minors["graphic"] not in ("fano", "fano_dual")
+        witnesses = {
+            "binary": "no U(2,4) minor (exhaustive delete/contract search)" if binary else texts["graphic"],
+            "regular": "no U(2,4)/fano/fano_dual minor (exhaustive search)" if regular else texts["graphic"],
+        }
+    witnesses.update(texts)
 
     transversal: Optional[bool]
     if len(m.ground) <= 7:
@@ -981,6 +982,7 @@ def classify(m: Matroid, bound: int = 10) -> ClassificationReport:
         transversal = None
         witnesses["transversal"] = "skipped: presentation search capped at 7 elements"
 
+    graphic, cographic = (key in realized for key in sides)
     return ClassificationReport(binary, regular, graphic, cographic, transversal, witnesses)
 
 

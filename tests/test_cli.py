@@ -340,6 +340,22 @@ def test_trials_range_ends_accepted():
         assert args.trials == trials
 
 
+@pytest.mark.parametrize("bound", ["0", "-1", "21", "x"])
+def test_bound_out_of_range_exit_2(capsys, bound):
+    with pytest.raises(SystemExit) as exc:
+        main(["graph", "planar", "k4", "--bound", bound])
+    assert exc.value.code == 2
+    assert "--bound" in capsys.readouterr().err
+
+
+def test_bound_accepted(capsys):
+    code, data = run_json(capsys, "graph", "planar", "cycle:5", "--bound", "5")
+    assert code == 0 and data["planar"] and data["embedding"] is not None
+    assert run(capsys, "graph", "planar", "cycle:5", "--bound", "4")[0] == 2
+    for bound in (1, 20):
+        assert build_parser().parse_args(["graph", "planar", "k4", "--bound", str(bound)]).bound == bound
+
+
 # Tokens that are malformed, negative, huge or just out of range, mixed
 # with ordinary small integers.
 TOKENS = st.sampled_from(

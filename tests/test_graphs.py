@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -204,6 +205,95 @@ def test_k33_minus_edge_planar():
 def test_planarity_bound():
     with pytest.raises(G.TooLarge):
         G.is_planar(G.Multigraph(1, tuple((0, 0) for _ in range(21))))
+
+
+def random_multigraph(rng):
+    nv = rng.randint(1, 7)
+    edges = [(rng.randrange(nv), rng.randrange(nv)) for _ in range(rng.randint(0, 12))]
+    return G.Multigraph(nv, tuple(edges))
+
+
+def random_simple_graph(rng):
+    nv = rng.randint(5, 8)
+    pairs = list(itertools.combinations(range(nv), 2))
+    return G.Multigraph(nv, tuple(rng.sample(pairs, rng.randint(9, min(12, len(pairs))))))
+
+
+def test_is_planar_matches_networkx():
+    """Every planar verdict carries a genus-0 embedding of the same graph,
+    every non-planar one a minor that is M(K5) or M(K3,3); the verdict
+    agrees with networkx on seeded multigraphs and simple graphs."""
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(41)
+    graphs = [random_multigraph(rng) for _ in range(150)]
+    graphs += [random_simple_graph(rng) for _ in range(100)]
+    seen = {"loop": 0, "parallel": 0, "bridge": 0, "disconnected": 0, "nonplanar": 0}
+    targets = {"M(K5)": M.named_matroid("mk5"), "M(K3,3)": M.named_matroid("mk33")}
+    for g in graphs:
+        oracle = nx.MultiGraph()
+        oracle.add_nodes_from(range(g.vertex_count))
+        oracle.add_edges_from(g.edges)
+        rep = G.is_planar(g)
+        assert rep.planar == nx.check_planarity(oracle)[0], g
+        if rep.planar:
+            assert rep.embedding is not None and rep.embedding.graph == g
+            assert all(gc == 0 for gc in G.trace_faces(rep.embedding).genus_by_component)
+        else:
+            minor = G.cycle_matroid(g).minor(rep.deletions, rep.contractions)
+            assert M.is_isomorphic(minor, targets[rep.obstruction])[0]
+        seen["loop"] += any(u == v for u, v in g.edges)
+        seen["parallel"] += len(set(map(frozenset, g.edges))) < len(g.edges)
+        seen["bridge"] += any(len(b.edges) == 1 and len(b.vertices) == 2 for b in G.blocks(g))
+        seen["disconnected"] += len(g.components) > 1
+        seen["nonplanar"] += not rep.planar
+    assert min(seen.values()) > 0 and seen["nonplanar"] >= 20, seen
+
+
+def grid(rows, cols):
+    at = lambda i, j: i * cols + j
+    edges = [(at(i, j), at(i, j + 1)) for i in range(rows) for j in range(cols - 1)]
+    edges += [(at(i, j), at(i + 1, j)) for i in range(rows - 1) for j in range(cols)]
+    return G.Multigraph(rows * cols, tuple(edges))
+
+
+@pytest.mark.parametrize("rows,cols", [(3, 3), (2, 6)])
+def test_grid_planar_with_certificate(rows, cols):
+    start = time.perf_counter()
+    rep = G.is_planar(grid(rows, cols))
+    assert time.perf_counter() - start < 1.0
+    assert rep.planar and rep.embedding is not None
+    t = G.trace_faces(rep.embedding)
+    assert t.genus == 0 and t.face_count == len(rep.embedding.graph.edges) - rows * cols + 2
+
+
+def test_octahedron_rotation_pinned():
+    # the first genus-0 rotation in incidence order, as the exhaustive
+    # rotation search found it
+    assert G.named_embedding("octahedron").rotation == (
+        ((0, 0), (2, 0), (1, 0), (3, 0)),
+        ((4, 0), (7, 0), (5, 0), (6, 0)),
+        ((0, 1), (9, 0), (4, 1), (8, 0)),
+        ((1, 1), (10, 0), (5, 1), (11, 0)),
+        ((2, 1), (8, 1), (6, 1), (10, 1)),
+        ((3, 1), (11, 1), (7, 1), (9, 1)),
+    )
+
+
+def no_minor_search(*args):
+    raise AssertionError("has_minor called")
+
+
+def test_planar_verdict_needs_no_minor_search(monkeypatch):
+    monkeypatch.setattr(M, "has_minor", no_minor_search)
+    for g in (grid(3, 3), G.named_graph("octahedron"), G.Multigraph(3, ((0, 0), (0, 1), (0, 1)))):
+        assert G.is_planar(g).planar
+
+
+def test_graphic_and_cographic_classify_needs_no_minor_search(monkeypatch):
+    monkeypatch.setattr(M, "has_minor", no_minor_search)
+    rep = M.classify(G.cycle_matroid(G.named_graph("k4")))
+    assert rep.binary and rep.regular and rep.graphic and rep.cographic
+    assert rep.witnesses["binary"].startswith("graphic, so binary: cycle matroid of graph")
 
 
 def test_planar_graph_is_cographic():
