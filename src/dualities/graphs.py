@@ -20,7 +20,7 @@ from functools import cached_property, lru_cache
 from typing import Iterable, Optional
 
 from .formats import json_ints, read_records, split_ident
-from .matroids import Matroid, TooManyBases, _canonical_bases
+from .matroids import Matroid, TooManyBases, _from_masks
 from . import matroids
 
 Dart = tuple[int, int]
@@ -404,9 +404,12 @@ def is_planar(g: Multigraph, bound: int = 20) -> PlanarityReport:
     """Planarity by Whitney's criterion, with explicit witnesses.
 
     ``find_planar_embedding`` decides it: a planar verdict always carries
-    a genus-0 rotation system.  Only a non-planar graph has its cycle
-    matroid scanned for an M(K5) or M(K3,3) minor, whose delete/contract
-    pair is the negative witness.
+    a genus-0 rotation system.  For a non-planar graph, the cycle matroid
+    of the first block without a plane embedding is scanned for an M(K5),
+    then an M(K3,3) minor.  The delete/contract pair found there, in graph
+    edge indices and with every edge outside the block deleted, is the
+    negative witness; a graph that is one block keeps the pair of the
+    scan over its whole cycle matroid.
     """
     if len(g.edges) > bound:
         raise TooLarge(f"planarity search capped at {bound} edges")
@@ -414,10 +417,14 @@ def is_planar(g: Multigraph, bound: int = 20) -> PlanarityReport:
     if emb is not None:
         note = "dual cycle matroid of every block is graphic (Whitney); genus-0 rotation system exhibited"
         return PlanarityReport(True, None, None, None, emb, note)
-    cm = cycle_matroid(g, bound=max(bound, len(g.edges)))
+    blk = next(b for b in blocks(g) if len(b.edges) > 1 and _block_faces(b) is None)
+    cm = cycle_matroid(blk.graph, bound=len(blk.edges))
     targets = [("M(K5)", matroids.named_matroid("mk5")), ("M(K3,3)", matroids.named_matroid("mk33"))]
-    name, wit = matroids._excluded_minor_scan(cm, targets)
-    return PlanarityReport(False, name, wit[0], wit[1], None, f"{name} minor found")
+    name, (dels, cons) = matroids._excluded_minor_scan(cm, targets)
+    outside = set(range(len(g.edges))) - set(blk.edge_indices)
+    dels = tuple(sorted(outside.union(blk.edge_indices[e] for e in dels)))
+    cons = tuple(blk.edge_indices[e] for e in cons)
+    return PlanarityReport(False, name, dels, cons, None, f"{name} minor found")
 
 
 # ---------------------------------------------------------------------------
@@ -554,33 +561,73 @@ def blocks(g: Multigraph) -> list[Block]:
 
 
 def cycle_matroid(g: Multigraph, bound: int = matroids.GROUND_BOUND) -> Matroid:
-    """Matroid on the edge indices whose bases are the spanning forests."""
+    """Matroid on the edge indices whose bases are the spanning forests.
+
+    The forests are grown edge by edge in index order: each step takes a
+    later edge that joins two trees, never one so late that too few edges
+    remain to reach the rank.  A union-find (union by size, no path
+    compression) records the trees, and every union is undone on
+    backtracking.  A branch also stops once it has skipped the last edge
+    at a vertex that no taken edge covers, since every spanning forest
+    covers each vertex with a non-loop edge.
+    """
     ne = len(g.edges)
     if ne > bound:
         raise TooManyBases(f"{ne} edges exceed the matroid ground bound {bound}")
     r = graph_invariants(g).rank
-    ground = tuple(range(ne))
-    bases = []
-    for combo in itertools.combinations(range(ne), r):
-        parent = list(range(g.vertex_count))
+    edges = g.edges
+    parent = list(range(g.vertex_count))
+    size = [1] * g.vertex_count
+    left = [0] * g.vertex_count  # non-loop edges at each vertex not yet passed
+    covered = [0] * g.vertex_count  # taken edges at each vertex
+    for u, v in edges:
+        if u != v:
+            left[u] += 1
+            left[v] += 1
+    masks = []
 
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
+    def root(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
 
-        acyclic = True
-        for ei in combo:
-            u, v = g.edges[ei]
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                acyclic = False
+    def grow(i: int, need: int, mask: int) -> None:
+        j = i
+        while j <= ne - need:
+            a, b = edges[j]
+            j += 1
+            if a == b:
+                continue
+            left[a] -= 1
+            left[b] -= 1
+            u, v = root(a), root(b)
+            if u != v:
+                if size[u] > size[v]:
+                    u, v = v, u
+                parent[u] = v
+                size[v] += size[u]
+                if need == 1:
+                    masks.append(mask | 1 << j - 1)
+                else:
+                    covered[a] += 1
+                    covered[b] += 1
+                    grow(j, need - 1, mask | 1 << j - 1)
+                    covered[a] -= 1
+                    covered[b] -= 1
+                size[v] -= size[u]
+                parent[u] = u
+            if not (left[a] or covered[a]) or not (left[b] or covered[b]):
                 break
-            parent[ru] = rv
-        if acyclic:
-            bases.append(frozenset(combo))
-    return Matroid(ground, _canonical_bases(bases))
+        for a, b in edges[i:j]:
+            if a != b:
+                left[a] += 1
+                left[b] += 1
+
+    if r:
+        grow(0, r, 0)
+    else:
+        masks.append(0)
+    return _from_masks(tuple(range(ne)), masks)
 
 
 # ---------------------------------------------------------------------------
