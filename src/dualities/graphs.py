@@ -305,9 +305,10 @@ def _incident_darts(g: Multigraph) -> list[list[Dart]]:
     return incident
 
 
-def _block_faces(blk: Block) -> Optional[list[list[Dart]]]:
+def _block_faces(blk: Block, cm: Matroid) -> Optional[list[list[Dart]]]:
     """Oriented face walks of a plane embedding of a 2-connected block, in
-    block-local darts, or None if the block is not planar.
+    block-local darts, or None if the block is not planar.  ``cm`` is the
+    block's cycle matroid.
 
     By Whitney's criterion the block is planar exactly when the dual of
     its cycle matroid is graphic.  Each vertex star of a realizing graph
@@ -316,7 +317,6 @@ def _block_faces(blk: Block) -> Optional[list[list[Dart]]]:
     so every edge is walked once in each direction.
     """
     edges = blk.edges
-    cm = cycle_matroid(blk.graph, bound=len(edges))
     dual_edges = matroids._realization_witness(cm.dual())
     if dual_edges is None:
         return None
@@ -368,6 +368,14 @@ def find_planar_embedding(g: Multigraph) -> Optional[Embedding]:
     in incidence order.  The embedding is returned only after
     ``trace_faces`` gives genus 0 on every component.
     """
+    return _plane_embedding(g)[0]
+
+
+def _plane_embedding(g: Multigraph) -> tuple[Optional[Embedding], Optional[tuple[Block, Matroid]]]:
+    """The search of ``find_planar_embedding``: its embedding and None,
+    or None and the first block with no plane embedding, paired with that
+    block's cycle matroid.  Both are None only if every block embeds but
+    the rotation fails the genus-0 check."""
     rot_next: dict[Dart, Dart] = {}
     for blk in blocks(g):
         if len(blk.edges) == 1:  # a loop turns to its other end, a bridge to itself
@@ -375,9 +383,10 @@ def find_planar_embedding(g: Multigraph) -> Optional[Embedding]:
             loop = blk.edges[0][0] == blk.edges[0][1]
             rot_next[(e, 0)], rot_next[(e, 1)] = ((e, 1), (e, 0)) if loop else ((e, 0), (e, 1))
             continue
-        faces = _block_faces(blk)
+        cm = cycle_matroid(blk.graph, bound=len(blk.edges))
+        faces = _block_faces(blk, cm)
         if faces is None:
-            return None
+            return None, (blk, cm)
         for face in faces:
             for i, (e, s) in enumerate(face):  # rot_next(reverse(d)) = succ(d)
                 f, t = face[(i + 1) % len(face)]
@@ -396,29 +405,30 @@ def find_planar_embedding(g: Multigraph) -> Optional[Embedding]:
     best = min(rotation, mirror, key=lambda rot: [[pos[d] for d in cyc] for cyc in rot])
     emb = Embedding(g, tuple(map(tuple, best)))
     if any(trace_faces(emb).genus_by_component):
-        return None
-    return emb
+        return None, None
+    return emb, None
 
 
 def is_planar(g: Multigraph, bound: int = 20) -> PlanarityReport:
     """Planarity by Whitney's criterion, with explicit witnesses.
 
-    ``find_planar_embedding`` decides it: a planar verdict always carries
-    a genus-0 rotation system.  For a non-planar graph, the cycle matroid
-    of the first block without a plane embedding is scanned for an M(K5),
-    then an M(K3,3) minor.  The delete/contract pair found there, in graph
-    edge indices and with every edge outside the block deleted, is the
-    negative witness; a graph that is one block keeps the pair of the
-    scan over its whole cycle matroid.
+    The search of ``find_planar_embedding`` decides it: a planar verdict
+    always carries a genus-0 rotation system.  For a non-planar graph, the
+    cycle matroid of the first block without a plane embedding, as that
+    search built it, is scanned for an M(K5), then an M(K3,3) minor.  The
+    delete/contract pair found there, in graph edge indices and with every
+    edge outside the block deleted, is the negative witness; a graph that
+    is one block keeps the pair of the scan over its whole cycle matroid.
     """
     if len(g.edges) > bound:
         raise TooLarge(f"planarity search capped at {bound} edges")
-    emb = find_planar_embedding(g)
+    emb, failed = _plane_embedding(g)
     if emb is not None:
         note = "dual cycle matroid of every block is graphic (Whitney); genus-0 rotation system exhibited"
         return PlanarityReport(True, None, None, None, emb, note)
-    blk = next(b for b in blocks(g) if len(b.edges) > 1 and _block_faces(b) is None)
-    cm = cycle_matroid(blk.graph, bound=len(blk.edges))
+    if failed is None:
+        raise GraphError("every block has a plane embedding, but their rotation is not genus 0")
+    blk, cm = failed
     targets = [("M(K5)", matroids.named_matroid("mk5")), ("M(K3,3)", matroids.named_matroid("mk33"))]
     name, (dels, cons) = matroids._excluded_minor_scan(cm, targets)
     outside = set(range(len(g.edges))) - set(blk.edge_indices)

@@ -273,38 +273,51 @@ def _canonical_bases(bases: Iterable[Iterable[int]]) -> tuple[frozenset[int], ..
     return tuple(sorted(fam, key=_basis_key))
 
 
-@lru_cache(maxsize=256)
-def _byte_members(ground: tuple[int, ...]) -> list[list[tuple[int, ...]]]:
-    """For each byte of a position mask over ``ground``, the members of
-    every value of that byte."""
-    n = len(ground)
-    return [
-        [tuple(ground[lo + i] for i in _bits(x)) for x in range(1 << min(8, n - lo))]
-        for lo in range(0, n, 8)
-    ]
+@lru_cache(maxsize=64)
+def _byte_tables(ranks: tuple[int, ...]) -> list[list[tuple[tuple[int, ...], int]]]:
+    """For each byte of a position mask, the positions of every value of
+    that byte and their weight, where position i weighs 2^(n-1-ranks[i]).
+
+    ``ranks[i]`` is the rank of the i-th ground element among all of
+    them, so every sorted ground of n elements shares one set of tables.
+    """
+    n = len(ranks)
+    tables = []
+    for lo in range(0, n, 8):
+        table = []
+        for x in range(1 << min(8, n - lo)):
+            pos = tuple(lo + i for i in _bits(x))
+            table.append((pos, sum(1 << n - 1 - ranks[i] for i in pos)))
+        tables.append(table)
+    return tables
 
 
 def _from_masks(ground: tuple[int, ...], masks: Iterable[int]) -> Matroid:
     """The matroid on ``ground`` whose bases are the position masks
-    ``masks``, which it keeps as its ``_masks``."""
+    ``masks``, which it keeps as its ``_masks``.
+
+    Of two sets of one size, the lexicographically first holds the
+    smallest element where they differ, so it has the larger weight (see
+    ``_byte_tables``): the bases are put in canonical order by size, then
+    by weight downwards, without sorting each one's elements.
+    """
     masks = sorted(set(masks))
     n = len(ground)
-    tables = _byte_members(ground)
-
-    def members(m: int) -> tuple[int, ...]:
-        elems = ()
+    ranks = [0] * n
+    for k, i in enumerate(sorted(range(n), key=ground.__getitem__)):
+        ranks[i] = k
+    tables = _byte_tables(tuple(ranks))
+    keyed = []
+    for m in masks:
+        pos, weight, rest = (), 0, m
         for table in tables:
-            elems += table[m & 255]
-            m >>= 8
-        return elems
-
-    if list(ground) == sorted(ground):
-        # Of two sets of one size, the lexicographically first holds the
-        # lowest element where they differ: its mask read backwards is larger.
-        order = sorted(masks, key=lambda m: (m.bit_count() << n) - int(f"{m:0{n}b}"[::-1], 2))
-        bases = tuple(frozenset(members(m)) for m in order)
-    else:
-        bases = _canonical_bases(map(members, masks))
+            p, w = table[rest & 255]
+            pos += p
+            weight += w
+            rest >>= 8
+        keyed.append(((m.bit_count() << n) - weight, frozenset(map(ground.__getitem__, pos))))
+    keyed.sort(key=lambda kb: kb[0])
+    bases = tuple(b for _, b in keyed)
     out = Matroid(ground, bases)
     out.__dict__["_masks"] = tuple(masks)
     return out
@@ -395,17 +408,6 @@ def _lacking(i: int, n: int) -> int:
     return int.from_bytes(unit * count, "little") & ((1 << (1 << n)) - 1)
 
 
-def _independent(masks: Iterable[int], n: int) -> int:
-    """The subsets of n elements inside some of ``masks``."""
-    table = bytearray(max(1, (1 << n) >> 3))
-    for b in masks:
-        table[b >> 3] |= 1 << (b & 7)
-    indep = int.from_bytes(table, "little")
-    for i in range(n):
-        indep |= indep >> (1 << i) & _lacking(i, n)
-    return indep
-
-
 def _rank_axioms_hold(masks: tuple[int, ...], n: int, r: int) -> bool:
     """Whether an equal-size family of r-element masks over n elements is
     the basis family of a matroid, decided on the rank table.
@@ -418,8 +420,13 @@ def _rank_axioms_hold(masks: tuple[int, ...], n: int, r: int) -> bool:
     bases.  The table is kept as bitsets over the 2^n subsets, one per
     rank level, so each step handles every subset at once.
     """
-    indep = _independent(masks, n)
     lacking = [_lacking(i, n) for i in range(n)]
+    table = bytearray(max(1, (1 << n) >> 3))
+    for b in masks:
+        table[b >> 3] |= 1 << (b & 7)
+    indep = int.from_bytes(table, "little")  # then the subsets inside some basis
+    for i in range(n):
+        indep |= indep >> (1 << i) & lacking[i]
     by_size = [1]  # by_size[k]: the k-element subsets
     for i in range(n):
         by_size = [a | b << (1 << i) for a, b in zip(by_size + [0], [0] + by_size)]
@@ -864,29 +871,17 @@ def _graphic_targets() -> list[tuple[str, Matroid]]:
 def _circuits(m: Matroid) -> list[int]:
     """Every circuit as an element-index mask, smallest first.
 
-    Up to TABLE_BOUND elements, the circuits are read off the bitset of
-    all subsets: the dependent sets whose one-smaller subsets are all
-    independent.  On a larger ground, each circuit is found as the
-    fundamental circuit of one of its elements with respect to a basis
-    holding the rest, so the bases yield them all.
+    Each circuit is the fundamental circuit of one of its elements with
+    respect to a basis holding the rest, so the bases yield them all.
     """
-    n = len(m.ground)
-    if n <= TABLE_BOUND:
-        indep = _independent(m._masks, n)
-        minimal = ~indep & ((1 << (1 << n)) - 1)
-        for i in range(n):
-            minimal &= indep << (1 << i) | _lacking(i, n)
-        data = minimal.to_bytes(max(1, (1 << n) >> 3), "little")
-        found = {k << 3 | i for k, byte in enumerate(data) if byte for i in _bits(byte)}
-    else:
-        bases = m._mask_set
-        singles = [1 << i for i in range(n)]
-        found = set()
-        for b in m._masks:
-            inside = [f for f in singles if b & f]
-            for e in singles:
-                if not b & e:
-                    found.add(e | sum(f for f in inside if b ^ f | e in bases))
+    bases = m._mask_set
+    singles = [1 << i for i in range(len(m.ground))]
+    found = set()
+    for b in m._masks:
+        inside = [f for f in singles if b & f]
+        for e in singles:
+            if not b & e:
+                found.add(e | sum(f for f in inside if b ^ f | e in bases))
     return sorted(found, key=lambda c: (c.bit_count(), c))
 
 

@@ -1,18 +1,18 @@
 """The bitmask matroid core against reference oracles.
 
-``ref_make_matroid``, ``ref_cycle_matroid``, ``ref_minor``,
-``ref_has_minor`` and ``ref_circuits`` are the direct algorithms: the
-pairwise containment and exchange scan, the scan of every edge subset of
-rank size with a fresh union-find, the expansion of every trace into its
-largest subsets, a minor search that builds every candidate as a
-``Matroid``, and the fundamental circuits of every basis.  The library
-must agree with them exactly: the same bases, the same witnesses, the
-same exception class and message.
+``ref_make_matroid``, ``ref_cycle_matroid``, ``ref_minor`` and
+``ref_has_minor`` are the direct algorithms: the pairwise containment
+and exchange scan, the scan of every edge subset of rank size with a
+fresh union-find, the expansion of every trace into its largest
+subsets, and a minor search that builds every candidate as a
+``Matroid``.  The library must agree with them exactly: the same bases,
+the same witnesses, the same exception class and message.
 """
 
 import itertools
 import random
 import time
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -152,18 +152,6 @@ def ref_has_minor(m, target):
             if seen[key]:
                 return True, (dele, contr)
     return False, None
-
-
-def ref_circuits(m):
-    """Every fundamental circuit of every basis, as index masks."""
-    bases = set(m._masks)
-    found = set()
-    for b in bases:
-        for e in range(len(m.ground)):
-            if not b >> e & 1:
-                inside = [f for f in range(len(m.ground)) if b >> f & 1 and b ^ (1 << f) | (1 << e) in bases]
-                found.add(sum(1 << f for f in inside) | 1 << e)
-    return sorted(found, key=lambda c: (c.bit_count(), c))
 
 
 # ---------------------------------------------------------------------------
@@ -330,22 +318,19 @@ def test_duals_keep_consistent_masks(seed, n):
 
 
 @PROPERTY
-@given(seeds, st.integers(0, 8))
-def test_circuits_match_reference(seed, n):
-    m = random_matroid(random.Random(seed), n)
-    assert M._circuits(m) == ref_circuits(m)
-    assert M._circuits(m.dual()) == ref_circuits(m.dual())
-
-
-def test_circuits_beyond_the_table_bound():
-    n = M.TABLE_BOUND + 2
-    cm = G.cycle_matroid(G.Multigraph(n, tuple((i, (i + 1) % n) for i in range(n))), bound=n)
-    for m in (cm, cm.dual()):
-        assert M._circuits(m) == ref_circuits(m)
+@given(seeds, st.integers(0, 18))
+def test_masks_become_canonical_bases_on_any_ground(seed, n):
+    # 18 elements span three bytes of a mask; the ground is in any order
+    rng = random.Random(seed)
+    ground = tuple(rng.sample(range(-5, 40), n))
+    masks = [rng.getrandbits(n) for _ in range(rng.randrange(1, 40))]
+    m = M._from_masks(ground, masks)
+    assert m.bases == M._canonical_bases({ground[i] for i in range(n) if x >> i & 1} for x in masks)
+    assert m._masks == tuple(sorted(set(masks)))
 
 
 def test_long_cycle_is_planar():
-    # a 30-edge block: circuits and validation stay off the 2^30 subset bitsets
+    # a 30-edge block: validation stays off the 2^30 subset bitsets
     n = 30
     rep = G.is_planar(G.Multigraph(n, tuple((i, (i + 1) % n) for i in range(n))), bound=n)
     assert rep.planar and rep.embedding is not None
@@ -440,20 +425,41 @@ def test_single_block_witness_is_the_whole_graph_scan(g):
     assert (rep.obstruction, rep.deletions, rep.contractions) == (name, *wit)
 
 
-@pytest.mark.parametrize(
-    "g",
-    [
-        TWO_BLOCKS,
-        G.Multigraph(7, G.named_graph("k5").edges + ((4, 5), (5, 6), (6, 6), (0, 0))),
-        G.Multigraph(10, G.named_graph("k33").edges + ((6, 7), (7, 8), (8, 6), (8, 9))),
-    ],
-)
+MULTI_BLOCK = [
+    TWO_BLOCKS,
+    G.Multigraph(7, G.named_graph("k5").edges + ((4, 5), (5, 6), (6, 6), (0, 0))),
+    G.Multigraph(10, G.named_graph("k33").edges + ((6, 7), (7, 8), (8, 6), (8, 9))),
+]
+
+
+@pytest.mark.parametrize("g", MULTI_BLOCK)
 def test_multi_block_witness_gives_the_obstruction(g):
     rep = G.is_planar(g)
     assert not rep.planar
     minor = G.cycle_matroid(g, bound=len(g.edges)).minor(rep.deletions, rep.contractions)
     target = {"M(K5)": "mk5", "M(K3,3)": "mk33"}[rep.obstruction]
     assert M.is_isomorphic(minor, M.named_matroid(target))[0]
+
+
+@pytest.mark.parametrize("g", MULTI_BLOCK)
+def test_is_planar_builds_each_block_matroid_once(g, monkeypatch):
+    built = []
+    real = G.cycle_matroid
+
+    def counting(h, bound=M.GROUND_BOUND):
+        built.append(h.edges)
+        return real(h, bound)
+
+    monkeypatch.setattr(G, "cycle_matroid", counting)
+    G.is_planar(g)
+    assert len(built) <= sum(len(b.edges) > 1 for b in G.blocks(g))
+
+
+def test_rotation_failing_the_genus_check_is_an_error(monkeypatch):
+    monkeypatch.setattr(G, "trace_faces", lambda emb: SimpleNamespace(genus_by_component=(1,)))
+    assert G.find_planar_embedding(G.named_graph("k4")) is None
+    with pytest.raises(G.GraphError, match="not genus 0"):
+        G.is_planar(G.named_graph("k4"))
 
 
 # ---------------------------------------------------------------------------
