@@ -9,6 +9,11 @@ graphs generate them even from simple polyhedra.
 Darts are (edge_index, end) pairs with end 0 or 1; the dart (e, s) sits
 at the endpoint edges[e][s].  The dual embedding keeps edge indices, so
 "which dual edge crosses which primal edge" is the identity map.
+
+Planarity is decided on the graph itself: path addition draws the faces
+of each block, and a non-planar graph's witness comes from deleting
+edges until a Kuratowski subdivision is left.  No matroid is built on
+that path; cycle matroids serve the matroid side of the library.
 """
 
 from __future__ import annotations
@@ -305,52 +310,106 @@ def _incident_darts(g: Multigraph) -> list[list[Dart]]:
     return incident
 
 
-def _block_faces(blk: Block, cm: Matroid) -> Optional[list[list[Dart]]]:
-    """Oriented face walks of a plane embedding of a 2-connected block, in
-    block-local darts, or None if the block is not planar.  ``cm`` is the
-    block's cycle matroid.
+def _block_faces(blk: Block) -> Optional[list[list[Dart]]]:
+    """Oriented face walks of a plane embedding of a 2-connected loopless
+    block, in block-local darts, or None if the block is not planar.
 
-    By Whitney's criterion the block is planar exactly when the dual of
-    its cycle matroid is graphic.  Each vertex star of a realizing graph
-    is a bond of that graph, so a cycle of the block, and these cycles
-    are the faces.  A traversal of faces that share an edge orients them
-    so every edge is walked once in each direction.
+    Path addition (Demoucron, Malgrange and Pertuiset, 1964).  A cycle
+    through edge 0, walked both ways, gives the first two faces.  A
+    fragment is an unplaced edge between placed vertices, or a component
+    of unplaced vertices with its edges to placed ones; its attachments
+    are the placed vertices it touches, and it fits a face whose walk
+    passes all of them.  If some fragment fits no face the block is not
+    planar.  Otherwise a fragment that fits exactly one face, or failing
+    that the first fragment, gets one path between two of its attachments
+    a and b drawn through that face.  The face splits into its walk from a
+    to b followed by the path reversed, and its walk from b to a followed
+    by the path, so every edge stays walked once in each direction.
     """
     edges = blk.edges
-    dual_edges = matroids._realization_witness(cm.dual())
-    if dual_edges is None:
-        return None
-    stars: dict[int, list[int]] = {}
-    for e, ends in enumerate(dual_edges):
-        for x in ends:
-            stars.setdefault(x, []).append(e)
-    faces = []
-    for star in stars.values():
-        at: dict[int, list[int]] = {}
-        for e in star:
-            for v in edges[e]:
-                at.setdefault(v, []).append(e)
-        e, s = star[0], 0
-        face = []
-        for _ in star:  # the star is a cycle: leave each vertex by its other edge
-            face.append((e, s))
-            w = edges[e][1 - s]
-            e = next(f for f in at[w] if f != e)
-            s = 0 if edges[e][0] == w else 1
-        faces.append(face)
-    faces_of: dict[int, list[int]] = {}
-    for fi, face in enumerate(faces):
-        for e, _ in face:
-            faces_of.setdefault(e, []).append(fi)
-    todo, oriented = [0], {0}
-    while todo:
-        for e, s in faces[todo.pop()]:
-            for fj in faces_of[e]:
-                if fj not in oriented:
-                    if (e, s) in faces[fj]:  # walked the same way: reverse it
-                        faces[fj] = [(f, 1 - t) for f, t in reversed(faces[fj])]
-                    oriented.add(fj)
-                    todo.append(fj)
+    incident = _incident_darts(blk.graph)
+
+    def head(d: Dart) -> int:
+        return edges[d[0]][1 - d[1]]
+
+    def bfs_path(a: int, enter, done) -> list[Dart]:
+        """Shortest dart path from ``a``: every dart but the last passes
+        ``enter`` into a new vertex, the last passes ``done``."""
+        prev: dict[int, Optional[Dart]] = {a: None}
+        todo = [a]
+        for v in todo:
+            for d in incident[v]:
+                if done(d):
+                    path = [d]
+                    while prev[v] is not None:
+                        path.append(prev[v])
+                        v = edges[prev[v][0]][prev[v][1]]
+                    return path[::-1]
+                if head(d) not in prev and enter(d):
+                    prev[head(d)] = d
+                    todo.append(head(d))
+
+    u0, v0 = edges[0]
+    cycle = [(0, 0)] + bfs_path(v0, lambda d: d[0] != 0, lambda d: d[0] != 0 and head(d) == u0)
+    faces = [cycle, [(e, 1 - s) for e, s in reversed(cycle)]]
+    face_at: list[set[int]] = [set() for _ in blk.vertices]
+    used = set()
+    for e, s in cycle:
+        used.add(e)
+        face_at[edges[e][s]] = {0, 1}
+    while len(used) < len(edges):
+        # fragments as (attachments, its edge or the index of its component)
+        frags: list[tuple[set[int], object]] = [
+            ({u, v}, (e, 0)) for e, (u, v) in enumerate(edges) if e not in used and face_at[u] and face_at[v]
+        ]
+        comp = [-1] * len(blk.vertices)
+        for x, fx in enumerate(face_at):
+            if fx or comp[x] >= 0:
+                continue
+            c, attach, todo = len(frags), set(), [x]
+            comp[x] = c
+            for v in todo:
+                for d in incident[v]:
+                    w = head(d)
+                    if face_at[w]:
+                        attach.add(w)
+                    elif comp[w] < 0:
+                        comp[w] = c
+                        todo.append(w)
+            frags.append((attach, c))
+        chosen = None
+        for attach, part in frags:
+            fit = set.intersection(*(face_at[a] for a in attach))
+            if not fit:
+                return None
+            if chosen is None or len(fit) == 1:
+                chosen = attach, part, min(fit)
+                if len(fit) == 1:
+                    break
+        attach, part, fi = chosen
+        if isinstance(part, tuple):
+            path = [part]
+        else:  # from the smallest attachment through the component to another
+            a = min(attach)
+            path = bfs_path(
+                a,
+                lambda d: comp[head(d)] == part,
+                lambda d: comp[edges[d[0]][d[1]]] == part and face_at[head(d)] and head(d) != a,
+            )
+        a, b = edges[path[0][0]][path[0][1]], head(path[-1])
+        walk = faces[fi]
+        tails = [edges[e][s] for e, s in walk]
+        i = tails.index(a)
+        walk = walk[i:] + walk[:i]
+        j = (tails.index(b) - i) % len(walk)
+        for v in tails:
+            face_at[v].discard(fi)
+        faces[fi] = walk[:j] + [(e, 1 - s) for e, s in reversed(path)]
+        faces.append(walk[j:] + path)
+        for fj in (fi, len(faces) - 1):
+            for e, s in faces[fj]:
+                face_at[edges[e][s]].add(fj)
+        used.update(e for e, _ in path)
     return faces
 
 
@@ -358,24 +417,25 @@ def find_planar_embedding(g: Multigraph) -> Optional[Embedding]:
     """A genus-0 rotation system of ``g``, or None if ``g`` is not planar.
 
     Each block is embedded on its own: a loop or a bridge directly, a
-    larger block from the face walks of ``_block_faces``, with rotation
-    successor rot_next(d) = succ(reverse(d)) for the face successor succ.
-    At a cut vertex the blocks' rotations are concatenated.  Each vertex's
-    list starts at its first incident dart, and of the rotation and its
-    mirror the one with the smaller key in incidence order is returned.
-    When the embedding is unique up to mirror image (a 3-connected graph,
-    such as every named polyhedron), that is the first genus-0 rotation
-    in incidence order.  The embedding is returned only after
-    ``trace_faces`` gives genus 0 on every component.
+    larger block from the face walks that path addition (``_block_faces``)
+    builds, with rotation successor rot_next(d) = succ(reverse(d)) for the
+    face successor succ.  At a cut vertex the blocks' rotations are
+    concatenated.  Each vertex's list starts at its first incident dart,
+    and of the rotation and its mirror the one with the smaller key in
+    incidence order is returned.  When the embedding is unique up to
+    mirror image (a 3-connected graph, such as every named polyhedron),
+    that is the first genus-0 rotation in incidence order.  The embedding
+    is returned only after ``trace_faces`` gives genus 0 on every
+    component.
     """
     return _plane_embedding(g)[0]
 
 
-def _plane_embedding(g: Multigraph) -> tuple[Optional[Embedding], Optional[tuple[Block, Matroid]]]:
+def _plane_embedding(g: Multigraph) -> tuple[Optional[Embedding], Optional[Block]]:
     """The search of ``find_planar_embedding``: its embedding and None,
-    or None and the first block with no plane embedding, paired with that
-    block's cycle matroid.  Both are None only if every block embeds but
-    the rotation fails the genus-0 check."""
+    or None and the first block that path addition cannot embed.  Both
+    are None only if every block embeds but the rotation fails the
+    genus-0 check."""
     rot_next: dict[Dart, Dart] = {}
     for blk in blocks(g):
         if len(blk.edges) == 1:  # a loop turns to its other end, a bridge to itself
@@ -383,10 +443,9 @@ def _plane_embedding(g: Multigraph) -> tuple[Optional[Embedding], Optional[tuple
             loop = blk.edges[0][0] == blk.edges[0][1]
             rot_next[(e, 0)], rot_next[(e, 1)] = ((e, 1), (e, 0)) if loop else ((e, 0), (e, 1))
             continue
-        cm = cycle_matroid(blk.graph, bound=len(blk.edges))
-        faces = _block_faces(blk, cm)
+        faces = _block_faces(blk)
         if faces is None:
-            return None, (blk, cm)
+            return None, blk
         for face in faces:
             for i, (e, s) in enumerate(face):  # rot_next(reverse(d)) = succ(d)
                 f, t = face[(i + 1) % len(face)]
@@ -409,31 +468,86 @@ def _plane_embedding(g: Multigraph) -> tuple[Optional[Embedding], Optional[tuple
     return emb, None
 
 
+def _kuratowski_edges(blk: Block) -> list[int]:
+    """The block-local edges left when each edge, in index order, is
+    dropped if the rest stays non-planar: an edge-minimal non-planar
+    subgraph, so a subdivision of K5 or K3,3 (Kuratowski).
+
+    Runs of edges are tried together, the run doubling after a success
+    and halving after a failure.  A run whose removal leaves a non-planar
+    graph loses each of its edges one at a time too, because every graph
+    in between contains that non-planar one; so the result is the
+    edge-by-edge one.
+    """
+    n = len(blk.vertices)
+
+    def nonplanar(kept: list[int]) -> bool:
+        degree = [0] * n
+        for e in kept:
+            for v in blk.edges[e]:
+                degree[v] += 1
+        if sum(d > 3 for d in degree) < 5 and sum(d > 2 for d in degree) < 6:
+            return False  # too few vertices of high degree to branch a K5 or K3,3
+        h = Multigraph(n, tuple(blk.edges[e] for e in kept))
+        return any(len(b.edges) > 1 and _block_faces(b) is None for b in blocks(h))
+
+    kept = list(range(len(blk.edges)))
+    i, run = 0, 1
+    while i < len(kept):
+        rest = kept[:i] + kept[i + run:]
+        if nonplanar(rest):
+            kept, run = rest, 2 * run
+        elif run > 1:
+            run //= 2
+        else:
+            i += 1
+    return kept
+
+
 def is_planar(g: Multigraph, bound: int = 20) -> PlanarityReport:
-    """Planarity by Whitney's criterion, with explicit witnesses.
+    """Planarity by path addition, with explicit witnesses.
 
     The search of ``find_planar_embedding`` decides it: a planar verdict
-    always carries a genus-0 rotation system.  For a non-planar graph, the
-    cycle matroid of the first block without a plane embedding, as that
-    search built it, is scanned for an M(K5), then an M(K3,3) minor.  The
-    delete/contract pair found there, in graph edge indices and with every
-    edge outside the block deleted, is the negative witness; a graph that
-    is one block keeps the pair of the scan over its whole cycle matroid.
+    always carries a genus-0 rotation system.  For a non-planar graph,
+    edge deletion in the first block without a plane embedding leaves a
+    Kuratowski subdivision (``_kuratowski_edges``): 5 branch vertices make
+    it M(K5), 6 make it M(K3,3).  The negative witness deletes every other
+    edge of the graph and contracts every edge of each subdivided path
+    but the highest-indexed one.  On a graph that is itself a subdivision
+    this contraction set is the lexicographically first one that leaves
+    the minor, as the exhaustive minor scan of ``matroids.has_minor``
+    would find it.
     """
     if len(g.edges) > bound:
         raise TooLarge(f"planarity search capped at {bound} edges")
-    emb, failed = _plane_embedding(g)
+    emb, blk = _plane_embedding(g)
     if emb is not None:
-        note = "dual cycle matroid of every block is graphic (Whitney); genus-0 rotation system exhibited"
+        note = "every block embeds by path addition; genus-0 rotation system exhibited"
         return PlanarityReport(True, None, None, None, emb, note)
-    if failed is None:
+    if blk is None:
         raise GraphError("every block has a plane embedding, but their rotation is not genus 0")
-    blk, cm = failed
-    targets = [("M(K5)", matroids.named_matroid("mk5")), ("M(K3,3)", matroids.named_matroid("mk33"))]
-    name, (dels, cons) = matroids._excluded_minor_scan(cm, targets)
-    outside = set(range(len(g.edges))) - set(blk.edge_indices)
-    dels = tuple(sorted(outside.union(blk.edge_indices[e] for e in dels)))
-    cons = tuple(blk.edge_indices[e] for e in cons)
+    kept = _kuratowski_edges(blk)
+    at: dict[int, list[int]] = {}
+    for e in kept:
+        for v in blk.edges[e]:
+            at.setdefault(v, []).append(e)
+    branch = [v for v, es in at.items() if len(es) > 2]
+    cons, walked = [], set()
+    for v in branch:
+        for e in at[v]:
+            if e in walked:
+                continue
+            path, w = [e], blk.edges[e][blk.edges[e][0] == v]
+            while len(at[w]) == 2:  # follow the subdivided edge to its far branch vertex
+                e = at[w][at[w][0] == e]
+                path.append(e)
+                w = blk.edges[e][blk.edges[e][0] == w]
+            walked.update(path)
+            cons += sorted(path)[:-1]
+    name = "M(K5)" if len(branch) == 5 else "M(K3,3)"
+    keep = {blk.edge_indices[e] for e in kept}
+    dels = tuple(e for e in range(len(g.edges)) if e not in keep)
+    cons = tuple(sorted(blk.edge_indices[e] for e in cons))
     return PlanarityReport(False, name, dels, cons, None, f"{name} minor found")
 
 
@@ -720,7 +834,8 @@ def _complete_graph(n: int) -> Multigraph:
 @lru_cache(maxsize=None)
 def named_graph(ident: str) -> Multigraph:
     """``k4``/``tetrahedron``, ``k5``, ``k33``, ``cube``, ``octahedron``,
-    ``triangle``/``c3``, and ``cycle:n``/``path:n`` for n >= 1."""
+    ``icosahedron``, ``dodecahedron``, ``triangle``/``c3``, and
+    ``cycle:n``/``path:n`` for n >= 1."""
     name, params = split_ident(ident, GraphError)
     if name in ("cycle", "path"):
         if len(params) != 1 or params[0] < 1:
@@ -747,6 +862,15 @@ def named_graph(ident: str) -> Multigraph:
         skip = {(0, 1), (2, 3), (4, 5)}
         edges = tuple(e for e in itertools.combinations(range(6), 2) if e not in skip)
         return Multigraph(6, edges)
+    if name in ("icosahedron", "dodecahedron"):
+        edges = []
+        for i in range(5):
+            j = (i + 1) % 5
+            if name == "icosahedron":  # apexes 0 and 11, pentagons 1-5 and 6-10
+                edges += [(0, 1 + i), (1 + i, 1 + j), (1 + i, 6 + i), (1 + j, 6 + i), (6 + i, 6 + j), (6 + i, 11)]
+            else:  # pentagons 0-4 and 15-19, joined through the 10-cycle 5-14
+                edges += [(i, j), (i, 5 + 2 * i), (5 + 2 * i, 6 + 2 * i), (6 + 2 * i, 5 + 2 * j), (6 + 2 * i, 15 + i), (15 + i, 15 + j)]
+        return Multigraph(12 if name == "icosahedron" else 20, tuple(sorted(tuple(sorted(e)) for e in edges)))
     if name == "triangle" or name == "c3":
         return Multigraph(3, ((0, 1), (1, 2), (0, 2)))
     raise UnknownGraphName(f"unknown graph name {ident!r}")

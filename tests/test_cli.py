@@ -123,6 +123,14 @@ def test_graph_dual_output_parses(capsys, tmp_path):
     assert data2["face_count"] == 8  # the octahedron
 
 
+@pytest.mark.parametrize("name,faces", [("icosahedron", 20), ("dodecahedron", 12)])
+def test_graph_euler_and_dual_of_thirty_edge_solids(capsys, name, faces):
+    code, data = run_json(capsys, "graph", "euler", name)
+    assert code == 0 and (data["edges"], data["face_count"], data["genus"]) == (30, faces, 0)
+    code, data = run_json(capsys, "graph", "dual", name)
+    assert code == 0 and data["vertices"] == faces
+
+
 def test_graph_blocks(capsys):
     code, data = run_json(capsys, "graph", "blocks", "path:4")
     assert code == 0 and len(data["blocks"]) == 3

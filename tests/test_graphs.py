@@ -116,6 +116,23 @@ def test_dual_cube_is_octahedron():
     assert G.is_graph_isomorphic(d.graph, G.named_graph("octahedron"))
 
 
+@pytest.mark.parametrize(
+    "name,counts,dual",
+    [
+        ("tetrahedron", (4, 6, 4), "tetrahedron"),
+        ("cube", (8, 12, 6), "octahedron"),
+        ("octahedron", (6, 12, 8), "cube"),
+        ("dodecahedron", (20, 30, 12), "icosahedron"),
+        ("icosahedron", (12, 30, 20), "dodecahedron"),
+    ],
+)
+def test_platonic_embedding_counts_and_dual(name, counts, dual):
+    emb = G.named_embedding(name)
+    t = G.trace_faces(emb)
+    assert (emb.graph.vertex_count, len(emb.graph.edges), t.face_count, t.genus) == (*counts, 0)
+    assert G.is_graph_isomorphic(G.dual_embedding(emb).graph, G.named_graph(dual))
+
+
 def test_dual_dual_is_original():
     for name in ("tetrahedron", "cube", "k4"):
         emb = G.named_embedding(name)
