@@ -1066,7 +1066,7 @@ def parse_embedding(text: str) -> Embedding:
             raise GraphError("signed edge references are 1-based")
         rot[v] = tuple((abs(k) - 1, 0 if k > 0 else 1) for k in refs)
         seen_rot.add(v)
-    if any(v not in seen_rot and g.degree(v) > 0 for v in range(g.vertex_count)):
+    if not {v for edge in g.edges for v in edge} <= seen_rot:
         raise GraphError("every vertex with incident edges needs a rot line")
     return Embedding(g, tuple(rot))
 

@@ -11,7 +11,8 @@ recomputation of the family, and every search in this module (minor
 containment, isomorphism, excluded minors) exhaustive with deterministic
 witnesses.  Graphic realizations are built directly from the circuits;
 they decide graphic and cographic, and an excluded-minor search runs only
-to witness a side that has none.
+to witness a side that has none.  Transversality is decided from the
+lattice of cyclic flats, which fixes the only candidate presentation.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .formats import json_ints, read_records, split_ident
 
@@ -205,6 +206,10 @@ class Matroid:
         for b in self._masks:
             inter &= b
         return self._members(inter)
+
+    @cached_property
+    def _transversal(self) -> "_Transversal":
+        return _decide_transversal(self)
 
     # -- duality and minors ---------------------------------------------
 
@@ -739,99 +744,143 @@ def check_duality_axioms(m: Matroid) -> DualityAxiomReport:
 # transversal presentations
 
 
+class _Transversal(NamedTuple):
+    """The transversality verdict of one matroid and its witness text."""
+
+    presentation: Optional[tuple[frozenset[int], ...]]
+    flats: int  # cyclic flats examined
+    witness: str
+
+
+def _cyclic_flats(m: Matroid) -> dict[int, int]:
+    """Every cyclic flat of ``m`` (a closed union of circuits) as a
+    position mask, mapped to its rank.
+
+    They are the closure of the empty set, the closures of the circuits,
+    and the closures of the unions of those, the joins of the lattice of
+    cyclic flats.  The closure of X is X plus every element that lies in
+    no basis meeting X in r(X) elements: one pass over the bases gives
+    both the closure and the rank, and each is memoised.
+    """
+    full, masks = m.full_mask, m._masks
+    memo: dict[int, tuple[int, int]] = {}
+
+    def closure(x: int) -> tuple[int, int]:
+        hit = memo.get(x)
+        if hit is None:
+            best, union = -1, 0
+            for b in masks:
+                k = (b & x).bit_count()
+                if k > best:
+                    best, union = k, b
+                elif k == best:
+                    union |= b
+            hit = memo[x] = (x | full & ~union, best)
+        return hit
+
+    atoms: dict[int, int] = {}
+    for c in _circuits(m):
+        # a flat holding C with rank r(C) = |C| - 1 is the closure of C
+        if not any(rank == c.bit_count() - 1 and not c & ~f for f, rank in atoms.items()):
+            f, rank = closure(c)
+            atoms[f] = rank
+    flats = dict([closure(0), *atoms.items()])
+    todo = list(flats)
+    while todo:  # every join of k atoms is the join of one atom with a join of k - 1
+        f = todo.pop()
+        for a in atoms:
+            j, rank = closure(f | a)
+            if j not in flats:
+                flats[j] = rank
+                todo.append(j)
+    return flats
+
+
+def _has_transversal(elems: tuple[int, ...], sets: list[int]) -> bool:
+    """Whether the positions ``elems`` are represented by distinct sets
+    of ``sets`` (position masks): a complete matching, grown one element
+    at a time along augmenting paths."""
+    held: dict[int, int] = {}  # set index -> the element it represents
+
+    def place(e: int, tried: set[int]) -> bool:
+        for i, s in enumerate(sets):
+            if s >> e & 1 and i not in tried:
+                tried.add(i)
+                if i not in held or place(held[i], tried):
+                    held[i] = e
+                    return True
+        return False
+
+    return all(place(e, set()) for e in elems)
+
+
+def _decide_transversal(m: Matroid) -> _Transversal:
+    """Decide transversality from the lattice of cyclic flats (Bonin,
+    "An introduction to transversal matroids", 2010; Bonin and de Mier,
+    "The lattice of cyclic flats of a matroid", 2008).
+
+    In any presentation of a transversal matroid a cyclic set F meets
+    exactly r(F) of the r sets, and the complements of the sets of the
+    maximal presentation are cyclic flats.  So if E - F occurs beta(F)
+    times in it, the sum of beta(G) over the cyclic flats G containing F
+    is r(M) - r(F), and Moebius inversion from the top fixes every
+    beta(F).  A negative beta(F) rules a presentation out; otherwise the
+    beta(F) copies of each E - F are the only candidate, and ``m`` is
+    transversal exactly when the r-subsets with a system of distinct
+    representatives in it are its bases.
+    """
+    r, g = m.rank, m.ground
+
+    def show(mask: int) -> str:
+        return "{" + " ".join(str(g[i]) for i in _bits(mask)) + "}"
+
+    def refuted(matched: int, reason: str) -> _Transversal:
+        extent = f"{len(flats)} cyclic flats, {matched} r-subsets matched"
+        return _Transversal(None, len(flats), f"no presentation (cyclic-flat search: {extent}): {reason}")
+
+    flats = _cyclic_flats(m)
+    beta: dict[int, int] = {}
+    sets: list[int] = []
+    for f in sorted(flats, key=int.bit_count, reverse=True):
+        above = sum(b for h, b in beta.items() if h & f == f)
+        beta[f] = r - flats[f] - above
+        if beta[f] < 0:
+            return refuted(0, (
+                f"cyclic flat {show(f)} has r(M) - r(F) = {r - flats[f]} < {above} = "
+                "the sum of beta(G) over the cyclic flats G above it"
+            ))
+        sets += [m.full_mask & ~f] * beta[f]
+    sets.sort(key=lambda s: (s.bit_count(), [*_bits(s)]))
+    listed = ", ".join(map(show, sets))
+    nonloops = [i for i, e in enumerate(g) if e not in m.loops]
+    matched = 0
+    for matched, elems in enumerate(itertools.combinations(nonloops, r), 1):
+        mask = sum(1 << i for i in elems)
+        hit = _has_transversal(elems, sets)
+        if hit != (mask in m._mask_set):
+            claim = "is not a basis but has a" if hit else "is a basis but has no"
+            return refuted(matched, (
+                f"{show(mask)} {claim} system of distinct representatives "
+                f"in the only candidate presentation {listed}"
+            ))
+    pres = tuple(m._members(s) for s in sets)
+    return _Transversal(pres, len(flats), (
+        f"presentation {listed} (maximal; {len(flats)} cyclic flats, {matched} r-subsets matched)"
+    ))
+
+
 def transversal_presentation(
     m: Matroid,
 ) -> tuple[Optional[tuple[frozenset[int], ...]], int]:
-    """Search for rank-many subsets whose partial transversals give ``m``.
+    """The maximal presentation of ``m``: r subsets whose partial
+    transversals are its independent sets, or None if it has none.
 
-    The search runs over all sorted tuples of subsets of the non-loop
-    elements, pruned by the Hall-type necessary condition that elements
-    avoiding every set of a subfamily have rank at most the number of
-    remaining sets.  Exponential; intended for grounds of at most 7.
-    Returns (presentation or None, number of fully checked candidates).
+    Decided from the cyclic flats by ``_decide_transversal``; returns
+    (presentation or None, number of cyclic flats examined).  The full
+    verdict, with its witness text, is kept as ``m._transversal``.
     """
-    r = m.rank
-    nonloops = [e for e in m.ground if e not in m.loops]
-    t = len(nonloops)
-    if r == 0:
-        return (), 0
-
-    pos = {e: i for i, e in enumerate(nonloops)}
-    to_ground = [m._index[e] for e in nonloops]
-
-    def ground_mask(cmask: int) -> int:
-        g = 0
-        for i in range(t):
-            if cmask >> i & 1:
-                g |= 1 << to_ground[i]
-        return g
-
-    rank_cache: dict[int, int] = {}
-
-    def crank(cmask: int) -> int:
-        v = rank_cache.get(cmask)
-        if v is None:
-            gm = ground_mask(cmask)
-            v = max((b & gm).bit_count() for b in m._masks)
-            rank_cache[cmask] = v
-        return v
-
-    full = (1 << t) - 1
-    basis_cmasks = set()
-    for b in m.bases:
-        basis_cmasks.add(sum(1 << pos[e] for e in b))
-    rsubsets = [
-        (sum(1 << i for i in combo), combo)
-        for combo in itertools.combinations(range(t), r)
-    ]
-
-    def has_sdr(bits: tuple[int, ...], sets: list[int]) -> bool:
-        for perm in itertools.permutations(range(r)):
-            if all(sets[perm[k]] >> bits[k] & 1 for k in range(r)):
-                return True
-        return False
-
-    examined = 0
-    chosen: list[int] = []
-
-    def realizes() -> bool:
-        for cmask, bits in rsubsets:
-            if has_sdr(bits, chosen) != (cmask in basis_cmasks):
-                return False
-        return True
-
-    def rec(depth: int, lo: int, families: list[tuple[int, int]]) -> Optional[list[int]]:
-        nonlocal examined
-        for a in range(lo, 1 << t):
-            new_fams = []
-            ok = True
-            for count, union in families:
-                u = union | a
-                if crank(full & ~u) > r - count - 1:
-                    ok = False
-                    break
-                new_fams.append((count + 1, u))
-            if not ok:
-                continue
-            chosen.append(a)
-            if depth == r - 1:
-                examined += 1
-                if realizes():
-                    return list(chosen)
-            else:
-                res = rec(depth + 1, a, families + new_fams)
-                if res is not None:
-                    return res
-            chosen.pop()
-        return None
-
-    res = rec(0, 1, [(0, 0)])
-    if res is None:
-        return None, examined
-    pres = tuple(
-        frozenset(nonloops[i] for i in range(t) if a >> i & 1) for a in res
-    )
-    return pres, examined
+    t = m._transversal
+    return t.presentation, t.flats
 
 
 # ---------------------------------------------------------------------------
@@ -846,7 +895,7 @@ class ClassificationReport:
     regular: bool
     graphic: bool
     cographic: bool
-    transversal: Optional[bool]
+    transversal: bool
     witnesses: dict[str, str]
 
 
@@ -1031,8 +1080,8 @@ def _realization_witness(m: Matroid) -> Optional[list[tuple[int, int]]]:
 
 
 def classify(m: Matroid, bound: int = 10) -> ClassificationReport:
-    """Classify by graphic realization, excluded minors and a
-    transversal-presentation search.
+    """Classify by graphic realization, excluded minors and the lattice
+    of cyclic flats.
 
     ``m`` and its dual are realized first (``_realization_witness``).  A
     graphic side is witnessed by a labelled realizing graph, ``cycle
@@ -1042,8 +1091,10 @@ def classify(m: Matroid, bound: int = 10) -> ClassificationReport:
     realization is scanned for an excluded minor, which becomes its
     negative witness: binary is no U(2,4) minor, regular additionally no
     Fano or dual-Fano minor, graphic additionally no dual M(K5) / dual
-    M(K3,3) minor.  Transversal search is attempted only for grounds of
-    at most 7 elements (None otherwise).
+    M(K3,3) minor.  Transversality is decided by
+    ``transversal_presentation``: its witness is the maximal presentation,
+    or the cyclic flat or r-subset that rules every presentation out,
+    with the number of cyclic flats and r-subsets examined.
     """
     if len(m.ground) > bound:
         raise GroundTooLarge(f"classification capped at {bound} elements")
@@ -1075,23 +1126,9 @@ def classify(m: Matroid, bound: int = 10) -> ClassificationReport:
         }
     witnesses.update(texts)
 
-    transversal: Optional[bool]
-    if len(m.ground) <= 7:
-        pres, examined = transversal_presentation(m)
-        if pres is not None:
-            transversal = True
-            witnesses["transversal"] = "presentation " + ", ".join(
-                "{" + " ".join(str(e) for e in sorted(s)) + "}" for s in pres
-            )
-        else:
-            transversal = False
-            witnesses["transversal"] = (
-                f"no rank-many presentation exists "
-                f"(pruned exhaustive search, {examined} full candidates)"
-            )
-    else:
-        transversal = None
-        witnesses["transversal"] = "skipped: presentation search capped at 7 elements"
+    pres, _ = transversal_presentation(m)
+    transversal = pres is not None
+    witnesses["transversal"] = m._transversal.witness  # cached by that call
 
     graphic, cographic = (key in realized for key in sides)
     return ClassificationReport(binary, regular, graphic, cographic, transversal, witnesses)

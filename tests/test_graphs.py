@@ -535,6 +535,20 @@ def test_parse_errors():
         G.parse_embedding("v: 2\ne: 0 1\nrot 0: 1\n")
 
 
+def test_parse_embedding_is_linear_in_the_edges():
+    # 4096 vertices, 20,000 parallel edges: one count of the edge ends,
+    # not a scan of the edges for every vertex
+    edges = range(1, 20001)
+    head = "v: 4096\n" + "e: 0 1\n" * len(edges) + "rot 0: " + " ".join(map(str, edges)) + "\n"
+    text = head + "rot 1: " + " ".join(str(-k) for k in edges) + "\n"
+    start = time.perf_counter()
+    emb = G.parse_embedding(text)
+    assert time.perf_counter() - start < 0.5
+    assert len(emb.rotation[1]) == 20000 and emb.rotation[2] == ()
+    with pytest.raises(G.GraphError, match="every vertex with incident edges needs a rot line"):
+        G.parse_embedding(head)
+
+
 def test_parse_and_named_bounds():
     for text in ("v: 1\nrot 5:\n", "v: 2\nrot -1:\n", "v: 2\ne: 0\n", "v: 1 2\n", "rot: 1\n"):
         with pytest.raises(G.GraphError):

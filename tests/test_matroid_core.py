@@ -441,20 +441,6 @@ def test_multi_block_witness_gives_the_obstruction(g):
     assert M.is_isomorphic(minor, M.named_matroid(target))[0]
 
 
-@pytest.mark.parametrize("g", MULTI_BLOCK)
-def test_is_planar_builds_each_block_matroid_once(g, monkeypatch):
-    built = []
-    real = G.cycle_matroid
-
-    def counting(h, bound=M.GROUND_BOUND):
-        built.append(h.edges)
-        return real(h, bound)
-
-    monkeypatch.setattr(G, "cycle_matroid", counting)
-    G.is_planar(g)
-    assert len(built) <= sum(len(b.edges) > 1 for b in G.blocks(g))
-
-
 def test_rotation_failing_the_genus_check_is_an_error(monkeypatch):
     monkeypatch.setattr(G, "trace_faces", lambda emb: SimpleNamespace(genus_by_component=(1,)))
     assert G.find_planar_embedding(G.named_graph("k4")) is None

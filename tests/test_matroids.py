@@ -1,9 +1,13 @@
 import ast
 import itertools
+import math
 import random
 import re
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualities import gf2
 from dualities import graphs as G
@@ -134,6 +138,102 @@ def naive_transversal(m):
         if ok:
             return True
     return False
+
+
+def ref_transversal_presentation(m):
+    """The pruned subset-tuple search that decided transversality before
+    the cyclic-flat method, kept as a reference.
+
+    It runs over all sorted tuples of rank-many subsets of the non-loop
+    elements, pruned by the Hall-type condition that elements avoiding
+    every set of a subfamily have rank at most the number of remaining
+    sets, and tests each candidate on every r-subset with an r!
+    permutation SDR test.  Exponential: 20-36 s on 7-element matroids of
+    rank 4 that are not transversal (``fano_dual``).  Returns
+    (presentation or None, number of fully checked candidates).
+    """
+    r = m.rank
+    nonloops = [e for e in m.ground if e not in m.loops]
+    t = len(nonloops)
+    if r == 0:
+        return (), 0
+
+    pos = {e: i for i, e in enumerate(nonloops)}
+    to_ground = [m._index[e] for e in nonloops]
+
+    def ground_mask(cmask):
+        g = 0
+        for i in range(t):
+            if cmask >> i & 1:
+                g |= 1 << to_ground[i]
+        return g
+
+    rank_cache = {}
+
+    def crank(cmask):
+        v = rank_cache.get(cmask)
+        if v is None:
+            gm = ground_mask(cmask)
+            v = max((b & gm).bit_count() for b in m._masks)
+            rank_cache[cmask] = v
+        return v
+
+    full = (1 << t) - 1
+    basis_cmasks = set()
+    for b in m.bases:
+        basis_cmasks.add(sum(1 << pos[e] for e in b))
+    rsubsets = [
+        (sum(1 << i for i in combo), combo)
+        for combo in itertools.combinations(range(t), r)
+    ]
+
+    def has_sdr(bits, sets):
+        for perm in itertools.permutations(range(r)):
+            if all(sets[perm[k]] >> bits[k] & 1 for k in range(r)):
+                return True
+        return False
+
+    examined = 0
+    chosen = []
+
+    def realizes():
+        for cmask, bits in rsubsets:
+            if has_sdr(bits, chosen) != (cmask in basis_cmasks):
+                return False
+        return True
+
+    def rec(depth, lo, families):
+        nonlocal examined
+        for a in range(lo, 1 << t):
+            new_fams = []
+            ok = True
+            for count, union in families:
+                u = union | a
+                if crank(full & ~u) > r - count - 1:
+                    ok = False
+                    break
+                new_fams.append((count + 1, u))
+            if not ok:
+                continue
+            chosen.append(a)
+            if depth == r - 1:
+                examined += 1
+                if realizes():
+                    return list(chosen)
+            else:
+                res = rec(depth + 1, a, families + new_fams)
+                if res is not None:
+                    return res
+            chosen.pop()
+        return None
+
+    res = rec(0, 1, [(0, 0)])
+    if res is None:
+        return None, examined
+    pres = tuple(
+        frozenset(nonloops[i] for i in range(t) if a >> i & 1) for a in res
+    )
+    return pres, examined
 
 
 def random_graphic_matroid(rng, max_edges=9):
@@ -521,10 +621,11 @@ def test_classify_ground_too_large():
         M.classify(M.named_matroid("uniform", (2, 11)))
 
 
-def test_classify_transversal_skipped_above_seven():
-    rep = M.classify(M.named_matroid("mk5"))
-    assert rep.transversal is None
-    assert "skipped" in rep.witnesses["transversal"]
+def test_classify_decides_transversal_above_seven():
+    m = M.named_matroid("mk5")
+    rep = M.classify(m)
+    assert rep.transversal is False
+    assert check_transversal_witness(m, rep.witnesses["transversal"]) is False
     assert rep.graphic and not rep.cographic
 
 
@@ -665,7 +766,7 @@ def test_duality_axioms_random_graphic():
 
 
 # ---------------------------------------------------------------------------
-# transversal search
+# transversal presentations
 
 
 def verify_presentation(m, pres):
@@ -704,6 +805,202 @@ def test_transversal_agrees_with_naive():
         assert (pres is not None) == naive_transversal(m), m
         if pres is not None:
             verify_presentation(m, pres)
+
+
+CONCURRENT_LINES = M.make_matroid(
+    range(1, 8),
+    [c for c in itertools.combinations(range(1, 8), 3) if set(c) not in ({1, 2, 3}, {1, 4, 5}, {1, 6, 7})],
+)
+U34_PAIR = M.direct_sum(
+    M.named_matroid("uniform", (3, 4)), M.relabel(M.named_matroid("uniform", (3, 4)), {1: 5, 2: 6, 3: 7, 4: 8})
+)
+
+
+def brute_cyclic_flats(m):
+    """Every closed union of circuits, by ``rank_of`` on every subset."""
+    out = []
+    for k in range(len(m.ground) + 1):
+        for sub in itertools.combinations(m.ground, k):
+            rk = m.rank_of(sub)
+            closed = all(m.rank_of(sub + (e,)) > rk for e in m.ground if e not in sub)
+            if closed and all(m.rank_of(set(sub) - {e}) == rk for e in sub):
+                out.append(frozenset(sub))
+    return out
+
+
+def maximal_candidate(m, flats):
+    """E - F beta(F) times, beta by Moebius inversion from the top, when
+    every beta(F) is nonnegative."""
+    beta = {}
+    for f in sorted(flats, key=len, reverse=True):
+        beta[f] = m.rank - m.rank_of(f) - sum(b for g, b in beta.items() if f < g)
+    return sorted((frozenset(m.ground) - f for f, b in beta.items() for _ in range(b)), key=sorted)
+
+
+def has_sdr(subset, sets):
+    subset = sorted(subset)
+    return any(
+        all(subset[k] in sets[p[k]] for k in range(len(subset)))
+        for p in itertools.permutations(range(len(sets)), len(subset))
+    )
+
+
+def parse_sets(text):
+    return [frozenset(map(int, s.split())) for s in re.findall(r"\{([^}]*)\}", text)]
+
+
+def check_transversal_witness(m, text):
+    """Re-check a transversal witness against ``rank_of`` and ``bases``
+    alone; returns the verdict it carries.
+
+    The counts must be the number of cyclic flats and at most the number
+    of r-subsets of non-loops.  A presentation must give the bases and be
+    the maximal one.  A cyclic flat F must violate the count of sets
+    avoiding it: the cyclic flats above F are those above one of its
+    covers, so by inclusion-exclusion over the covers Z the sum of beta
+    above F is r(M) minus the alternating sum of r of the unions of the Z.
+    A disagreeing r-subset must have an SDR in the candidate exactly when
+    it is not a basis.
+    """
+    flats = brute_cyclic_flats(m)
+    counts = re.search(r"(\d+) cyclic flats, (\d+) r-subsets matched", text)
+    nonloops = len(m.ground) - len(m.loops)
+    assert int(counts[1]) == len(flats)
+    assert int(counts[2]) <= math.comb(nonloops, m.rank)
+    if text.startswith("presentation "):
+        pres = parse_sets(text)
+        verify_presentation(m, pres)
+        assert sorted(pres, key=sorted) == maximal_candidate(m, flats)
+        assert int(counts[2]) == math.comb(nonloops, m.rank)
+        return True
+    assert text.startswith("no presentation (cyclic-flat search")
+    hit = re.search(r"cyclic flat \{([^}]*)\} has r\(M\) - r\(F\) = (\d+) < (\d+) = the sum", text)
+    if hit:
+        f, lhs, rhs = frozenset(map(int, hit[1].split())), int(hit[2]), int(hit[3])
+        assert f in flats and lhs == m.rank - m.rank_of(f) < rhs
+        covers = [z for z in flats if f < z and not any(f < y < z for y in flats)]
+        alternating = sum(
+            (-1) ** (k + 1) * m.rank_of(frozenset().union(*zs))
+            for k in range(1, len(covers) + 1)
+            for zs in itertools.combinations(covers, k)
+        )
+        assert rhs == m.rank - alternating
+        return False
+    hit = re.search(r"\{([^}]*)\} is (not )?a basis but has (a|no) system of distinct representatives in the only candidate presentation (.*)", text)
+    subset, candidate = frozenset(map(int, hit[1].split())), parse_sets(hit[4])
+    assert len(subset) == m.rank
+    assert sorted(candidate, key=sorted) == maximal_candidate(m, flats)
+    assert (subset in set(m.bases)) == (hit[2] is None)
+    assert has_sdr(subset, candidate) == (hit[3] == "a") != (subset in set(m.bases))
+    return False
+
+
+def random_presented_matroid(rng, n):
+    """The transversal matroid of a few random subsets of 1..n."""
+    ground = range(1, n + 1)
+    sets = [frozenset(rng.sample(ground, rng.randint(1, n))) for _ in range(rng.randint(1, min(n, 4)))]
+    for r in range(len(sets), -1, -1):
+        bases = [c for c in itertools.combinations(ground, r) if has_sdr(c, sets)]
+        if bases:
+            return M.make_matroid(ground, bases)
+
+
+def random_binary_matroid(rng, n):
+    """The column matroid on 1..n of a 3-row matrix over GF(2) with
+    distinct random columns."""
+    cols = rng.sample(range(8), n)
+    full = gf2.rank_of_rows(cols)
+    ground = range(1, n + 1)
+    bases = [c for c in itertools.combinations(ground, full) if gf2.rank_of_rows([cols[e - 1] for e in c]) == full]
+    return M.make_matroid(ground, bases)
+
+
+def random_rank3_paving(rng, n):
+    """A rank-3 matroid on 1..n (n >= 5) whose lines of three or more
+    points pairwise share at most one point: random lines, half the time
+    added to 3-point lines through point 1 that pair up the others."""
+    lines = []
+    if rng.random() < 0.5:
+        rest = rng.sample(range(2, n + 1), n - 1)
+        lines = [{1, a, b} for a, b in zip(rest[::2], rest[1::2])]
+    for _ in range(rng.randint(0, 6)):
+        line = set(rng.sample(range(1, n + 1), rng.choice((3, 3, 4))))
+        if all(len(line & other) <= 1 for other in lines):
+            lines.append(line)
+    bases = [c for c in itertools.combinations(range(1, n + 1), 3) if not any(set(c) <= ln for ln in lines)]
+    return M.make_matroid(range(1, n + 1), bases)
+
+
+def check_against_reference(m):
+    pres, flats = M.transversal_presentation(m)
+    text = M.classify(m).witnesses["transversal"]
+    assert check_transversal_witness(m, text) == (pres is not None)
+    assert f" {flats} cyclic flats" in text
+    if pres is not None:
+        assert sorted(pres, key=sorted) == sorted(parse_sets(text), key=sorted)
+    assert (ref_transversal_presentation(m)[0] is not None) == (pres is not None)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(("graphic", "binary", "presented", "paving")), st.booleans())
+def test_transversal_matches_reference(seed, kind, dualize):
+    rng = random.Random(seed)
+    if kind == "graphic":
+        m = random_graphic_matroid(rng, max_edges=7)
+    elif kind == "binary":
+        m = random_binary_matroid(rng, rng.randint(3, 7))
+    elif kind == "presented":
+        m = random_presented_matroid(rng, rng.randint(1, 7))
+    else:
+        m = random_rank3_paving(rng, rng.randint(5, 7))
+    if dualize:
+        m = m.dual()
+    if len(m.ground) == 7 and m.rank > 3:
+        m = m.dual()  # the reference takes 20-36 s here
+    check_against_reference(m)
+
+
+NAMED_SMALL = {
+    "uniform:2,4": U24,
+    "uniform:3,6": M.named_matroid("uniform", (3, 6)),
+    "fano": FANO,
+    "fano/1": FANO.contract(1),
+    "fano\\1": FANO.delete(1),
+    "mk4": MK4,
+    "concurrent lines": CONCURRENT_LINES,
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_SMALL))
+def test_named_transversal_matches_reference(name):
+    check_against_reference(NAMED_SMALL[name])
+
+
+@pytest.mark.parametrize(
+    "m, verdict",
+    [
+        (M.named_matroid("fano_dual"), False),
+        (M.named_matroid("mk5"), False),
+        (M.named_matroid("mk33"), False),
+        (M.named_matroid("uniform", (5, 10)), True),
+        (U34_PAIR, True),
+    ],
+    ids=["fano_dual", "mk5", "mk33", "uniform:5,10", "U(3,4)+U(3,4)"],
+)
+def test_classify_decides_transversal_within_a_second(m, verdict):
+    m = M.Matroid(m.ground, m.bases)  # nothing cached
+    start = time.perf_counter()
+    rep = M.classify(m)
+    assert time.perf_counter() - start < 1.0
+    assert rep.transversal is verdict
+    assert check_transversal_witness(m, rep.witnesses["transversal"]) is verdict
+
+
+def test_concurrent_lines_fail_on_a_basis():
+    # every beta is nonnegative, but the point on all three lines is in
+    # no set of the candidate
+    text = M.classify(CONCURRENT_LINES).witnesses["transversal"]
+    assert "{1 2 4} is a basis but has no system of distinct representatives" in text
 
 
 # ---------------------------------------------------------------------------
