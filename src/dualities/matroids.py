@@ -6,6 +6,8 @@ capped (12 elements by default), so the family always fits in memory.
 Every operation works on the bases as bitmasks over ground positions
 (``Matroid._masks``), and every producer of a matroid (duals, minors,
 cycle matroids, minor-search candidates) hands its masks over directly.
+The minor search and the isomorphism test read the family by element, as
+one bitset over the bases per element (``Matroid._incidence``).
 That choice makes duality literal set complementation, minors a direct
 recomputation of the family, and every search in this module (minor
 containment, isomorphism, excluded minors) exhaustive with deterministic
@@ -20,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .formats import json_ints, read_records, split_ident
 
@@ -166,6 +168,19 @@ class Matroid:
         return frozenset(self._masks)
 
     @cached_property
+    def _incidence(self) -> tuple[int, ...]:
+        """Entry i is the bitset of the indices k of the bases
+        ``_masks[k]`` that hold element i.
+
+        The bases are written as binary rows, last basis first, each
+        ``0b1`` and then n digits; column i, read every n + 3 characters,
+        is then entry i in binary."""
+        n = len(self.ground)
+        width = n + 3
+        rows = "".join([bin(b | 1 << n) for b in reversed(self._masks)])
+        return tuple(int(rows[width - 1 - i :: width], 2) for i in range(n))
+
+    @cached_property
     def full_mask(self) -> int:
         return (1 << len(self.ground)) - 1
 
@@ -206,6 +221,10 @@ class Matroid:
         for b in self._masks:
             inter &= b
         return self._members(inter)
+
+    @cached_property
+    def _circuit_masks(self) -> tuple[int, ...]:
+        return _circuits(self)
 
     @cached_property
     def _transversal(self) -> "_Transversal":
@@ -476,17 +495,9 @@ def direct_sum(m1: Matroid, m2: Matroid) -> Matroid:
 
 
 def _cooc_matrix(m: Matroid) -> list[list[int]]:
-    n = len(m.ground)
-    cooc = [[0] * n for _ in range(n)]
-    for b in m._masks:
-        bits = [i for i in range(n) if b >> i & 1]
-        for i in bits:
-            cooc[i][i] += 1
-            for j in bits:
-                if j > i:
-                    cooc[i][j] += 1
-                    cooc[j][i] += 1
-    return cooc
+    """Entry [i][j]: the number of bases holding both i and j."""
+    inc = m._incidence
+    return [[(a & b).bit_count() for b in inc] for a in inc]
 
 
 def _refine_colors(c1: list, c2: list, cooc1, cooc2) -> tuple[list[int], list[int]]:
@@ -587,42 +598,57 @@ def has_minor(
     Every minor arises from contracting an independent set of size
     rank(m) - rank(target) and deleting the remaining surplus, so the
     search runs over exactly those pairs, contractions in combination
-    order and the deletions of each in combination order.  Each candidate
-    is built on the basis masks as in ``Matroid.minor``: its sorted
-    squeezed masks are its labelled form, compared first with the
-    target's; a ``Matroid`` is built, for ``is_isomorphic``, only for a
-    labelled form not met before.  Returns the first witness
+    order and the deletions of each in combination order.
+
+    A candidate M / C \\ D with |C| = r(M) - r(T), for the target T, has
+    rank r(T) exactly when E - D spans M, and its bases are then the
+    distinct sets B - C, one for each basis B with C inside it and D
+    outside it (Oxley, Matroid Theory, 3.3).  If E - D does not span M,
+    no basis avoids D, and the largest traces of ``Matroid.minor`` are
+    smaller than r(T).  So the candidate has the target's rank and basis
+    count exactly when the bases holding C and missing D number
+    |bases(T)|: one popcount of the AND of the per-element incidence
+    bitsets (``m._incidence``) of C with the complements of those of D,
+    which is also zero for a dependent C.  Only a candidate that passes
+    reads its bases, at the set bits, squeezed onto the kept positions:
+    their sorted masks are its labelled form, compared first with the
+    target's, and a ``Matroid`` is built, for ``is_isomorphic``, only for
+    a labelled form not met before.  Returns the first witness
     (deletions, contractions) in enumeration order.
     """
     n = len(m.ground)
     nt = len(target.ground)
     if nt > n:
         return False, None
-    s = target.rank
-    csize = m.rank - s
+    csize = m.rank - target.rank
     dsize = n - nt - csize
     if csize < 0 or dsize < 0:
         return False, None
-    g = m.ground
+    g, masks = m.ground, m._masks
+    every = (1 << len(masks)) - 1
+    has = m._incidence
+    lacks = [every ^ h for h in has]
     count = len(target.bases)
     seen: dict[tuple[int, ...], bool] = {}
     for contr in itertools.combinations(range(n), csize):
+        over = every  # the bases holding C
+        for c in contr:
+            over &= has[c]
+        if over.bit_count() < count:
+            continue  # C is dependent, or deletions cannot leave enough bases
         cmask = sum(1 << i for i in contr)
-        over = [b for b in m._masks if not cmask & ~b]
-        if not over:
-            continue  # dependent
         rest = [i for i in range(n) if not cmask >> i & 1]
         for dele in itertools.combinations(rest, dsize):
-            gone = cmask | sum(1 << i for i in dele)
-            traces = {b & ~gone for b in over}
-            best = max(map(int.bit_count, traces))
-            top = [t for t in traces if t.bit_count() == best]
-            if (len(top), best) != (count, s):
+            left = over  # then the bases holding C and missing D
+            for d in dele:
+                left &= lacks[d]
+            if left.bit_count() != count:
                 continue
             drop = sorted(contr + dele, reverse=True)
-            key = tuple(sorted(_squeeze(t, drop) for t in top))
+            key = tuple(sorted(_squeeze(masks[k] ^ cmask, drop) for k in _bits(left)))
             hit = key == target._masks or seen.get(key)
             if hit is None:
+                gone = cmask | sum(1 << i for i in dele)
                 kept = tuple(e for i, e in enumerate(g) if not gone >> i & 1)
                 hit = seen[key] = is_isomorphic(_from_masks(kept, key), target)[0]
             if hit:
@@ -779,7 +805,7 @@ def _cyclic_flats(m: Matroid) -> dict[int, int]:
         return hit
 
     atoms: dict[int, int] = {}
-    for c in _circuits(m):
+    for c in m._circuit_masks:
         # a flat holding C with rank r(C) = |C| - 1 is the closure of C
         if not any(rank == c.bit_count() - 1 and not c & ~f for f, rank in atoms.items()):
             f, rank = closure(c)
@@ -899,7 +925,7 @@ class ClassificationReport:
     witnesses: dict[str, str]
 
 
-def _excluded_minor_scan(m: Matroid, targets: list[tuple[str, Matroid]]):
+def _excluded_minor_scan(m: Matroid, targets: Sequence[tuple[str, Matroid]]):
     for name, t in targets:
         found, wit = has_minor(m, t)
         if found:
@@ -907,18 +933,21 @@ def _excluded_minor_scan(m: Matroid, targets: list[tuple[str, Matroid]]):
     return None, None
 
 
-def _graphic_targets() -> list[tuple[str, Matroid]]:
-    return [
+@lru_cache(maxsize=None)
+def _graphic_targets() -> tuple[tuple[str, Matroid], ...]:
+    """The excluded minors of graphic matroids, built once."""
+    return (
         ("U(2,4)", named_matroid("uniform", (2, 4))),
         ("fano", named_matroid("fano")),
         ("fano_dual", named_matroid("fano_dual")),
         ("dual(M(K5))", named_matroid("mk5").dual()),
         ("dual(M(K3,3))", named_matroid("mk33").dual()),
-    ]
+    )
 
 
-def _circuits(m: Matroid) -> list[int]:
-    """Every circuit as an element-index mask, smallest first.
+def _circuits(m: Matroid) -> tuple[int, ...]:
+    """Every circuit as an element-index mask, smallest first; read them
+    from ``m._circuit_masks``, which keeps them.
 
     Each circuit is the fundamental circuit of one of its elements with
     respect to a basis holding the rest, so the bases yield them all.
@@ -931,7 +960,7 @@ def _circuits(m: Matroid) -> list[int]:
         for e in singles:
             if not b & e:
                 found.add(e | sum(f for f in inside if b ^ f | e in bases))
-    return sorted(found, key=lambda c: (c.bit_count(), c))
+    return tuple(sorted(found, key=lambda c: (c.bit_count(), c)))
 
 
 def _ear_ends(ends: dict[int, tuple[int, int]], through: list[int]) -> Optional[tuple[int, int]]:
@@ -1051,7 +1080,7 @@ def _realization_witness(m: Matroid) -> Optional[list[tuple[int, int]]]:
     """
     from . import graphs
 
-    circuits = _circuits(m)
+    circuits = m._circuit_masks
     parts: list[int] = []
     for c in circuits:
         for p in [p for p in parts if p & c]:

@@ -356,11 +356,47 @@ def test_has_minor_witness_matches_reference(seed, n, pick):
 
 @pytest.mark.parametrize(
     "host,target",
-    [("mk5", "mk4"), ("mk33", "mk4"), ("mk5", "uniform:2,4"), ("fano_dual", "fano"), ("mk33", "uniform:3,6")],
+    [("mk5", "mk4"), ("mk33", "mk4"), ("mk5", "uniform:2,4"), ("fano_dual", "fano"), ("mk33", "uniform:3,6")]
+    # negative searches, as in the benchmark and the excluded-minor scans of classify
+    + [("mk5", "fano"), ("mk33", "uniform:2,4"), ("mk33", "fano_dual"), ("fano", "uniform:2,4"),
+       ("fano_dual", "uniform:2,4")],
 )
 def test_has_minor_on_named_matches_reference(host, target):
     m, t = M.parse_named(host), M.parse_named(target)
     assert M.has_minor(m, t) == ref_has_minor(m, t)
+
+
+LOOP = M.Matroid((0,), (frozenset(),))
+COLOOP = M.Matroid((0,), (frozenset({0}),))
+
+
+def random_host(rng, n):
+    """A random matroid on 1..n, or its direct sum with a loop or a
+    coloop on element 0."""
+    m = random_matroid(rng, n)
+    extra = rng.choice((None, LOOP, COLOOP))
+    return m if extra is None else M.direct_sum(m, extra)
+
+
+@PROPERTY
+@given(seeds, st.integers(1, 7), st.integers(0, len(TARGETS)))
+def test_has_minor_with_loops_and_coloops_matches_reference(seed, n, pick):
+    rng = random.Random(seed)
+    m = random_host(rng, n)
+    target = TARGETS[pick] if pick < len(TARGETS) else random_host(rng, rng.randint(0, 4))
+    assert M.has_minor(m, target) == ref_has_minor(m, target)
+
+
+@PROPERTY
+@given(seeds, st.integers(0, 8))
+def test_incidence_and_cooccurrence_match_the_bases(seed, n):
+    m = random_host(random.Random(seed), n)
+    cooc = M._cooc_matrix(m)
+    for i, e in enumerate(m.ground):
+        assert [*M._bits(m._incidence[i])] == [k for k, b in enumerate(m._masks) if b >> i & 1]
+        for j, f in enumerate(m.ground):
+            assert cooc[i][j] == sum(1 for b in m.bases if e in b and f in b)
+    assert len(m._incidence) == len(m.ground)
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +512,16 @@ def test_dense_twenty_element_family_validates_within_a_second():
     # 1140 bases: the rank table, not 1.3 million pairs
     ground = range(20)
     assert elapsed(lambda: M.make_matroid(ground, itertools.combinations(ground, 3), bound=20)) < 1.0
+
+
+def test_negative_minor_searches_at_the_ground_bound_within_a_tenth_of_a_second():
+    u612 = M.named_matroid.__wrapped__("uniform", (6, 12))
+    cube, octahedron = (G.cycle_matroid(G.named_graph(name)) for name in ("cube", "octahedron"))
+    pairs = [(u612, M.named_matroid(t)) for t in ("mk4", "fano", "mk33")]
+    pairs += [(h, M.parse_named(t)) for h in (cube, octahedron) for t in ("uniform:2,4", "fano")]
+    found = []
+    assert elapsed(lambda: found.extend(M.has_minor(h, t) for h, t in pairs)) < 0.1
+    assert found == [(False, None)] * len(pairs)
 
 
 def test_two_block_nonplanar_graph_within_a_second():

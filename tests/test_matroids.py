@@ -629,6 +629,38 @@ def test_classify_decides_transversal_above_seven():
     assert rep.graphic and not rep.cographic
 
 
+def counted(monkeypatch, owner, name):
+    """Replace ``owner.name`` by a wrapper recording each call's first
+    argument, and return the list it records into."""
+    calls = []
+    orig = getattr(owner, name)
+
+    def wrapper(first, *args, **kwargs):
+        calls.append(first)
+        return orig(first, *args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["fano", "mk4", "mk5", "uniform:5,10"])
+def test_classify_computes_circuits_once_per_side(name, monkeypatch):
+    named = M.parse_named(name)
+    m = M.Matroid(named.ground, named.bases)  # nothing cached yet
+    calls = counted(monkeypatch, M, "_circuits")
+    M.classify(m)
+    assert sorted(c is m for c in calls) == [False, True]
+    assert all(c is m or c == m.dual() for c in calls)
+
+
+def test_classify_builds_its_excluded_minors_once(monkeypatch):
+    fano = M.named_matroid("fano")
+    M.classify(fano)  # warm-up
+    calls = counted(monkeypatch, M.Matroid, "dual")
+    M.classify(fano)
+    assert len(calls) == 1 and calls[0] is fano
+
+
 GRAPH_WITNESS = re.compile(r"cycle matroid of graph with edges (\[.*\])")
 
 
