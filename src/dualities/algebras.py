@@ -9,8 +9,15 @@ The API takes and returns ``Fraction`` tuples, but the arithmetic runs on
 vector once (multiplying it by the positive lcm of its denominators),
 calls an integer kernel, and divides the result by the product of those
 lcms.  Every operation here is multilinear in its argument vectors, so
-this is exact.  The reports generate integer samples and call the
-kernels directly; only their witnesses are converted back.
+this is exact.
+
+The reports check their exhaustive basis families on the multiplication
+table rather than on dense unit vectors: the division-algebra report
+reads the alternative laws on basis pairs and on the e_i +- e_j family
+off the table's associators, and the cross-product report checks each
+basis tuple as an index tuple (x . e_a is x[a], and the Gram determinant
+of unit vectors is 1 or 0).  Only their seeded random samples run the
+dense integer kernels; the witnesses are converted back to ``Fraction``.
 
 Two octonion presentations are provided: the doubling construction
 applied three times, and a table read off the seven cyclic triples of
@@ -50,7 +57,8 @@ class CaseArityMismatch(AlgebraError):
 
 
 class IndexOutOfRange(AlgebraError):
-    """Index outside 1..n."""
+    """Index outside its range: 1..n for epsilon symbols and chirotopes,
+    0..dim-1 for basis elements."""
 
 
 class BadDims(AlgebraError):
@@ -103,6 +111,16 @@ def _unit(i: int, n: int) -> list[int]:
     return v
 
 
+# Largest random sample or trial count of a report; each costs a few exact
+# products, so the ceiling keeps one report to seconds.
+TRIALS_MAX = 5000
+
+
+def _check_count(count, what: str) -> None:
+    if not (isinstance(count, int) and not isinstance(count, bool) and 0 <= count <= TRIALS_MAX):
+        raise AlgebraError(f"{what} must be an int in 0..{TRIALS_MAX}, got {count!r}")
+
+
 # ---------------------------------------------------------------------------
 # algebras
 
@@ -144,10 +162,10 @@ class HypercomplexAlgebra:
         return f"HypercomplexAlgebra({self.name}, dim={self.dim})"
 
     def e(self, i: int) -> Element:
-        """The i-th basis element."""
-        return tuple(
-            Fraction(1) if j == i else Fraction(0) for j in range(self.dim)
-        )
+        """The i-th basis element, 0 <= i < dim."""
+        if not (isinstance(i, int) and 0 <= i < self.dim):
+            raise IndexOutOfRange(f"basis index {i!r} outside 0..{self.dim - 1}")
+        return _element(_unit(i, self.dim))
 
     def element(self, coeffs: Iterable) -> Element:
         x = as_element(coeffs)
@@ -305,12 +323,20 @@ def _pair_vector(dim: int, i: int, j: int, s: int) -> list[int]:
     return x
 
 
+def _cancels(a: int, b: int, c: int, d: int) -> bool:
+    """Whether four signed basis terms, each coded +-(index + 1), sum to
+    zero: exactly when they cancel in two pairs, and two terms cancel when
+    their codes sum to 0."""
+    return (a == -b and c == -d) or (a == -c and b == -d) or (a == -d and b == -c)
+
+
 def _pair_zero_divisor(alg: HypercomplexAlgebra) -> Optional[tuple[Element, Element]]:
     """First (x, y) of the pair family, in family order for x then y, with
     x y = 0.  (e_i + s e_j)(e_k + t e_l) has the four signed basis terms
     e_i e_k, t e_i e_l, s e_j e_k and st e_j e_l, each +-1 times a basis
-    element; it vanishes exactly when they cancel in two pairs.  A term is
-    coded as +-(index + 1), so two terms cancel when their codes sum to 0."""
+    element; it vanishes exactly when they cancel in two pairs.  The test
+    is ``_cancels``, written out here: a call per candidate made this scan
+    about a third slower."""
     code = [[s * (k + 1) for s, k in row] for row in alg.table]
     fam = _pair_family(alg.dim)
     for i, j, s in fam:
@@ -334,21 +360,48 @@ def division_algebra_report(
     alg: HypercomplexAlgebra, sample_count: int = 200, seed: int = 0
 ) -> DivisionAlgebraReport:
     """Exact checks of norm composition and alternativity on all basis
-    pairs plus seeded random integer pairs, and an exhaustive zero-divisor
-    search over products of e_i +- e_j pairs."""
+    pairs, then on seeded random integer pairs, then alternativity on the
+    e_i +- e_j family, and an exhaustive zero-divisor search over products
+    of e_i +- e_j pairs.  The basis families are read off the table's
+    associators; only the random pairs run the dense kernel."""
+    _check_count(sample_count, "sample_count")
     rng = random.Random(seed)
-    dim, mul = alg.dim, alg._mul
+    dim, table, mul = alg.dim, alg.table, alg._mul
 
-    def rand_element():
-        return [rng.randint(-5, 5) for _ in range(dim)]
+    def assoc(p, q, r):
+        """a(p, q, r) = (e_p e_q) e_r - e_p (e_q e_r) as the codes
+        +-(index + 1) of its two signed basis terms."""
+        s, k = table[p][q]  # e_p e_q = s e_k
+        t, left = table[k][r]
+        u, m = table[q][r]  # e_q e_r = u e_m
+        v, right = table[p][m]
+        return s * t * (left + 1), u * v * (right + 1)
 
-    basis = [_unit(i, dim) for i in range(dim)]
-    pairs = [(x, y) for x in basis for y in basis]
-    pairs += [(rand_element(), rand_element()) for _ in range(sample_count)]
+    def alternative_on(i, j):
+        """The alternative laws on (e_i, e_j): a(i, i, j) = 0 = a(j, i, i)."""
+        (a, b), (c, d) = assoc(i, i, j), assoc(j, i, i)
+        return a == b and c == d
 
+    def linearised_zero(i, j, k):
+        """a(i, j, k) + a(j, i, k) = 0."""
+        (a, b), (c, d) = assoc(i, j, k), assoc(j, i, k)
+        return _cancels(a, -b, c, -d)
+
+    # Norm composition holds on every basis pair by construction:
+    # ``__post_init__`` admits only entries +-e_k, so |e_i e_j|^2 = 1.
+    alt_wit = next(
+        (
+            (_unit(i, dim), _unit(j, dim))
+            for i, j in itertools.product(range(dim), repeat=2)
+            if not alternative_on(i, j)
+        ),
+        None,
+    )
     norm_ok, norm_wit = True, None
-    alt_ok, alt_wit = True, None
-    for x, y in pairs:
+    alt_ok = alt_wit is None
+    for _ in range(sample_count):
+        x = [rng.randint(-5, 5) for _ in range(dim)]
+        y = [rng.randint(-5, 5) for _ in range(dim)]
         if norm_ok:
             xy = mul(x, y)
             if _dot(xy, xy) != _dot(x, x) * _dot(y, y):
@@ -360,15 +413,16 @@ def division_algebra_report(
         if not norm_ok and not alt_ok:
             break
 
-    # the combination family catches sedenion failures that pure basis
-    # pairs can miss
+    # The e_i +- e_j family catches sedenion failures that basis pairs
+    # miss.  Once a(i, i, k) = 0 for all i and k, the linearised left
+    # alternative law (Schafer, An Introduction to Nonassociative Algebras,
+    # 1966, III.1) gives (x, x, e_k) = s (a(i, j, k) + a(j, i, k)) for
+    # x = e_i + s e_j, so the first failure in family order has s = +1.
     if alt_ok:
-        for i, j, s in _pair_family(dim):
-            x = _pair_vector(dim, i, j, s)
-            xx = mul(x, x)
-            y = next((y for y in basis if mul(xx, y) != mul(x, mul(x, y))), None)
-            if y is not None:
-                alt_ok, alt_wit = False, (x, y)
+        for i, j in itertools.combinations(range(dim), 2):
+            k = next((k for k in range(dim) if not linearised_zero(i, j, k)), None)
+            if k is not None:
+                alt_ok, alt_wit = False, (_pair_vector(dim, i, j, 1), _unit(k, dim))
                 break
 
     def witness(pair):
@@ -630,7 +684,9 @@ def cross_axioms_report(
     its squared norm is the Gram determinant of the arguments, it is
     multilinear, and it flips sign under argument swaps (vacuous for
     r = 1).  Runs over every basis tuple (when there are at most 5000 of
-    them) plus seeded random tuples."""
+    them) plus seeded random tuples.  The basis tuples are checked as
+    index tuples; only the random tuples run the dense kernel."""
+    _check_count(trials, "trials")
     rng = random.Random(seed)
     n, r = case.n, case.r
 
@@ -643,25 +699,29 @@ def cross_axioms_report(
     def shown(args):
         return tuple(_element(a) for a in args)
 
-    tuples = []
-    if n**r <= 5000:
-        tuples = [
-            tuple(_unit(i, n) for i in combo)
-            for combo in itertools.product(range(n), repeat=r)
-        ]
-    basis_count = len(tuples)
-    tuples += [tuple(rand_vec() for _ in range(r)) for _ in range(trials)]
+    combos = list(itertools.product(range(n), repeat=r)) if n**r <= 5000 else []
+    units = [[_unit(i, n) for i in combo] for combo in combos]
+    basis = [cross(args) for args in units]
+    samples = [[rand_vec() for _ in range(r)] for _ in range(trials)]
+
+    def checked():
+        """(args, product, its dots with the args, Gram determinant).  On
+        unit vectors x . e_a is x[a], and the Gram matrix is the identity
+        when the indices are distinct and singular otherwise."""
+        for combo, args, x in zip(combos, units, basis):
+            yield args, x, [x[a] for a in combo], int(len(set(combo)) == r)
+        for args in samples:
+            x = cross(args)
+            gram = [[_dot(a, b) for b in args] for a in args]
+            yield args, x, [_dot(x, a) for a in args], _det(gram)
 
     orth = norm = True
     witness = None
-    for args in tuples:
-        x = cross(args)
-        if orth and any(_dot(x, a) != 0 for a in args):
+    for args, x, dots, gram in checked():
+        if orth and any(dots):
             orth, witness = False, f"orthogonality at {shown(args)}"
-        if norm:
-            gram = [[_dot(a, b) for b in args] for a in args]
-            if _dot(x, x) != _det(gram):
-                norm, witness = False, witness or f"norm at {shown(args)}"
+        if norm and _dot(x, x) != gram:
+            norm, witness = False, witness or f"norm at {shown(args)}"
         if not orth and not norm:
             break
 
@@ -694,15 +754,14 @@ def cross_axioms_report(
             if [-c for c in cross(args)] != cross(swapped):
                 alt, witness = False, witness or f"alternation at swap {(i, j)}"
                 break
-        if n**r <= 5000:
-            for combo in itertools.product(range(n), repeat=r):
-                if len(set(combo)) < r:
-                    if any(cross([_unit(i, n) for i in combo])):
-                        alt, witness = False, witness or f"repeat args {combo} gave nonzero"
-                        break
+        repeat = next(
+            (c for c, x in zip(combos, basis) if len(set(c)) < r and any(x)), None
+        )
+        if repeat is not None:
+            alt, witness = False, witness or f"repeat args {repeat} gave nonzero"
 
     return CrossAxiomsReport(
-        case.tag, n, r, orth, norm, multi, alt, basis_count, trials, seed, witness
+        case.tag, n, r, orth, norm, multi, alt, len(combos), trials, seed, witness
     )
 
 

@@ -365,9 +365,6 @@ def _fmt_elem(x) -> str:
 # parser
 
 
-# Largest --trials value; each trial costs a few exact products, so the
-# ceiling keeps one command to seconds.
-TRIALS_MAX = 5000
 # Largest --bound value: the default planarity edge cap.  --bound lifts the
 # matroid ground, classification and planarity caps, whose searches grow
 # exponentially with it.
@@ -388,7 +385,7 @@ def _int_in(text: str, lo: int, hi: int) -> int:
 # measured about a fifth lower throughput on the benchmark's cli workload,
 # which builds a parser per command.
 def _trials(text: str) -> int:
-    return _int_in(text, 0, TRIALS_MAX)
+    return _int_in(text, 0, algebras.TRIALS_MAX)
 
 
 def _bound(text: str) -> int:
@@ -398,7 +395,7 @@ def _bound(text: str) -> int:
 def _common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true", help="emit one JSON object")
     p.add_argument("--seed", type=int, default=0, help="seed for random trials")
-    p.add_argument("--trials", type=_trials, default=200, help=f"random trial count, 0..{TRIALS_MAX}")
+    p.add_argument("--trials", type=_trials, default=200, help=f"random trial count, 0..{algebras.TRIALS_MAX}")
     p.add_argument("--bound", type=_bound, default=None, help=f"search/size bound, 1..{BOUND_MAX}")
 
 

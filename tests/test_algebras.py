@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from dualities import algebras as A
 from dualities import matroids as M
+from dualities.formats import to_json
 
 
 def neg(x):
@@ -77,6 +79,157 @@ def ref_cross(case, vectors):
     left = ref_multiply(O, a, ref_multiply(O, b_conj, c))
     right = ref_multiply(O, c, ref_multiply(O, b_conj, a))
     return tuple((l - r) / 2 for l, r in zip(left, right))
+
+
+def ref_int_mul(alg):
+    """The dense integer product: every term of a per-row (j, k, sign) table."""
+    rows = [[(j, k, s) for j, (s, k) in enumerate(row)] for row in alg.table]
+
+    def mul(x, y):
+        out = [0] * alg.dim
+        for xi, row in zip(x, rows):
+            if xi:
+                for j, k, s in row:
+                    out[k] += s * xi * y[j]
+        return out
+
+    return mul
+
+
+def ref_division_algebra_report(alg, sample_count=200, seed=0):
+    """Every basis pair, sample and e_i +- e_j vector as a dense vector."""
+    rng = random.Random(seed)
+    dim, mul = alg.dim, ref_int_mul(alg)
+
+    def rand_element():
+        return [rng.randint(-5, 5) for _ in range(dim)]
+
+    basis = [A._unit(i, dim) for i in range(dim)]
+    pairs = [(x, y) for x in basis for y in basis]
+    pairs += [(rand_element(), rand_element()) for _ in range(sample_count)]
+
+    norm_ok, norm_wit = True, None
+    alt_ok, alt_wit = True, None
+    for x, y in pairs:
+        if norm_ok:
+            xy = mul(x, y)
+            if A._dot(xy, xy) != A._dot(x, x) * A._dot(y, y):
+                norm_ok, norm_wit = False, (x, y)
+        if alt_ok:
+            xx = mul(x, x)
+            if mul(xx, y) != mul(x, mul(x, y)) or mul(mul(y, x), x) != mul(y, xx):
+                alt_ok, alt_wit = False, (x, y)
+        if not norm_ok and not alt_ok:
+            break
+
+    if alt_ok:
+        for i, j, s in A._pair_family(dim):
+            x = A._pair_vector(dim, i, j, s)
+            xx = mul(x, x)
+            y = next((y for y in basis if mul(xx, y) != mul(x, mul(x, y))), None)
+            if y is not None:
+                alt_ok, alt_wit = False, (x, y)
+                break
+
+    def witness(pair):
+        return None if pair is None else (A._element(pair[0]), A._element(pair[1]))
+
+    return A.DivisionAlgebraReport(
+        alg.name,
+        alg.dim,
+        norm_ok,
+        alt_ok,
+        A._pair_zero_divisor(alg),
+        witness(norm_wit),
+        witness(alt_wit),
+        sample_count,
+        seed,
+    )
+
+
+def ref_cross_axioms_report(case, trials=200, seed=0):
+    """Every basis tuple as dense unit vectors, with dense dots and Gram
+    determinants, and a second pass over the repeated-argument tuples."""
+    rng = random.Random(seed)
+    n, r = case.n, case.r
+
+    def cross(args):
+        return A._cross(case, args)
+
+    def rand_vec():
+        return [rng.randint(-4, 4) for _ in range(n)]
+
+    def shown(args):
+        return tuple(A._element(a) for a in args)
+
+    tuples = []
+    if n**r <= 5000:
+        tuples = [
+            tuple(A._unit(i, n) for i in combo)
+            for combo in itertools.product(range(n), repeat=r)
+        ]
+    basis_count = len(tuples)
+    tuples += [tuple(rand_vec() for _ in range(r)) for _ in range(trials)]
+
+    orth = norm = True
+    witness = None
+    for args in tuples:
+        x = cross(args)
+        if orth and any(A._dot(x, a) != 0 for a in args):
+            orth, witness = False, f"orthogonality at {shown(args)}"
+        if norm:
+            gram = [[A._dot(a, b) for b in args] for a in args]
+            if A._dot(x, x) != A._det(gram):
+                norm, witness = False, witness or f"norm at {shown(args)}"
+        if not orth and not norm:
+            break
+
+    multi = True
+    for _ in range(max(trials, 1)):
+        slot = rng.randrange(r)
+        args = [rand_vec() for _ in range(r)]
+        u, v = rand_vec(), rand_vec()
+        a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+        combo = [a * ui + b * vi for ui, vi in zip(u, v)]
+        args_combo = list(args)
+        args_combo[slot] = combo
+        args_u = list(args)
+        args_u[slot] = u
+        args_v = list(args)
+        args_v[slot] = v
+        lhs = cross(args_combo)
+        rhs = [a * p + b * q for p, q in zip(cross(args_u), cross(args_v))]
+        if lhs != rhs:
+            multi, witness = False, witness or f"multilinearity at slot {slot}"
+            break
+
+    alt = True
+    if r >= 2:
+        for _ in range(max(trials, 1)):
+            args = [rand_vec() for _ in range(r)]
+            i, j = rng.sample(range(r), 2)
+            swapped = list(args)
+            swapped[i], swapped[j] = swapped[j], swapped[i]
+            if [-c for c in cross(args)] != cross(swapped):
+                alt, witness = False, witness or f"alternation at swap {(i, j)}"
+                break
+        if n**r <= 5000:
+            for combo in itertools.product(range(n), repeat=r):
+                if len(set(combo)) < r:
+                    if any(cross([A._unit(i, n) for i in combo])):
+                        alt, witness = False, witness or f"repeat args {combo} gave nonzero"
+                        break
+
+    return A.CrossAxiomsReport(
+        case.tag, n, r, orth, norm, multi, alt, basis_count, trials, seed, witness
+    )
+
+
+def same_report(got, want):
+    """Equal field by field, with the same JSON bytes (so a witness
+    coordinate is a ``Fraction`` on both sides)."""
+    assert got == want
+    assert json.dumps(to_json(got)) == json.dumps(to_json(want))
 
 
 def sympy_det(rows):
@@ -155,6 +308,14 @@ def test_identity_element():
         x = tuple(F(rng.randint(-9, 9)) for _ in range(alg.dim))
         assert alg.multiply(alg.e(0), x) == x
         assert alg.multiply(x, alg.e(0)) == x
+
+
+@pytest.mark.parametrize("i", [99, -1, 8, "1"])
+def test_basis_index_outside_range_raises(i):
+    O = A.algebra_by_name("o")
+    with pytest.raises(A.IndexOutOfRange):
+        O.e(i)
+    assert O.e(7) == tuple(F(int(j == 7)) for j in range(8))
 
 
 def test_table_shape_and_entries_are_checked():
@@ -355,6 +516,106 @@ def test_fano_and_cd_octonions_share_profile():
     )
 
 
+def test_cancels_matches_the_vector_sum():
+    codes = [c for k in range(1, 4) for c in (k, -k)]
+    for terms in itertools.product(codes, repeat=4):
+        total = [0] * 4
+        for c in terms:
+            total[abs(c)] += 1 if c > 0 else -1
+        assert A._cancels(*terms) == (not any(total)), terms
+
+
+COUNTS = st.integers(0, 50)
+SEEDS = st.integers(0, 2**20)
+REPORT_PROPERTY = settings(max_examples=6, derandomize=True, deadline=None, database=None)
+
+
+@pytest.mark.parametrize("name", ALGEBRAS)
+@REPORT_PROPERTY
+@given(count=COUNTS, seed=SEEDS)
+def test_division_report_matches_reference(name, count, seed):
+    alg = A.algebra_by_name(name)
+    same_report(
+        A.division_algebra_report(alg, count, seed),
+        ref_division_algebra_report(alg, count, seed),
+    )
+
+
+@st.composite
+def perturbed_algebras(draw):
+    """A Cayley-Dickson table with 1-3 entries off row and column 0 replaced
+    by a random (+-1, k)."""
+    level = draw(st.integers(1, 4))
+    dim = 1 << level
+    table = [list(row) for row in A.cayley_dickson_algebra(level).table]
+    cell = st.tuples(st.integers(1, dim - 1), st.integers(1, dim - 1))
+    for i, j in draw(st.lists(cell, min_size=1, max_size=3, unique=True)):
+        table[i][j] = (draw(st.sampled_from((1, -1))), draw(st.integers(0, dim - 1)))
+    return A.HypercomplexAlgebra("perturbed", dim, tuple(map(tuple, table)), "test")
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(alg=perturbed_algebras(), count=st.integers(0, 12), seed=SEEDS)
+def test_division_report_matches_reference_on_perturbed_tables(alg, count, seed):
+    same_report(
+        A.division_algebra_report(alg, count, seed),
+        ref_division_algebra_report(alg, count, seed),
+    )
+
+
+@st.composite
+def oriented_algebras(draw):
+    """e_a e_b = +-e_(a xor b), every imaginary unit squaring to -1, units
+    anticommuting, and each triple {a, b, a xor b} given a random
+    orientation.  Such a table is alternative on basis pairs, so the
+    e_i + e_j family decides alternativity when no sample fails first."""
+    rnd = draw(st.randoms(use_true_random=False))
+    dim = 1 << draw(st.integers(2, 4))
+    table = [[(1, a ^ b) for b in range(dim)] for a in range(dim)]
+    for a in range(1, dim):
+        table[a][a] = (-1, 0)
+        for b in range(a + 1, dim):
+            if a ^ b > b:  # each triple once, as a < b < a xor b
+                s = rnd.choice((1, -1))
+                for x, y in ((a, b), (b, a ^ b), (a ^ b, a)):
+                    table[x][y], table[y][x] = (s, x ^ y), (-s, x ^ y)
+    return A.HypercomplexAlgebra("oriented", dim, tuple(map(tuple, table)), "test")
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(alg=oriented_algebras(), count=st.integers(0, 2), seed=SEEDS)
+def test_division_report_matches_reference_on_oriented_tables(alg, count, seed):
+    same_report(
+        A.division_algebra_report(alg, count, seed),
+        ref_division_algebra_report(alg, count, seed),
+    )
+
+
+def test_sedenion_alternativity_witness_from_pair_family():
+    S = A.cayley_dickson_algebra(4)
+    for seed in range(3):
+        rep = A.division_algebra_report(S, sample_count=0, seed=seed)
+        same_report(rep, ref_division_algebra_report(S, 0, seed))
+        x, y = rep.alternative_witness
+        assert sum(1 for c in x if c) == 2 and sum(1 for c in y if c) == 1
+        assert S.multiply(S.multiply(x, x), y) != S.multiply(x, S.multiply(x, y))
+
+
+@pytest.mark.parametrize("count", [-1, -3, A.TRIALS_MAX + 1, True, 2.0])
+def test_report_counts_outside_bounds_raise(count):
+    with pytest.raises(A.AlgebraError):
+        A.division_algebra_report(A.algebra_by_name("o"), sample_count=count)
+    with pytest.raises(A.AlgebraError):
+        A.cross_axioms_report(A.cross_case("three"), trials=count)
+
+
+def test_report_count_bounds_accepted():
+    R = A.cayley_dickson_algebra(0)
+    for count in (0, A.TRIALS_MAX):
+        assert A.division_algebra_report(R, sample_count=count).samples == count
+        assert A.cross_axioms_report(A.cross_case("j:2"), trials=count).trials == count
+
+
 # ---------------------------------------------------------------------------
 # epsilon symbol and determinants
 
@@ -525,6 +786,79 @@ def test_cross_errors():
 def test_cross_axioms(case_name):
     rep = A.cross_axioms_report(A.cross_case(case_name), trials=60, seed=10)
     assert rep.all_ok, rep.witness
+
+
+@pytest.mark.parametrize("ident", CROSS_IDENTS)
+@REPORT_PROPERTY
+@given(trials=COUNTS, seed=SEEDS)
+def test_cross_report_matches_reference(ident, trials, seed):
+    case = A.cross_case(ident)
+    same_report(
+        A.cross_axioms_report(case, trials, seed),
+        ref_cross_axioms_report(case, trials, seed),
+    )
+
+
+def broken_cross(breaks):
+    """``_cross`` with x[m] += d on each basis index tuple in ``breaks``
+    (tuple -> (m, d)); any argument list of unit vectors counts, random
+    ones included, so the library and the reference see one function."""
+    real = A._cross
+
+    def cross(case, vs):
+        x = list(real(case, vs))
+        if all(sorted(v) == [0] * (len(v) - 1) + [1] for v in vs):
+            hit = breaks.get(tuple(v.index(1) for v in vs))
+            if hit:
+                m, d = hit
+                x[m] += d
+        return x
+
+    return cross
+
+
+@pytest.mark.parametrize(
+    "ident, breaks, failed",
+    [
+        # x[a] != 0 for an argument index a
+        ("three", {(0, 1): (0, 1)}, "orthogonality_ok"),
+        ("triple8", {(1, 2, 3): (2, -1)}, "orthogonality_ok"),
+        # a component outside the arguments: |x|^2 != Gram determinant
+        ("seven", {(0, 1): (5, 1)}, "norm_identity_ok"),
+        ("j:4", {(2,): (0, 1)}, "norm_identity_ok"),
+        # repeated arguments give a nonzero product (and break the norm)
+        ("epsilon:4", {(2, 2, 0): (1, 2)}, "alternating_ok"),
+        ("triple8", {(7, 3, 7): (0, 1)}, "alternating_ok"),
+    ],
+)
+def test_cross_report_matches_reference_on_broken_products(ident, breaks, failed):
+    case = A.cross_case(ident)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(A, "_cross", broken_cross(breaks))
+        rep = A.cross_axioms_report(case, trials=4, seed=1)
+        same_report(rep, ref_cross_axioms_report(case, trials=4, seed=1))
+    assert not getattr(rep, failed)
+    assert rep.witness is not None
+
+
+@st.composite
+def broken_cases(draw):
+    case = A.cross_case(draw(st.sampled_from(["three", "seven", "epsilon:3", "epsilon:4", "j:4", "triple8"])))
+    index = st.integers(0, case.n - 1)
+    combos = draw(st.lists(st.tuples(*[index] * case.r), min_size=1, max_size=4, unique=True))
+    return case, {c: (draw(index), draw(st.sampled_from((1, -1, 2)))) for c in combos}
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(broken=broken_cases(), trials=st.integers(0, 6), seed=SEEDS)
+def test_cross_report_matches_reference_on_random_breaks(broken, trials, seed):
+    case, breaks = broken
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(A, "_cross", broken_cross(breaks))
+        same_report(
+            A.cross_axioms_report(case, trials, seed),
+            ref_cross_axioms_report(case, trials, seed),
+        )
 
 
 # ---------------------------------------------------------------------------
