@@ -14,10 +14,18 @@ this is exact.
 The reports check their exhaustive basis families on the multiplication
 table rather than on dense unit vectors: the division-algebra report
 reads the alternative laws on basis pairs and on the e_i +- e_j family
-off the table's associators, and the cross-product report checks each
-basis tuple as an index tuple (x . e_a is x[a], and the Gram determinant
-of unit vectors is 1 or 0).  Only their seeded random samples run the
-dense integer kernels; the witnesses are converted back to ``Fraction``.
+off the table's associators, and finds the first zero divisor among
+products of e_i +- e_j pairs by dict lookup, in O(dim) steps per left
+factor.  The cross-product report checks each basis tuple as an index
+tuple (x . e_a is x[a], and the Gram determinant of unit vectors is 1 or
+0), and the triple8 product of basis vectors is read off a signed table.
+Only their seeded random samples run the dense integer kernels; the
+witnesses are converted back to ``Fraction``.
+
+Chirotope signs and the epsilon cross products share one minor kernel,
+``_minors``, which expands every column set row by row; ``_det``
+(fraction-free Bareiss elimination) serves ``det_rational`` and the Gram
+determinants.
 
 Two octonion presentations are provided: the doubling construction
 applied three times, and a table read off the seven cyclic triples of
@@ -28,6 +36,7 @@ share the same property profile, which is what the checks assert.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -102,7 +111,7 @@ def _element(ints: Iterable, den: int = 1) -> Element:
 
 
 def _dot(x: Sequence, y: Sequence):
-    return sum(a * b for a, b in zip(x, y))
+    return sum(map(operator.mul, x, y))
 
 
 def _unit(i: int, n: int) -> list[int]:
@@ -180,6 +189,21 @@ class HypercomplexAlgebra:
         return tuple(
             tuple((j, k, s) for j, (s, k) in enumerate(row)) for row in self.table
         )
+
+    @cached_property
+    def _triple_terms(self) -> tuple[tuple[int, int, int, int], ...]:
+        """Entry (p * dim + q) * dim + r is (s, k, t, m) with
+        e_p (conj(e_q) e_r) = s e_k and e_r (conj(e_q) e_p) = t e_m, the two
+        halves of the triple8 cross product on basis vectors; built on
+        first use, like ``_rows``."""
+        table = self.table
+        out = []
+        for p, q, r in itertools.product(range(self.dim), repeat=3):
+            conj = 1 if q == 0 else -1
+            (u, a), (v, b) = table[q][r], table[q][p]
+            (s, k), (t, m) = table[p][a], table[r][b]
+            out.append((conj * u * s, k, conj * v * t, m))
+        return tuple(out)
 
     def _mul(self, x: Sequence[int], y: Sequence[int]) -> list[int]:
         """The integer kernel: bilinear extension of the basis table."""
@@ -332,27 +356,40 @@ def _cancels(a: int, b: int, c: int, d: int) -> bool:
 
 def _pair_zero_divisor(alg: HypercomplexAlgebra) -> Optional[tuple[Element, Element]]:
     """First (x, y) of the pair family, in family order for x then y, with
-    x y = 0.  (e_i + s e_j)(e_k + t e_l) has the four signed basis terms
-    e_i e_k, t e_i e_l, s e_j e_k and st e_j e_l, each +-1 times a basis
-    element; it vanishes exactly when they cancel in two pairs.  The test
-    is ``_cancels``, written out here: a call per candidate made this scan
-    about a third slower."""
+    x y = 0, found in O(dim) steps per x.  For x = e_i + s e_j, the product
+    v_k = x e_k has the two signed basis terms e_i e_k and s e_j e_k, coded
+    +-(index + 1) as (a, c).  Its key is ``()`` when a = -c (v_k = 0) and
+    the sorted pair otherwise, so two products are equal exactly when
+    their keys are.  Since x (e_k + t e_l) = v_k + t v_l, t = +1 gives zero
+    when key(v_l) = key(-v_k) and t = -1 when key(v_l) = key(v_k).  The
+    walk over k from dim - 1 down to 0 keeps the smallest l > k seen for
+    each key, so its last hit is the first (k, l, t) in family order."""
+    dim = alg.dim
     code = [[s * (k + 1) for s, k in row] for row in alg.table]
-    fam = _pair_family(alg.dim)
-    for i, j, s in fam:
+    for i, j, s in _pair_family(dim):
         ci, cj = code[i], code[j]
-        for k, l, t in fam:
-            a, b = ci[k], t * ci[l]
-            c, d = s * cj[k], s * t * cj[l]
-            if (
-                (a == -b and c == -d)
-                or (a == -c and b == -d)
-                or (a == -d and b == -c)
-            ):
-                return (
-                    _element(_pair_vector(alg.dim, i, j, s)),
-                    _element(_pair_vector(alg.dim, k, l, t)),
-                )
+        smallest: dict[tuple[int, ...], int] = {}
+        hit = None
+        for k in range(dim - 1, -1, -1):
+            a, c = ci[k], s * cj[k]
+            if a == -c:
+                key = minus = ()
+            elif a < c:
+                key, minus = (a, c), (-c, -a)
+            else:
+                key, minus = (c, a), (-a, -c)
+            plus_l, minus_l = smallest.get(minus), smallest.get(key)
+            # at equal l (only when v_k = 0) t = +1 comes first
+            if plus_l is not None and (minus_l is None or plus_l <= minus_l):
+                hit = k, plus_l, 1
+            elif minus_l is not None:
+                hit = k, minus_l, -1
+            smallest[key] = k
+        if hit is not None:
+            return (
+                _element(_pair_vector(dim, i, j, s)),
+                _element(_pair_vector(dim, *hit)),
+            )
     return None
 
 
@@ -577,15 +614,13 @@ def cross_case(ident: str) -> CrossProductCase:
     raise UnknownCase(f"unknown cross-product case {ident!r}")
 
 
-def _epsilon_cross(vectors: Sequence[Sequence[int]], n: int) -> list[int]:
-    """Component j is the determinant of the n-1 arguments stacked over the
-    j-th unit row, i.e. the epsilon contraction with the result index last:
-    the cofactor (-1)^(n-1+j) times the maximal minor of the arguments
-    without column j.  The minors of the first k rows on every k-set of
-    columns are built row by row (Laplace expansion along the newest row),
-    so all n cofactors share their sub-minors."""
-    minors = {0: 1}  # column bitmask -> minor of the rows so far
-    for row in vectors:
+def _minors(rows: Sequence[Sequence[int]]) -> dict[int, int]:
+    """The minors of the k rows on every k-set of columns, keyed by column
+    bitmask, with the columns in increasing order; a vanishing minor may be
+    missing.  They are built row by row by Laplace expansion along the
+    newest row, so all minors share their sub-minors."""
+    minors = {0: 1}
+    for row in rows:
         grown: dict[int, int] = {}
         for mask, m in minors.items():
             if not m:
@@ -598,6 +633,15 @@ def _epsilon_cross(vectors: Sequence[Sequence[int]], n: int) -> list[int]:
                     term = -a * m if (mask >> c).bit_count() & 1 else a * m
                     grown[mask | bit] = grown.get(mask | bit, 0) + term
         minors = grown
+    return minors
+
+
+def _epsilon_cross(vectors: Sequence[Sequence[int]], n: int) -> list[int]:
+    """Component j is the determinant of the n-1 arguments stacked over the
+    j-th unit row, i.e. the epsilon contraction with the result index last:
+    the cofactor (-1)^(n-1+j) times the maximal minor of the arguments
+    without column j."""
+    minors = _minors(vectors)
     full = (1 << n) - 1
     return [
         (-1) ** (n - 1 + j) * minors.get(full ^ (1 << j), 0) for j in range(n)
@@ -612,24 +656,40 @@ def _rotate(v: Sequence) -> list:
     return out
 
 
+def _halve(left: Sequence[int], right: Sequence[int]) -> list:
+    """(left - right) / 2, keeping a ``Fraction`` for any odd component."""
+    return [
+        (l - r) // 2 if (l - r) % 2 == 0 else Fraction(l - r, 2)
+        for l, r in zip(left, right)
+    ]
+
+
 def _cross(case: CrossProductCase, vs: Sequence[Sequence[int]]) -> list:
     """The integer kernel of ``cross_product``.  triple8 halves exactly and
-    keeps a ``Fraction`` for any odd component."""
+    keeps a ``Fraction`` for any odd component.  Never mutates ``vs``, so
+    callers may share argument vectors between calls."""
     if case.tag in ("three", "epsilon"):
         return _epsilon_cross(vs, case.n)
     if case.tag == "complex_structure":
         return _rotate(vs[0])
-    mul = fano_octonion_algebra()._mul
+    octonions = fano_octonion_algebra()
+    mul = octonions._mul
     if case.tag == "seven":
         return mul([0, *vs[0]], [0, *vs[1]])[1:]
     if case.tag == "triple8":
         a, b, c = vs
+        if a.count(0) == b.count(0) == c.count(0) == 7:
+            # one nonzero entry each: its coefficient is the sum, and the
+            # two basis products come from the table
+            ca, cb, cc = sum(a), sum(b), sum(c)
+            p, q, r = a.index(ca), b.index(cb), c.index(cc)
+            s, k, t, m = octonions._triple_terms[(p * 8 + q) * 8 + r]
+            coeff = ca * cb * cc
+            left, right = [0] * 8, [0] * 8
+            left[k], right[m] = s * coeff, t * coeff
+            return _halve(left, right)
         b_conj = [b[0]] + [-t for t in b[1:]]
-        left, right = mul(a, mul(b_conj, c)), mul(c, mul(b_conj, a))
-        return [
-            (l - r) // 2 if (l - r) % 2 == 0 else Fraction(l - r, 2)
-            for l, r in zip(left, right)
-        ]
+        return _halve(mul(a, mul(b_conj, c)), mul(c, mul(b_conj, a)))
     raise UnknownCase(case.tag)
 
 
@@ -700,7 +760,8 @@ def cross_axioms_report(
         return tuple(_element(a) for a in args)
 
     combos = list(itertools.product(range(n), repeat=r)) if n**r <= 5000 else []
-    units = [[_unit(i, n) for i in combo] for combo in combos]
+    unit = [_unit(i, n) for i in range(n)]  # shared: _cross never mutates its arguments
+    units = [[unit[i] for i in combo] for combo in combos]
     basis = [cross(args) for args in units]
     samples = [[rand_vec() for _ in range(r)] for _ in range(trials)]
 
@@ -814,11 +875,13 @@ def chirotope_of_configuration(points: Sequence[Sequence]) -> Chirotope:
         raise BadDims("all points need the same coordinate length")
     if n > 10 or r > 4:
         raise BadDims("configuration capped at 10 points of rank at most 4")
-    # scaling a point by the positive lcm of its denominators keeps every sign
-    cols = [_clear(p)[0] for p in points]
+    # scaling a point by the positive lcm of its denominators keeps every
+    # sign; the points are the columns of the r x n coordinate matrix
+    minors = _minors(list(zip(*(_clear(p)[0] for p in points))))
+    bits = [1 << c for c in range(n)]
     signs = []
-    for combo in itertools.combinations(range(n), r):
-        d = _det([list(cols[c]) for c in combo])  # the transposed minor
+    for combo in itertools.combinations(bits, r):
+        d = minors.get(sum(combo), 0)
         signs.append((d > 0) - (d < 0))
     if all(s == 0 for s in signs):
         raise RankDeficient("all maximal minors vanish")

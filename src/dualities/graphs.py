@@ -590,15 +590,16 @@ def platonic_solids() -> list[PlatonicRow]:
     rows = []
     for p, q in candidates:
         denom = 2 * p - p * q + 2 * q
-        assert denom > 0
+        if denom <= 0:
+            raise GraphError(f"{{{p},{q}}}: 2p - pq + 2q = {denom} is not positive")
         e2, rem = divmod(2 * p * q, denom)
-        assert rem == 0
         v, rem_v = divmod(2 * e2, q)
         f, rem_f = divmod(2 * e2, p)
-        assert rem_v == 0 and rem_f == 0
-        assert v - e2 + f == 2
+        if rem or rem_v or rem_f or v - e2 + f != 2:
+            raise GraphError(f"{{{p},{q}}}: no integral counts with V - E + F = 2")
         rows.append(PlatonicRow(p, q, v, e2, f, _PLATONIC_NAMES[(p, q)]))
-    assert len(rows) == 5
+    if len(rows) != 5:
+        raise GraphError(f"derived {len(rows)} Platonic solids, not 5")
     return rows
 
 

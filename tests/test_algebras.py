@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 import subprocess
 import sys
@@ -96,6 +97,23 @@ def ref_int_mul(alg):
     return mul
 
 
+def ref_pair_zero_divisor(alg):
+    """The first dense x y = 0 over the e_i +- e_j vectors, in family order
+    for x then y: i < j in lexicographic order, s = +1 before s = -1."""
+    dim, mul = alg.dim, ref_int_mul(alg)
+    family = []
+    for i, j in itertools.combinations(range(dim), 2):
+        for s in (1, -1):
+            x = [0] * dim
+            x[i], x[j] = 1, s
+            family.append(x)
+    for x in family:
+        for y in family:
+            if not any(mul(x, y)):
+                return A._element(x), A._element(y)
+    return None
+
+
 def ref_division_algebra_report(alg, sample_count=200, seed=0):
     """Every basis pair, sample and e_i +- e_j vector as a dense vector."""
     rng = random.Random(seed)
@@ -139,7 +157,7 @@ def ref_division_algebra_report(alg, sample_count=200, seed=0):
         alg.dim,
         norm_ok,
         alt_ok,
-        A._pair_zero_divisor(alg),
+        ref_pair_zero_divisor(alg),
         witness(norm_wit),
         witness(alt_wit),
         sample_count,
@@ -542,14 +560,14 @@ def test_division_report_matches_reference(name, count, seed):
 
 
 @st.composite
-def perturbed_algebras(draw):
-    """A Cayley-Dickson table with 1-3 entries off row and column 0 replaced
-    by a random (+-1, k)."""
+def perturbed_algebras(draw, most=3):
+    """A Cayley-Dickson table with 1 to ``most`` entries off row and column
+    0 replaced by a random (+-1, k)."""
     level = draw(st.integers(1, 4))
     dim = 1 << level
     table = [list(row) for row in A.cayley_dickson_algebra(level).table]
     cell = st.tuples(st.integers(1, dim - 1), st.integers(1, dim - 1))
-    for i, j in draw(st.lists(cell, min_size=1, max_size=3, unique=True)):
+    for i, j in draw(st.lists(cell, min_size=1, max_size=most, unique=True)):
         table[i][j] = (draw(st.sampled_from((1, -1))), draw(st.integers(0, dim - 1)))
     return A.HypercomplexAlgebra("perturbed", dim, tuple(map(tuple, table)), "test")
 
@@ -561,6 +579,38 @@ def test_division_report_matches_reference_on_perturbed_tables(alg, count, seed)
         A.division_algebra_report(alg, count, seed),
         ref_division_algebra_report(alg, count, seed),
     )
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(alg=perturbed_algebras(most=6))
+def test_pair_zero_divisor_matches_dense_scan_on_perturbed_tables(alg):
+    got = A._pair_zero_divisor(alg)
+    assert got == ref_pair_zero_divisor(alg)
+    if got is not None:
+        assert all(type(c) is F for v in got for c in v)
+
+
+@st.composite
+def collided_algebras(draw):
+    """A Cayley-Dickson table whose rows i and j (0 < i < j) each send
+    three or more columns to one signed basis element, so that x e_k is
+    the same vector for all those k when x = e_i +- e_j."""
+    level = draw(st.integers(2, 4))
+    dim = 1 << level
+    table = [list(row) for row in A.cayley_dickson_algebra(level).table]
+    i, j = sorted(draw(st.lists(st.integers(1, dim - 1), min_size=2, max_size=2, unique=True)))
+    columns = draw(st.lists(st.integers(1, dim - 1), min_size=3, max_size=5, unique=True))
+    for row in (i, j):
+        entry = (draw(st.sampled_from((1, -1))), draw(st.integers(0, dim - 1)))
+        for c in columns:
+            table[row][c] = entry
+    return A.HypercomplexAlgebra("collided", dim, tuple(map(tuple, table)), "test")
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(alg=collided_algebras())
+def test_pair_zero_divisor_matches_dense_scan_on_collided_tables(alg):
+    assert A._pair_zero_divisor(alg) == ref_pair_zero_divisor(alg)
 
 
 @st.composite
@@ -765,6 +815,59 @@ def test_triple8_orthogonality_example():
     assert any(c != 0 for c in x)
     for a in args:
         assert A.dot(x, a) == 0
+
+
+MONOMIAL_COEFFS = [1, -1, 2, -2, 3, -3]
+coeffs8 = st.sampled_from(MONOMIAL_COEFFS + [F(1, 2), F(-3, 2), F(2, 3), F(-1, 3)])
+monomials8 = st.builds(
+    lambda k, c: [c if i == k else 0 for i in range(8)], st.integers(0, 7), coeffs8
+)
+# two nonzero entries: one more than the table path takes
+binomials8 = st.builds(
+    lambda ks, c, d: [c if i == ks[0] else d if i == ks[1] else 0 for i in range(8)],
+    st.lists(st.integers(0, 7), min_size=2, max_size=2, unique=True),
+    coeffs8,
+    coeffs8,
+)
+dense8 = st.lists(sparse_rationals, min_size=8, max_size=8)
+
+
+def check_triple8_kernel(vectors):
+    """``cross_product`` and, on the cleared integer arguments, ``_cross``
+    equal the defining formula; ``_cross`` keeps an int for every even
+    half and a ``Fraction`` for every odd one."""
+    case = A.cross_case("triple8")
+    want = ref_cross(case, vectors)
+    got = A.cross_product(case, vectors)
+    assert got == want and all(type(c) is F for c in got)
+    ints = []
+    for v in vectors:
+        d = math.lcm(*(F(c).denominator for c in v))
+        ints.append([int(c * d) for c in v])
+    args = [list(v) for v in ints]
+    got = A._cross(case, args)
+    want = ref_cross(case, ints)
+    assert got == list(want)
+    assert [type(c) for c in got] == [int if c.denominator == 1 else F for c in want]
+    assert args == ints  # the arguments are not mutated
+
+
+def test_triple8_every_basis_tuple_matches_reference():
+    for combo in itertools.product(range(8), repeat=3):
+        coeffs = [(-1) ** p * (p % 3 + 1) for p in combo]
+        check_triple8_kernel([[c if i == p else 0 for i in range(8)] for p, c in zip(combo, coeffs)])
+
+
+@PROPERTY
+@given(st.lists(monomials8, min_size=3, max_size=3))
+def test_triple8_monomial_arguments_match_reference(vectors):
+    check_triple8_kernel(vectors)
+
+
+@PROPERTY
+@given(st.lists(st.one_of(monomials8, binomials8, dense8), min_size=3, max_size=3))
+def test_triple8_mixed_arguments_match_reference(vectors):
+    check_triple8_kernel(vectors)
 
 
 def test_cross_errors():

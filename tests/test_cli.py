@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -214,6 +217,24 @@ def test_usage_error_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["matroid", "frobnicate", "fano"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["graph", "planar", "k33", "--json"], ["matroid", "dual", "nonesuch"]],
+)
+def test_python_dash_m_matches_main(capsys, argv):
+    """``python -m dualities`` in a fresh interpreter gives the exit code
+    and standard output of ``cli.main``."""
+    code = main(list(argv))
+    out = capsys.readouterr().out
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dualities", *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (code, out), proc.stderr
 
 
 def test_bad_named_source_exit_2(capsys):

@@ -5,8 +5,12 @@ The test oracles (networkx, sympy, hypothesis) must never leak into
 imported on the way, guarded optional imports included, must be
 ``dualities`` or part of the standard library.  Modules that site hooks
 load at start-up are taken as given.
+
+Nor may the library's checks depend on ``assert``, which ``python -O``
+strips.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -29,3 +33,12 @@ def test_cli_imports_only_the_standard_library():
     proc = subprocess.run([sys.executable, "-c", PROBE], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.strip() == "0 []", proc.stderr
+
+
+def test_library_has_no_assert_statements():
+    modules = sorted((SRC / "dualities").glob("*.py"))
+    assert modules
+    for path in modules:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.name}: assert at lines {lines}"
