@@ -74,7 +74,7 @@ def _emit(args, report, lines: list[str]) -> None:
 def _matroid_summary(m: matroids.Matroid) -> dict:
     d = m.to_json_dict()
     d["rank"] = m.rank
-    d["basis_count"] = len(m.bases)
+    d["basis_count"] = len(m._masks)
     return d
 
 

@@ -579,6 +579,11 @@ def platonic_solids() -> list[PlatonicRow]:
 
     With p-gon faces and q faces per vertex, pF = 2E and qV = 2E force
     E(2p - pq + 2q) = 2pq; only five (p, q) pairs admit positive E.
+    Each row is checked against its named embedding (V, E, F and genus
+    0), and the duality {p,q} <-> {q,p} on the embeddings: the dual map
+    of the tetrahedron, the cube and the dodecahedron is isomorphic to
+    the tetrahedron, the octahedron and the icosahedron graph.  A
+    mismatch raises ``GraphError``.
     """
     candidates = [
         (p, q)
@@ -600,6 +605,15 @@ def platonic_solids() -> list[PlatonicRow]:
         rows.append(PlatonicRow(p, q, v, e2, f, _PLATONIC_NAMES[(p, q)]))
     if len(rows) != 5:
         raise GraphError(f"derived {len(rows)} Platonic solids, not 5")
+    for row in rows:
+        emb = named_embedding(row.name)
+        traced = trace_faces(emb)
+        got = (emb.graph.vertex_count, len(emb.graph.edges), traced.face_count, traced.genus)
+        if got != (row.vertices, row.edges, row.faces, 0):
+            raise GraphError(f"the {row.name} embedding has (V, E, F, genus) = {got}")
+        dual = _PLATONIC_NAMES[(row.q, row.p)]
+        if row.p >= row.q and not is_graph_isomorphic(dual_embedding(emb).graph, named_graph(dual)):
+            raise GraphError(f"the dual of the {row.name} embedding is not the {dual}")
     return rows
 
 

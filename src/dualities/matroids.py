@@ -1,13 +1,16 @@
-"""Matroids as explicit canonical basis families.
+"""Matroids as explicit basis families.
 
-A matroid is stored as a sorted ground tuple plus the complete family of
-bases, each a frozenset, kept in lexicographic order.  Ground sets are
-capped (12 elements by default), so the family always fits in memory.
-Every operation works on the bases as bitmasks over ground positions
-(``Matroid._masks``), and every producer of a matroid (duals, minors,
-cycle matroids, minor-search candidates) hands its masks over directly.
-The minor search and the isomorphism test read the family by element, as
-one bitset over the bases per element (``Matroid._incidence``).
+A matroid is stored as a ground tuple plus the complete family of bases,
+as a sorted tuple of bitmasks over ground positions (``Matroid._masks``).
+Ground sets are capped (12 elements by default), so the family always
+fits in memory.  Element sets become masks once, when a matroid is
+built from them; every operation works on the masks, and every other
+producer of a matroid (duals, minors, relabellings, direct sums, cycle
+matroids, minor-search candidates) builds its masks directly.  The bases
+as element sets (``Matroid.bases``) are derived on first read, for
+output.  The minor search and the isomorphism test read the family by
+element, as one bitset over the bases per element
+(``Matroid._incidence``).
 That choice makes duality literal set complementation, minors a direct
 recomputation of the family, and every search in this module (minor
 containment, isomorphism, excluded minors) exhaustive with deterministic
@@ -111,10 +114,6 @@ class BadInput(MatroidError):
 # the matroid type
 
 
-def _basis_key(b: frozenset) -> tuple:
-    return (len(b), tuple(sorted(b)))
-
-
 def _bits(mask: int):
     """Indices of the set bits of ``mask``, lowest first."""
     while mask:
@@ -132,36 +131,46 @@ def _squeeze(mask: int, gone: list[int]) -> int:
     return mask
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, init=False, repr=False)
 class Matroid:
-    """Ground set plus the full canonical basis family.
+    """Ground tuple plus the basis family as sorted position masks.
 
-    Instances are immutable; equality is canonical-form equality
-    (identical ground tuple and identical sorted basis family).
+    ``Matroid(ground, bases)`` takes the bases as element sets and turns
+    them into masks once; an element outside the ground raises
+    ``ElementNotInGround``.  Instances are immutable, and equality and
+    hashing compare the ground tuple and the masks.  ``bases``, the
+    element sets in canonical order, is derived on first read.
     """
 
     ground: tuple[int, ...]
-    bases: tuple[frozenset[int], ...]
+    _masks: tuple[int, ...]  # bit i of a mask stands for ground[i]
+
+    def __init__(self, ground: Iterable[int], bases: Iterable[Iterable[int]]):
+        object.__setattr__(self, "ground", tuple(ground))
+        object.__setattr__(self, "_masks", tuple(sorted({self._mask(b) for b in bases})))
 
     def __repr__(self):
         return (
             f"Matroid(|E|={len(self.ground)}, rank={self.rank}, "
-            f"bases={len(self.bases)})"
+            f"bases={len(self._masks)})"
         )
 
     # -- derived structure, cached ------------------------------------
 
     @cached_property
+    def bases(self) -> tuple[frozenset[int], ...]:
+        """The bases as element sets, by size and then lexicographically."""
+        g = self.ground
+        keyed = sorted((b.bit_count(), sorted(g[i] for i in _bits(b))) for b in self._masks)
+        return tuple(frozenset(b) for _, b in keyed)
+
+    @cached_property
     def rank(self) -> int:
-        return len(self.bases[0])
+        return self._masks[0].bit_count()
 
     @cached_property
     def _index(self) -> dict[int, int]:
         return {e: i for i, e in enumerate(self.ground)}
-
-    @cached_property
-    def _masks(self) -> tuple[int, ...]:
-        return tuple(sorted(self._mask(b) for b in self.bases))
 
     @cached_property
     def _mask_set(self) -> frozenset[int]:
@@ -292,58 +301,12 @@ class Matroid:
         }
 
 
-def _canonical_bases(bases: Iterable[Iterable[int]]) -> tuple[frozenset[int], ...]:
-    fam = {frozenset(b) for b in bases}
-    return tuple(sorted(fam, key=_basis_key))
-
-
-@lru_cache(maxsize=64)
-def _byte_tables(ranks: tuple[int, ...]) -> list[list[tuple[tuple[int, ...], int]]]:
-    """For each byte of a position mask, the positions of every value of
-    that byte and their weight, where position i weighs 2^(n-1-ranks[i]).
-
-    ``ranks[i]`` is the rank of the i-th ground element among all of
-    them, so every sorted ground of n elements shares one set of tables.
-    """
-    n = len(ranks)
-    tables = []
-    for lo in range(0, n, 8):
-        table = []
-        for x in range(1 << min(8, n - lo)):
-            pos = tuple(lo + i for i in _bits(x))
-            table.append((pos, sum(1 << n - 1 - ranks[i] for i in pos)))
-        tables.append(table)
-    return tables
-
-
 def _from_masks(ground: tuple[int, ...], masks: Iterable[int]) -> Matroid:
     """The matroid on ``ground`` whose bases are the position masks
-    ``masks``, which it keeps as its ``_masks``.
-
-    Of two sets of one size, the lexicographically first holds the
-    smallest element where they differ, so it has the larger weight (see
-    ``_byte_tables``): the bases are put in canonical order by size, then
-    by weight downwards, without sorting each one's elements.
-    """
-    masks = sorted(set(masks))
-    n = len(ground)
-    ranks = [0] * n
-    for k, i in enumerate(sorted(range(n), key=ground.__getitem__)):
-        ranks[i] = k
-    tables = _byte_tables(tuple(ranks))
-    keyed = []
-    for m in masks:
-        pos, weight, rest = (), 0, m
-        for table in tables:
-            p, w = table[rest & 255]
-            pos += p
-            weight += w
-            rest >>= 8
-        keyed.append(((m.bit_count() << n) - weight, frozenset(map(ground.__getitem__, pos))))
-    keyed.sort(key=lambda kb: kb[0])
-    bases = tuple(b for _, b in keyed)
-    out = Matroid(ground, bases)
-    out.__dict__["_masks"] = tuple(masks)
+    ``masks``: bit i of a mask stands for ``ground[i]``."""
+    out = object.__new__(Matroid)
+    object.__setattr__(out, "ground", ground)
+    object.__setattr__(out, "_masks", tuple(sorted(set(masks))))
     return out
 
 
@@ -356,13 +319,17 @@ def make_matroid(
     bases: Iterable[Iterable[int]],
     bound: int = GROUND_BOUND,
 ) -> Matroid:
-    """Validate a basis family and return the canonical matroid.
+    """Validate a basis family and return its matroid on the sorted
+    ground.
 
     Checks, in order: the ground labels are distinct integers within the
-    bound; the family is nonempty; every basis lies in the ground; no
-    basis properly contains another; exchange holds for every ordered
-    pair of distinct bases.  The first violation is reported with a
-    witness.
+    bound; the family is nonempty; every basis lies in the ground (the
+    stray element named is the first met in canonical basis order, by
+    size and then lexicographically); no basis properly contains
+    another; exchange holds for every ordered pair of distinct bases.
+    The first violation is reported with a witness.  The bases become
+    masks once, in ``Matroid``, and every check after the third reads
+    the masks.
 
     The last two checks scan the pairs of bases, at about 1.5 us per
     unit of B^2 * r for B bases of rank r.  An equal-size family on n <=
@@ -379,14 +346,18 @@ def make_matroid(
     if len(g) > bound:
         raise GroundTooLarge(f"{len(g)} elements exceed the bound {bound}")
 
-    fam = _canonical_bases(bases)
+    fam = list(bases)
     if not fam:
         raise EmptyBases("a matroid needs at least one basis")
-    m = Matroid(g, fam)
-    # triggers ElementNotInGround on stray labels
-    masks = m._masks
-    n, r = len(g), len(fam[0])
-    if len(fam[-1]) == r and n <= TABLE_BOUND and len(masks) ** 2 * r << 8 >= n << n:
+    try:
+        m = Matroid(g, fam)
+    except ElementNotInGround:
+        # name the stray element met first in canonical basis order
+        Matroid(g, sorted(map(frozenset, fam), key=lambda b: (len(b), sorted(b))))
+        raise
+    masks, n, r = m._masks, len(g), m.rank
+    equal = all(b.bit_count() == r for b in masks)
+    if equal and n <= TABLE_BOUND and len(masks) ** 2 * r << 8 >= n << n:
         if _rank_axioms_hold(masks, n, r):
             return m
         _scan_pairs(m)
@@ -468,6 +439,13 @@ def _rank_axioms_hold(masks: tuple[int, ...], n: int, r: int) -> bool:
     )
 
 
+def _moved(m: Matroid, place: dict[int, int]) -> list[int]:
+    """The bases of ``m`` as masks in which each element e sits at
+    position ``place[e]``."""
+    bits = [1 << place[e] for e in m.ground]
+    return [sum(bits[i] for i in _bits(b)) for b in m._masks]
+
+
 def relabel(m: Matroid, mapping: dict[int, int]) -> Matroid:
     """Rename ground elements through an injective mapping."""
     if sorted(mapping) != list(m.ground):
@@ -475,8 +453,8 @@ def relabel(m: Matroid, mapping: dict[int, int]) -> Matroid:
     if len(set(mapping.values())) != len(mapping):
         raise MatroidError("mapping must be injective")
     ground = tuple(sorted(mapping.values()))
-    bases = [{mapping[e] for e in b} for b in m.bases]
-    return Matroid(ground, _canonical_bases(bases))
+    where = {v: i for i, v in enumerate(ground)}
+    return _from_masks(ground, _moved(m, {e: where[v] for e, v in mapping.items()}))
 
 
 def direct_sum(m1: Matroid, m2: Matroid) -> Matroid:
@@ -486,8 +464,9 @@ def direct_sum(m1: Matroid, m2: Matroid) -> Matroid:
             f"shared elements {sorted(set(m1.ground) & set(m2.ground))}"
         )
     ground = tuple(sorted(m1.ground + m2.ground))
-    bases = [b1 | b2 for b1 in m1.bases for b2 in m2.bases]
-    return Matroid(ground, _canonical_bases(bases))
+    index = {e: i for i, e in enumerate(ground)}
+    right = _moved(m2, index)
+    return _from_masks(ground, [a | b for a in _moved(m1, index) for b in right])
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +507,7 @@ def is_isomorphic(m1: Matroid, m2: Matroid) -> tuple[bool, Optional[dict[int, in
     the first bijection in canonical enumeration order.
     """
     n = len(m1.ground)
-    if (n, m1.rank, len(m1.bases)) != (len(m2.ground), m2.rank, len(m2.bases)):
+    if (n, m1.rank, len(m1._masks)) != (len(m2.ground), m2.rank, len(m2._masks)):
         return False, None
     if n == 0:
         return True, {}
@@ -628,7 +607,7 @@ def has_minor(
     every = (1 << len(masks)) - 1
     has = m._incidence
     lacks = [every ^ h for h in has]
-    count = len(target.bases)
+    count = len(target._masks)
     seen: dict[tuple[int, ...], bool] = {}
     for contr in itertools.combinations(range(n), csize):
         over = every  # the bases holding C

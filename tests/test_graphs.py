@@ -360,6 +360,20 @@ def test_platonic_duality_swap():
     assert rows[(3, 3)].vertices == rows[(3, 3)].faces
 
 
+def test_platonic_rows_are_checked_against_the_embeddings(monkeypatch):
+    swapped = {"cube": "octahedron", "octahedron": "cube"}
+    named = G.named_embedding
+    monkeypatch.setattr(G, "named_embedding", lambda name: named(swapped.get(name, name)))
+    with pytest.raises(G.GraphError, match=r"the cube embedding has \(V, E, F, genus\) = \(6, 12, 8, 0\)"):
+        G.platonic_solids()
+
+
+def test_platonic_duality_is_checked_on_the_dual_maps(monkeypatch):
+    monkeypatch.setattr(G, "dual_embedding", lambda emb: emb)  # every solid its own dual
+    with pytest.raises(G.GraphError, match="the dual of the cube embedding is not the octahedron"):
+        G.platonic_solids()
+
+
 # ---------------------------------------------------------------------------
 # blocks
 

@@ -9,6 +9,7 @@ subsets, and a minor search that builds every candidate as a
 the same witnesses, the same exception class and message.
 """
 
+import dataclasses
 import itertools
 import random
 import time
@@ -28,6 +29,13 @@ PROPERTY = settings(max_examples=150, derandomize=True, deadline=None, database=
 # reference oracles
 
 
+def canonical_bases(bases):
+    """The distinct sets of a family as frozensets, by size and then
+    lexicographically: the order of ``Matroid.bases``."""
+    fam = {frozenset(b) for b in bases}
+    return tuple(sorted(fam, key=lambda b: (len(b), sorted(b))))
+
+
 def ref_make_matroid(ground, bases, bound=M.GROUND_BOUND):
     """Validation by scanning every pair of bases."""
     g = tuple(sorted(ground))
@@ -37,7 +45,7 @@ def ref_make_matroid(ground, bases, bound=M.GROUND_BOUND):
         raise M.MatroidError("ground labels must be integers")
     if len(g) > bound:
         raise M.GroundTooLarge(f"{len(g)} elements exceed the bound {bound}")
-    fam = M._canonical_bases(bases)
+    fam = canonical_bases(bases)
     if not fam:
         raise M.EmptyBases("a matroid needs at least one basis")
     index = {e: i for i, e in enumerate(g)}
@@ -95,7 +103,7 @@ def ref_cycle_matroid(g, bound=M.GROUND_BOUND):
             parent[ru] = rv
         if acyclic:
             bases.append(frozenset(combo))
-    return M.Matroid(tuple(range(ne)), M._canonical_bases(bases))
+    return M.Matroid(tuple(range(ne)), canonical_bases(bases))
 
 
 def ref_minor(m, deletions=(), contractions=()):
@@ -115,7 +123,7 @@ def ref_minor(m, deletions=(), contractions=()):
     traces = {b & set(keep) for b in m.bases if cons <= b}
     best = max(len(t) for t in traces)
     out = {frozenset(c) for t in traces for c in itertools.combinations(sorted(t), best)}
-    return M.Matroid(tuple(keep), M._canonical_bases(out))
+    return M.Matroid(tuple(keep), canonical_bases(out))
 
 
 def ref_labeled_key(m):
@@ -260,6 +268,22 @@ def test_mutated_named_families_match_reference(name):
 
 
 @PROPERTY
+@given(seeds, st.integers(0, 8))
+def test_stray_elements_match_reference(seed, n):
+    """Up to four labels outside the ground, in random bases: the error
+    names the stray element met first in canonical basis order."""
+    rng = random.Random(seed)
+    ground, bases = random_family(rng, n)
+    fam = [list(b) for b in bases]
+    for _ in range(rng.randint(1, 4)):
+        rng.choice(fam).append(rng.choice((0, -3, 50, 77, 1000)))
+    rng.shuffle(fam)
+    got = outcome(M.make_matroid, ground, fam)
+    assert got[0] is M.ElementNotInGround
+    assert got == outcome(ref_make_matroid, ground, fam)
+
+
+@PROPERTY
 @given(seeds, st.integers(0, 7))
 def test_rank_table_agrees_with_pair_scan(seed, n):
     """Random equal-size families, most of them not matroids."""
@@ -314,7 +338,7 @@ def test_duals_keep_consistent_masks(seed, n):
     m = random_matroid(random.Random(seed), n)
     d = m.dual()
     assert stored_masks_consistent(d)
-    assert d.bases == M._canonical_bases(set(m.ground) - b for b in m.bases)
+    assert d.bases == canonical_bases(set(m.ground) - b for b in m.bases)
 
 
 @PROPERTY
@@ -325,8 +349,76 @@ def test_masks_become_canonical_bases_on_any_ground(seed, n):
     ground = tuple(rng.sample(range(-5, 40), n))
     masks = [rng.getrandbits(n) for _ in range(rng.randrange(1, 40))]
     m = M._from_masks(ground, masks)
-    assert m.bases == M._canonical_bases({ground[i] for i in range(n) if x >> i & 1} for x in masks)
+    assert m.bases == canonical_bases({ground[i] for i in range(n) if x >> i & 1} for x in masks)
     assert m._masks == tuple(sorted(set(masks)))
+    assert_masks_are_the_state(m)
+
+
+def assert_masks_are_the_state(m):
+    """``m.bases`` is the canonical family read off ``m._masks``, and the
+    public constructor rebuilds an equal matroid with an equal hash."""
+    g = m.ground
+    assert list(m._masks) == sorted(set(m._masks))
+    assert m.bases == canonical_bases({g[i] for i in range(len(g)) if x >> i & 1} for x in m._masks)
+    again = M.Matroid(g, m.bases)
+    assert again == m and hash(again) == hash(m)
+
+
+def producers(rng, n):
+    """One matroid from each producer of matroids, built from a random
+    family on 1..n."""
+    ground, bases = random_family(rng, n)
+    m = M.make_matroid(ground, bases)
+    lines = [f"basis: {' '.join(map(str, rng.sample(b, len(b))))}" for b in bases]
+    rng.shuffle(lines)
+    text = "\n".join([f"ground: {' '.join(map(str, ground))}", *lines]) + "\n"
+    contr = rng.sample(sorted(rng.choice(m.bases)), rng.randint(0, m.rank))
+    rest = [e for e in m.ground if e not in contr]
+    dele = rng.sample(rest, rng.randint(0, len(rest)))
+    labels = rng.sample(range(-20, 40), len(m.ground))
+    second = random_matroid(rng, rng.randint(0, 3))
+    unsorted = tuple(rng.sample(range(-5, 40), n))
+    return {
+        "make_matroid": m,
+        "parse_matroid": M.parse_matroid(text),
+        "dual": m.dual(),
+        "minor": m.minor(dele, contr),
+        "relabel": M.relabel(m, dict(zip(m.ground, labels))),
+        "direct_sum": M.direct_sum(m, M.relabel(second, {e: 100 - e for e in second.ground})),
+        "cycle_matroid": G.cycle_matroid(random_multigraph(rng, max_edges=n)),
+        "_from_masks": M._from_masks(unsorted, [rng.getrandbits(n) for _ in range(rng.randrange(1, 20))]),
+    }
+
+
+@PROPERTY
+@given(seeds, st.integers(0, 8))
+def test_every_producer_keeps_masks_as_the_state(seed, n):
+    for m in producers(random.Random(seed), n).values():
+        assert_masks_are_the_state(m)
+
+
+@PROPERTY
+@given(seeds, st.integers(0, 8))
+def test_relabel_and_direct_sum_match_element_sets(seed, n):
+    rng = random.Random(seed)
+    m, other = random_host(rng, n), random_matroid(rng, rng.randint(0, 4))
+    mapping = dict(zip(m.ground, rng.sample(range(-20, 40), len(m.ground))))
+    got = M.relabel(m, mapping)
+    assert got.ground == tuple(sorted(mapping.values()))
+    assert got.bases == canonical_bases({mapping[e] for e in b} for b in m.bases)
+    other = M.relabel(other, {e: 100 - e for e in other.ground})
+    got = M.direct_sum(m, other)
+    assert got.ground == tuple(sorted(m.ground + other.ground))
+    assert got.bases == canonical_bases(a | b for a in m.bases for b in other.bases)
+
+
+def test_matroid_fields_are_ground_and_masks():
+    assert [f.name for f in dataclasses.fields(M.Matroid)] == ["ground", "_masks"]
+
+
+def test_constructor_rejects_stray_elements_at_once():
+    with pytest.raises(M.ElementNotInGround, match="element 3 not in ground set"):
+        M.Matroid((1, 2), [{3}])
 
 
 def test_long_cycle_is_planar():
