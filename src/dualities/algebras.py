@@ -16,11 +16,13 @@ table rather than on dense unit vectors: the division-algebra report
 reads the alternative laws on basis pairs and on the e_i +- e_j family
 off the table's associators, and finds the first zero divisor among
 products of e_i +- e_j pairs by dict lookup, in O(dim) steps per left
-factor.  The cross-product report checks each basis tuple as an index
-tuple (x . e_a is x[a], and the Gram determinant of unit vectors is 1 or
-0), and the triple8 product of basis vectors is read off a signed table.
-Only their seeded random samples run the dense integer kernels; the
-witnesses are converted back to ``Fraction``.
+factor.  The cross-product report reads the product of every basis
+tuple off the tables as signed index terms (``_basis_terms``): x . e_a is
+the coefficient of e_a, and the Gram determinant of unit vectors is 1 or
+0.  Only their seeded random samples run the dense integer kernels; the
+witnesses are converted back to ``Fraction``.  The samples are drawn by
+``_randints``, which makes the ``getrandbits`` calls of
+``Random.randint`` without its call layers.
 
 Chirotope signs and the epsilon cross products share one minor kernel,
 ``_minors``, which expands every column set row by row; ``_det``
@@ -128,6 +130,23 @@ TRIALS_MAX = 5000
 def _check_count(count, what: str) -> None:
     if not (isinstance(count, int) and not isinstance(count, bool) and 0 <= count <= TRIALS_MAX):
         raise AlgebraError(f"{what} must be an int in 0..{TRIALS_MAX}, got {count!r}")
+
+
+def _randints(rng: random.Random, lo: int, hi: int, count: int) -> list[int]:
+    """``[rng.randint(lo, hi) for _ in range(count)]`` without its call
+    layers: the same ``getrandbits(k)`` draws, each redrawn while it is at
+    least the width hi - lo + 1, as ``random.Random._randbelow`` does, so
+    the values and the generator's state after the draws are the same."""
+    width = hi - lo + 1
+    k = width.bit_length()
+    bits = rng.getrandbits
+    out = []
+    for _ in range(count):
+        v = bits(k)
+        while v >= width:
+            v = bits(k)
+        out.append(lo + v)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -437,8 +456,8 @@ def division_algebra_report(
     norm_ok, norm_wit = True, None
     alt_ok = alt_wit is None
     for _ in range(sample_count):
-        x = [rng.randint(-5, 5) for _ in range(dim)]
-        y = [rng.randint(-5, 5) for _ in range(dim)]
+        drawn = _randints(rng, -5, 5, 2 * dim)
+        x, y = drawn[:dim], drawn[dim:]
         if norm_ok:
             xy = mul(x, y)
             if _dot(xy, xy) != _dot(x, x) * _dot(y, y):
@@ -672,22 +691,11 @@ def _cross(case: CrossProductCase, vs: Sequence[Sequence[int]]) -> list:
         return _epsilon_cross(vs, case.n)
     if case.tag == "complex_structure":
         return _rotate(vs[0])
-    octonions = fano_octonion_algebra()
-    mul = octonions._mul
+    mul = fano_octonion_algebra()._mul
     if case.tag == "seven":
         return mul([0, *vs[0]], [0, *vs[1]])[1:]
     if case.tag == "triple8":
         a, b, c = vs
-        if a.count(0) == b.count(0) == c.count(0) == 7:
-            # one nonzero entry each: its coefficient is the sum, and the
-            # two basis products come from the table
-            ca, cb, cc = sum(a), sum(b), sum(c)
-            p, q, r = a.index(ca), b.index(cb), c.index(cc)
-            s, k, t, m = octonions._triple_terms[(p * 8 + q) * 8 + r]
-            coeff = ca * cb * cc
-            left, right = [0] * 8, [0] * 8
-            left[k], right[m] = s * coeff, t * coeff
-            return _halve(left, right)
         b_conj = [b[0]] + [-t for t in b[1:]]
         return _halve(mul(a, mul(b_conj, c)), mul(c, mul(b_conj, a)))
     raise UnknownCase(case.tag)
@@ -711,6 +719,39 @@ def cross_product(case: CrossProductCase, vectors: Sequence[Sequence]) -> Elemen
         return tuple(_rotate(as_element(vs[0])))
     cleared = [_clear(v) for v in vs]
     return _element(_cross(case, [m for m, _ in cleared]), prod(d for _, d in cleared))
+
+
+def _basis_terms(case: CrossProductCase) -> tuple[int, list[tuple[tuple[int, int], ...]]]:
+    """A scale and the product of every basis tuple (e_c1, ..., e_cr), in
+    ``itertools.product`` order over c, each as its nonzero terms
+    (index, coefficient) on distinct indices: the product is the sum of
+    coefficient / scale * e_index.  The terms are read off the tables,
+    with no vectors:
+
+    three / epsilon: eps(c, j) e_j for the one index j that c misses, and
+    nothing when c repeats an index;
+    complex_structure: J e_i is e_(i+1) for even i and -e_(i-1) for odd i;
+    seven: Im(e_(a+1) e_(b+1)) from the Fano octonion table;
+    triple8: s e_k - t e_m from ``_triple_terms``, at scale 2."""
+    n, r = case.n, case.r
+    if case.tag in ("three", "epsilon"):
+        every = n * (n - 1) // 2
+        out = []
+        for combo in itertools.product(range(n), repeat=r):
+            j = every - sum(combo)
+            out.append(((j, _perm_sign(combo + (j,))),) if len(set(combo)) == r else ())
+        return 1, out
+    if case.tag == "complex_structure":
+        return 1, [((i + 1, 1),) if i % 2 == 0 else ((i - 1, -1),) for i in range(n)]
+    octonions = fano_octonion_algebra()
+    if case.tag == "seven":
+        return 1, [((k - 1, s),) if k else () for row in octonions.table[1:] for s, k in row[1:]]
+    if case.tag == "triple8":
+        # k = m on every triple: under a relabelling the Fano lines are the
+        # triples {a, b, a ^ b} of Z_2^3, so a product of three basis units
+        # is, up to sign, one unit however it is ordered and bracketed
+        return 2, [((k, s - t),) if s != t else () for s, k, t, _ in octonions._triple_terms]
+    raise UnknownCase(case.tag)
 
 
 @dataclass(frozen=True)
@@ -744,8 +785,9 @@ def cross_axioms_report(
     its squared norm is the Gram determinant of the arguments, it is
     multilinear, and it flips sign under argument swaps (vacuous for
     r = 1).  Runs over every basis tuple (when there are at most 5000 of
-    them) plus seeded random tuples.  The basis tuples are checked as
-    index tuples; only the random tuples run the dense kernel."""
+    them) plus seeded random tuples.  The basis products are read off the
+    tables as signed index terms (``_basis_terms``); only the random
+    tuples, drawn through ``_randints``, run the dense kernel."""
     _check_count(trials, "trials")
     rng = random.Random(seed)
     n, r = case.n, case.r
@@ -753,35 +795,41 @@ def cross_axioms_report(
     def cross(args):
         return _cross(case, args)
 
-    def rand_vec():
-        return [rng.randint(-4, 4) for _ in range(n)]
+    def rand_vecs(count):
+        drawn = _randints(rng, -4, 4, count * n)
+        return [drawn[i : i + n] for i in range(0, count * n, n)]
 
     def shown(args):
         return tuple(_element(a) for a in args)
 
-    combos = list(itertools.product(range(n), repeat=r)) if n**r <= 5000 else []
-    unit = [_unit(i, n) for i in range(n)]  # shared: _cross never mutates its arguments
-    units = [[unit[i] for i in combo] for combo in combos]
-    basis = [cross(args) for args in units]
-    samples = [[rand_vec() for _ in range(r)] for _ in range(trials)]
+    def shown_units(combo):
+        return shown([_unit(i, n) for i in combo])
 
-    def checked():
-        """(args, product, its dots with the args, Gram determinant).  On
-        unit vectors x . e_a is x[a], and the Gram matrix is the identity
-        when the indices are distinct and singular otherwise."""
-        for combo, args, x in zip(combos, units, basis):
-            yield args, x, [x[a] for a in combo], int(len(set(combo)) == r)
-        for args in samples:
-            x = cross(args)
-            gram = [[_dot(a, b) for b in args] for a in args]
-            yield args, x, [_dot(x, a) for a in args], _det(gram)
+    combos, scale, basis = [], 1, []
+    if n**r <= 5000:
+        combos = list(itertools.product(range(n), repeat=r))
+        scale, basis = _basis_terms(case)
+    samples = [rand_vecs(r) for _ in range(trials)]
 
     orth = norm = True
     witness = None
-    for args, x, dots, gram in checked():
-        if orth and any(dots):
+    scale_sq = scale * scale
+    sizes = list(map(len, map(set, combos)))
+    for combo, size, terms in zip(combos, sizes, basis):
+        # x . e_a is the coefficient of e_a in x, and the Gram determinant
+        # of unit vectors is 1 when their indices are distinct, else 0
+        norm_sq = 0
+        for k, c in terms:
+            norm_sq += c * c
+            if orth and k in combo:
+                orth, witness = False, f"orthogonality at {shown_units(combo)}"
+        if norm and norm_sq != (scale_sq if size == r else 0):
+            norm, witness = False, witness or f"norm at {shown_units(combo)}"
+    for args in samples if orth or norm else ():
+        x = cross(args)
+        if orth and any(_dot(x, a) for a in args):
             orth, witness = False, f"orthogonality at {shown(args)}"
-        if norm and _dot(x, x) != gram:
+        if norm and _dot(x, x) != _det([[_dot(a, b) for b in args] for a in args]):
             norm, witness = False, witness or f"norm at {shown(args)}"
         if not orth and not norm:
             break
@@ -789,9 +837,8 @@ def cross_axioms_report(
     multi = True
     for _ in range(max(trials, 1)):
         slot = rng.randrange(r)
-        args = [rand_vec() for _ in range(r)]
-        u, v = rand_vec(), rand_vec()
-        a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+        *args, u, v = rand_vecs(r + 2)
+        a, b = _randints(rng, -3, 3, 2)
         combo = [a * ui + b * vi for ui, vi in zip(u, v)]
         args_combo = list(args)
         args_combo[slot] = combo
@@ -808,7 +855,7 @@ def cross_axioms_report(
     alt = True
     if r >= 2:
         for _ in range(max(trials, 1)):
-            args = [rand_vec() for _ in range(r)]
+            args = rand_vecs(r)
             i, j = rng.sample(range(r), 2)
             swapped = list(args)
             swapped[i], swapped[j] = swapped[j], swapped[i]
@@ -816,7 +863,7 @@ def cross_axioms_report(
                 alt, witness = False, witness or f"alternation at swap {(i, j)}"
                 break
         repeat = next(
-            (c for c, x in zip(combos, basis) if len(set(c)) < r and any(x)), None
+            (c for c, size, terms in zip(combos, sizes, basis) if size < r and terms), None
         )
         if repeat is not None:
             alt, witness = False, witness or f"repeat args {repeat} gave nonzero"

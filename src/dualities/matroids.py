@@ -160,9 +160,15 @@ class Matroid:
     @cached_property
     def bases(self) -> tuple[frozenset[int], ...]:
         """The bases as element sets, by size and then lexicographically."""
+        return tuple(map(frozenset, self._sorted_bases))
+
+    @cached_property
+    def _sorted_bases(self) -> tuple[tuple[int, ...], ...]:
+        """The bases as sorted element tuples, in the order of ``bases``;
+        the output reads these rather than sorting each basis again."""
         g = self.ground
         keyed = sorted((b.bit_count(), sorted(g[i] for i in _bits(b))) for b in self._masks)
-        return tuple(frozenset(b) for _, b in keyed)
+        return tuple(tuple(b) for _, b in keyed)
 
     @cached_property
     def rank(self) -> int:
@@ -290,14 +296,14 @@ class Matroid:
 
     def to_text(self) -> str:
         lines = ["ground: " + " ".join(str(e) for e in self.ground)]
-        for b in self.bases:
-            lines.append("basis: " + " ".join(str(e) for e in sorted(b)))
+        for b in self._sorted_bases:
+            lines.append("basis: " + " ".join(map(str, b)))
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
         return {
             "ground": list(self.ground),
-            "bases": [sorted(b) for b in self.bases],
+            "bases": list(map(list, self._sorted_bases)),
         }
 
 
@@ -739,8 +745,8 @@ def check_duality_axioms(m: Matroid) -> DualityAxiomReport:
             counterexample = {
                 "element": e,
                 "rule": rule,
-                "left_bases": [sorted(b) for b in lhs.bases],
-                "right_bases": [sorted(b) for b in rhs.bases],
+                "left_bases": list(map(list, lhs._sorted_bases)),
+                "right_bases": list(map(list, rhs._sorted_bases)),
             }
     return DualityAxiomReport(involution, ground_ok, per_element, counterexample)
 

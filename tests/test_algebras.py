@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from dualities import algebras as A
 from dualities import matroids as M
-from dualities.formats import to_json
+from dualities.formats import PARAM_MAX, to_json
 
 
 def neg(x):
@@ -659,6 +659,17 @@ def test_report_counts_outside_bounds_raise(count):
         A.cross_axioms_report(A.cross_case("three"), trials=count)
 
 
+@pytest.mark.parametrize("lo, hi", [(-5, 5), (-4, 4), (-3, 3), (0, 0), (0, 7), (0, 8)])
+def test_randints_draws_what_randint_draws(lo, hi):
+    for seed in range(200):
+        count = seed % 23
+        rng, want_rng = random.Random(seed), random.Random(seed)
+        got = A._randints(rng, lo, hi, count)
+        want = [want_rng.randint(lo, hi) for _ in range(count)]
+        assert got == want, seed
+        assert rng.random() == want_rng.random(), seed
+
+
 def test_report_count_bounds_accepted():
     R = A.cayley_dickson_algebra(0)
     for count in (0, A.TRIALS_MAX):
@@ -870,6 +881,33 @@ def test_triple8_mixed_arguments_match_reference(vectors):
     check_triple8_kernel(vectors)
 
 
+BASIS_IDENTS = (
+    ["three", "seven", "triple8"]
+    + [f"epsilon:{n}" for n in range(2, 6)]
+    + [f"j:{n}" for n in range(2, PARAM_MAX + 1, 2)]
+)
+
+
+@pytest.mark.parametrize("ident", BASIS_IDENTS)
+def test_basis_terms_are_the_scaled_dense_products(ident):
+    """Every case with at most 5000 basis tuples: the table terms are
+    distinct nonzero int terms, and scale times ``_cross`` on the unit
+    tuple, value for value."""
+    case = A.cross_case(ident)
+    n, r = case.n, case.r
+    assert n**r <= 5000
+    scale, basis = A._basis_terms(case)
+    assert type(scale) is int and scale > 0
+    combos = list(itertools.product(range(n), repeat=r))
+    assert len(basis) == len(combos)
+    for combo, terms in zip(combos, basis):
+        x = A._cross(case, [A._unit(i, n) for i in combo])
+        coeffs = dict(terms)
+        assert len(coeffs) == len(terms), (combo, terms)
+        assert all(type(c) is int and c for c in coeffs.values()), (combo, terms)
+        assert [coeffs.get(i, 0) for i in range(n)] == [scale * c for c in x], combo
+
+
 def test_cross_errors():
     case = A.cross_case("three")
     with pytest.raises(A.CaseArityMismatch):
@@ -902,14 +940,17 @@ def test_cross_report_matches_reference(ident, trials, seed):
     )
 
 
-def broken_cross(breaks):
-    """``_cross`` with x[m] += d on each basis index tuple in ``breaks``
-    (tuple -> (m, d)); any argument list of unit vectors counts, random
-    ones included, so the library and the reference see one function."""
-    real = A._cross
+def break_products(mp, breaks):
+    """Add d e_m to the product of each basis index tuple in ``breaks``
+    (tuple -> (m, d)) wherever a basis product comes from: the library's
+    table terms (``_basis_terms``) and ``_cross`` on unit vectors, which
+    the dense reference calls.  Any argument list of unit vectors counts
+    in ``_cross``, random ones included, so the library and the reference
+    see one product."""
+    real_cross, real_terms = A._cross, A._basis_terms
 
     def cross(case, vs):
-        x = list(real(case, vs))
+        x = list(real_cross(case, vs))
         if all(sorted(v) == [0] * (len(v) - 1) + [1] for v in vs):
             hit = breaks.get(tuple(v.index(1) for v in vs))
             if hit:
@@ -917,7 +958,21 @@ def broken_cross(breaks):
                 x[m] += d
         return x
 
-    return cross
+    def basis_terms(case):
+        scale, basis = real_terms(case)
+        combos = itertools.product(range(case.n), repeat=case.r)
+        out = []
+        for combo, terms in zip(combos, basis):
+            if combo in breaks:
+                m, d = breaks[combo]
+                x = dict(terms)
+                x[m] = x.get(m, 0) + d * scale
+                terms = tuple((k, c) for k, c in x.items() if c)
+            out.append(terms)
+        return scale, out
+
+    mp.setattr(A, "_cross", cross)
+    mp.setattr(A, "_basis_terms", basis_terms)
 
 
 @pytest.mark.parametrize(
@@ -937,7 +992,7 @@ def broken_cross(breaks):
 def test_cross_report_matches_reference_on_broken_products(ident, breaks, failed):
     case = A.cross_case(ident)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(A, "_cross", broken_cross(breaks))
+        break_products(mp, breaks)
         rep = A.cross_axioms_report(case, trials=4, seed=1)
         same_report(rep, ref_cross_axioms_report(case, trials=4, seed=1))
     assert not getattr(rep, failed)
@@ -957,7 +1012,7 @@ def broken_cases(draw):
 def test_cross_report_matches_reference_on_random_breaks(broken, trials, seed):
     case, breaks = broken
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(A, "_cross", broken_cross(breaks))
+        break_products(mp, breaks)
         same_report(
             A.cross_axioms_report(case, trials, seed),
             ref_cross_axioms_report(case, trials, seed),

@@ -355,11 +355,15 @@ def test_masks_become_canonical_bases_on_any_ground(seed, n):
 
 
 def assert_masks_are_the_state(m):
-    """``m.bases`` is the canonical family read off ``m._masks``, and the
-    public constructor rebuilds an equal matroid with an equal hash."""
+    """``m.bases`` is the canonical family read off ``m._masks``, the
+    output writes each basis sorted in that order, and the public
+    constructor rebuilds an equal matroid with an equal hash."""
     g = m.ground
     assert list(m._masks) == sorted(set(m._masks))
     assert m.bases == canonical_bases({g[i] for i in range(len(g)) if x >> i & 1} for x in m._masks)
+    sorted_bases = [sorted(b) for b in m.bases]
+    assert m.to_json_dict() == {"ground": list(g), "bases": sorted_bases}
+    assert m.to_text().splitlines()[1:] == ["basis: " + " ".join(map(str, b)) for b in sorted_bases]
     again = M.Matroid(g, m.bases)
     assert again == m and hash(again) == hash(m)
 

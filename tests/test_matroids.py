@@ -791,6 +791,24 @@ def test_duality_axioms_with_loops_and_coloops():
     assert M.check_duality_axioms(m).all_ok
 
 
+def test_duality_counterexample_lists_both_families_sorted():
+    """With contraction replaced by deletion, the first element fails the
+    first rule, and the report writes out both basis families."""
+    e = U24.ground[0]
+    left, right = U24.delete(e).dual(), U24.dual().delete(e)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(M.Matroid, "contract", M.Matroid.delete)
+        rep = M.check_duality_axioms(U24)
+    assert not rep.all_ok
+    assert rep.counterexample == {
+        "element": e,
+        "rule": "dual(M\\e) = dual(M)/e",
+        "left_bases": [sorted(b) for b in left.bases],
+        "right_bases": [sorted(b) for b in right.bases],
+    }
+    assert rep.counterexample["left_bases"] != rep.counterexample["right_bases"]
+
+
 def test_duality_axioms_random_graphic():
     rng = random.Random(77)
     for _ in range(10):
