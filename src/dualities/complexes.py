@@ -18,6 +18,10 @@ from . import gf2
 from . import graphs
 from .formats import json_ints, read_records
 
+# Most simplices a complex may have once closed downward; each is a
+# frozenset, so the bound keeps a one-line input from exhausting memory.
+SIMPLEX_BOUND = 1 << 16
+
 
 class ComplexError(ValueError):
     """Base class for simplicial-complex failures."""
@@ -85,17 +89,22 @@ class SimplicialComplex:
 
 
 def make_complex(maximal_simplices: Iterable[Iterable[int]]) -> SimplicialComplex:
-    """Close the given simplices downward and build the complex."""
+    """Close the given simplices downward and build the complex; raises
+    ``TooLarge`` once the closure would pass ``SIMPLEX_BOUND`` simplices."""
     maximal = [frozenset(int(v) for v in s) for s in maximal_simplices]
     maximal = [s for s in maximal if s]
     if not maximal:
         raise EmptyInput("need at least one nonempty simplex")
     closure: set[frozenset[int]] = set()
     for s in maximal:
+        if (1 << len(s)) - 1 > SIMPLEX_BOUND:  # refused before any face is built
+            raise TooLarge(f"a simplex on {len(s)} vertices has more than {SIMPLEX_BOUND} faces")
         elems = sorted(s)
         for k in range(1, len(elems) + 1):
             for sub in itertools.combinations(elems, k):
                 closure.add(frozenset(sub))
+        if len(closure) > SIMPLEX_BOUND:
+            raise TooLarge(f"the closure has more than {SIMPLEX_BOUND} simplices")
     return SimplicialComplex(frozenset(closure))
 
 

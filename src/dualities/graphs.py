@@ -921,7 +921,7 @@ def named_embedding(ident: str) -> Embedding:
 
 
 # ---------------------------------------------------------------------------
-# seeded generators (used by property and acceptance tests, and the CLI)
+# seeded generators (used by the property and acceptance tests)
 
 
 class _PlaneBuilder:

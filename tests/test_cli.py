@@ -355,6 +355,20 @@ def test_vertex_count_bound_exit_2(capsys, tmp_path, source):
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize(
+    "source",
+    ["s: " + " ".join(map(str, range(1, 25))) + "\n", json.dumps({"maximal": [list(range(1, 25))]})],
+)
+def test_simplex_closure_bound_exit_2(capsys, tmp_path, source):
+    """One 24-vertex simplex would close to 2^24 - 1 faces: refused at once."""
+    path = tmp_path / "simplex.txt"
+    path.write_text(source)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "complex", "chi", str(path))
+    assert code == 2 and out == "" and err.startswith("error: TooLarge")
+    assert time.perf_counter() - start < 1.0
+
+
 @pytest.mark.parametrize("trials", ["-1", "5001", "x"])
 def test_trials_out_of_range_exit_2(capsys, trials):
     with pytest.raises(SystemExit) as exc:

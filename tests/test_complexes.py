@@ -62,6 +62,20 @@ def test_empty_input():
         C.make_complex([[]])
 
 
+def test_closure_bound(monkeypatch):
+    """A simplex whose faces alone pass the bound is refused before any
+    face is built; otherwise the closure may grow up to the bound."""
+    with pytest.raises(C.TooLarge, match="17 vertices"):
+        C.make_complex([range(17)])
+    monkeypatch.setattr(C, "SIMPLEX_BOUND", 14)
+    assert len(C.make_complex([[1, 2, 3], [3, 4, 5]]).simplices) == 13
+    assert len(C.make_complex([[1, 2, 3], [4, 5, 6]]).simplices) == 14
+    with pytest.raises(C.TooLarge, match="closure"):
+        C.make_complex([[1, 2, 3], [4, 5, 6], [7]])
+    with pytest.raises(C.TooLarge, match="4 vertices"):
+        C.make_complex([[1], [1, 2, 3, 4]])
+
+
 def test_closure_idempotent():
     rng = random.Random(2)
     for _ in range(10):

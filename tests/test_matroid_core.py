@@ -284,27 +284,57 @@ def test_stray_elements_match_reference(seed, n):
 
 
 @PROPERTY
+@given(seeds, st.integers(0, 20))
+def test_sparse_families_match_reference(seed, n):
+    """A few bases on up to 20 elements, where ``make_matroid`` decides
+    with the exchange check rather than the rank table once n passes
+    about 10: a uniform matroid on at most five elements with the rest
+    split into loops and coloops, mutated or not, or a random family of
+    equal or of unequal sizes."""
+    rng = random.Random(seed)
+    ground = rng.sample(range(-5, 40), n)
+    if rng.random() < 0.5:
+        core = ground[: rng.randint(0, min(n, 5))]
+        coloops = ground[len(core) : rng.randint(len(core), n)]
+        bases = [[*b, *coloops] for b in itertools.combinations(core, rng.randint(0, len(core)))]
+        if rng.random() < 0.7:
+            _, bases = mutate(rng, ground, bases)
+    else:
+        r = rng.randint(0, n)
+        sizes = [r] * 8 if rng.random() < 0.5 else [rng.randint(0, n) for _ in range(8)]
+        bases = [rng.sample(ground, k) for k in sizes[: rng.randint(1, 8)]]
+    got = outcome(M.make_matroid, ground, bases, bound=20)
+    assert got == outcome(ref_make_matroid, ground, bases, bound=20)
+
+
+@PROPERTY
 @given(seeds, st.integers(0, 7))
 def test_rank_table_agrees_with_pair_scan(seed, n):
-    """Random equal-size families, most of them not matroids."""
+    """Random equal-size families, most of them not matroids; the
+    exchange check decides each of them as the table does."""
     rng = random.Random(seed)
     r = rng.randint(0, n)
     subsets = list(itertools.combinations(range(n), r))
     fam = rng.sample(subsets, rng.randint(1, len(subsets)))
     masks = tuple(sorted(sum(1 << i for i in b) for b in fam))
-    try:
-        ref_make_matroid(range(n), fam)
-        accepted = True
-    except M.ExchangeFailure:
-        accepted = False
+
+    def accepts(check):
+        try:
+            check()
+        except M.ExchangeFailure:
+            return False
+        return True
+
+    accepted = accepts(lambda: ref_make_matroid(range(n), fam))
     assert M._rank_axioms_hold(masks, n, r) == accepted
+    assert accepts(lambda: M._check_family(M.Matroid(range(n), fam))) == accepted
 
 
 def test_rank_table_rejection_carries_the_pair_witness():
     # U(3,6) without {1,2,3} and {1,2,4}, which share two elements: not a
     # matroid, and dense enough that the rank table runs first
     bases = [b for b in itertools.combinations(range(1, 7), 3) if b not in ((1, 2, 3), (1, 2, 4))]
-    assert len(bases) ** 2 * 3 << 8 >= 6 << 6
+    assert len(bases) * 3 * (6 - 3) * 100 >= 6 << 6
     got = outcome(M.make_matroid, range(1, 7), bases)
     assert got[0] is M.ExchangeFailure
     assert got == outcome(ref_make_matroid, range(1, 7), bases)
@@ -599,15 +629,32 @@ def test_cycle_matroid_of_wheel_within_a_second():
 
 
 def test_sparse_twenty_element_family_validates_within_a_second():
-    # 20 bases: the pair scan, not a table of 2^20 subsets
+    # 20 bases: the exchange check, not a table of 2^20 subsets
     ground = range(20)
     assert elapsed(lambda: M.make_matroid(ground, itertools.combinations(ground, 19), bound=20)) < 1.0
 
 
 def test_dense_twenty_element_family_validates_within_a_second():
-    # 1140 bases: the rank table, not 1.3 million pairs
+    # 1140 bases: 58,140 exchange steps, not 1.3 million pairs
     ground = range(20)
     assert elapsed(lambda: M.make_matroid(ground, itertools.combinations(ground, 3), bound=20)) < 1.0
+
+
+@pytest.mark.parametrize(
+    ("n", "r", "bound", "message"),
+    [
+        (12, 5, M.GROUND_BOUND, "no exchange for element 0 of [0, 7, 8, 9, 10] against [6, 7, 8, 9, 11]"),
+        (14, 6, 20, "no exchange for element 0 of [0, 8, 9, 10, 11, 12] against [7, 8, 9, 10, 11, 13]"),
+    ],
+)
+def test_uniform_without_two_bases_rejected_within_a_second(n, r, bound, message):
+    # U(r, n) without its last two r-sets of consecutive elements: 790 and
+    # 3001 bases, whose pairs took 1.8 s and 34 s to scan
+    gone = (tuple(range(n - r - 1, n - 1)), tuple(range(n - r, n)))
+    bases = [b for b in itertools.combinations(range(n), r) if b not in gone]
+    got = []
+    assert elapsed(lambda: got.append(outcome(M.make_matroid, range(n), bases, bound=bound))) < 1.0
+    assert got == [(M.ExchangeFailure, message)]
 
 
 def test_negative_minor_searches_at_the_ground_bound_within_a_tenth_of_a_second():
