@@ -25,9 +25,15 @@ witnesses are converted back to ``Fraction``.  The samples are drawn by
 ``Random.randint`` without its call layers.
 
 Chirotope signs and the epsilon cross products share one minor kernel,
-``_minors``, which expands every column set row by row; ``_det``
-(fraction-free Bareiss elimination) serves ``det_rational`` and the Gram
-determinants.
+``_minors``.  A plan cached per shape (``_minor_plan``) lists, for every
+column set in combination order, its Laplace terms along the newest row
+as (signed column, index of the sub-minor one level down); the kernel
+runs it on plain lists, skipping zero entries and zero sub-minors, and
+returns the maximal minors in combination order.  The chirotope reads
+its signs straight off that list, and its support matroid goes from the
+nonzero minors' column masks to the mask-level validation of
+``make_matroid``.  ``_det`` (fraction-free Bareiss elimination) serves
+``det_rational`` and the Gram determinants.
 
 Two octonion presentations are provided: the doubling construction
 applied three times, and a table read off the seven cyclic triples of
@@ -458,13 +464,12 @@ def division_algebra_report(
     for _ in range(sample_count):
         drawn = _randints(rng, -5, 5, 2 * dim)
         x, y = drawn[:dim], drawn[dim:]
-        if norm_ok:
-            xy = mul(x, y)
-            if _dot(xy, xy) != _dot(x, x) * _dot(y, y):
-                norm_ok, norm_wit = False, (x, y)
+        xy = mul(x, y)  # one of the two checks still runs, and both read it
+        if norm_ok and _dot(xy, xy) != _dot(x, x) * _dot(y, y):
+            norm_ok, norm_wit = False, (x, y)
         if alt_ok:
             xx = mul(x, x)
-            if mul(xx, y) != mul(x, mul(x, y)) or mul(mul(y, x), x) != mul(y, xx):
+            if mul(xx, y) != mul(x, xy) or mul(mul(y, x), x) != mul(y, xx):
                 alt_ok, alt_wit = False, (x, y)
         if not norm_ok and not alt_ok:
             break
@@ -633,24 +638,49 @@ def cross_case(ident: str) -> CrossProductCase:
     raise UnknownCase(f"unknown cross-product case {ident!r}")
 
 
-def _minors(rows: Sequence[Sequence[int]]) -> dict[int, int]:
-    """The minors of the k rows on every k-set of columns, keyed by column
-    bitmask, with the columns in increasing order; a vanishing minor may be
-    missing.  They are built row by row by Laplace expansion along the
-    newest row, so all minors share their sub-minors."""
-    minors = {0: 1}
-    for row in rows:
-        grown: dict[int, int] = {}
-        for mask, m in minors.items():
-            if not m:
-                continue
-            for c, a in enumerate(row):
-                bit = 1 << c
-                if a and not mask & bit:
-                    # cofactor sign of the last row's entry in column c:
-                    # -1 per chosen column to the right of c
-                    term = -a * m if (mask >> c).bit_count() & 1 else a * m
-                    grown[mask | bit] = grown.get(mask | bit, 0) + term
+@lru_cache(maxsize=None)
+def _minor_plan(r: int, n: int) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
+    """Entry k - 1 lists, for every k-set of the n columns in combination
+    order, the Laplace terms of its minor along row k as pairs (entry,
+    sub): ``sub`` indexes the (k - 1)-set without the term's column c one
+    level down, and ``entry`` is c when the cofactor sign is +1 and n + c
+    when it is -1 (one per chosen column to the right of c).  Depends on
+    the shape only, like ``matroids._lacking``."""
+    plan, index = [], {(): 0}
+    for k in range(1, r + 1):
+        level, grown = [], {}
+        for i, cols in enumerate(itertools.combinations(range(n), k)):
+            grown[cols] = i
+            level.append(
+                tuple(
+                    (c + n * ((k - 1 - p) & 1), index[cols[:p] + cols[p + 1 :]])
+                    for p, c in enumerate(cols)
+                )
+            )
+        plan.append(tuple(level))
+        index = grown
+    return tuple(plan)
+
+
+def _minors(rows: Sequence[Sequence[int]], n: int) -> list[int]:
+    """The minors of the r rows on every r-set of the n columns, in
+    ``itertools.combinations`` order: one list per level of
+    ``_minor_plan``, built row by row by Laplace expansion along the
+    newest row, so all minors share their sub-minors.  A term with a zero
+    entry or a zero sub-minor is skipped."""
+    minors = [1]
+    for row, level in zip(rows, _minor_plan(len(rows), n)):
+        signed = [*row, *[-a for a in row]]
+        grown = []
+        for terms in level:
+            d = 0
+            for entry, sub in terms:
+                a = signed[entry]
+                if a:
+                    m = minors[sub]
+                    if m:
+                        d += a * m
+            grown.append(d)
         minors = grown
     return minors
 
@@ -659,12 +689,9 @@ def _epsilon_cross(vectors: Sequence[Sequence[int]], n: int) -> list[int]:
     """Component j is the determinant of the n-1 arguments stacked over the
     j-th unit row, i.e. the epsilon contraction with the result index last:
     the cofactor (-1)^(n-1+j) times the maximal minor of the arguments
-    without column j."""
-    minors = _minors(vectors)
-    full = (1 << n) - 1
-    return [
-        (-1) ** (n - 1 + j) * minors.get(full ^ (1 << j), 0) for j in range(n)
-    ]
+    without column j, which is minor n-1-j in combination order."""
+    minors = _minors(vectors, n)
+    return [-minors[n - 1 - j] if (n - 1 + j) & 1 else minors[n - 1 - j] for j in range(n)]
 
 
 def _rotate(v: Sequence) -> list:
@@ -735,12 +762,17 @@ def _basis_terms(case: CrossProductCase) -> tuple[int, list[tuple[tuple[int, int
     triple8: s e_k - t e_m from ``_triple_terms``, at scale 2."""
     n, r = case.n, case.r
     if case.tag in ("three", "epsilon"):
-        every = n * (n - 1) // 2
-        out = []
-        for combo in itertools.product(range(n), repeat=r):
-            j = every - sum(combo)
-            out.append(((j, _perm_sign(combo + (j,))),) if len(set(combo)) == r else ())
-        return 1, out
+        # itertools.permutations lists the permutations of range(n) in
+        # lexicographic order, where the sign of each is (-1) to the sum of
+        # its Lehmer digits; a permutation p is the tuple p[:-1] with its
+        # missing index p[-1]
+        signs = [1]
+        for k in range(2, n + 1):
+            signs = [-s if d & 1 else s for d in range(k) for s in signs]
+        terms = {
+            p[:-1]: ((p[-1], s),) for p, s in zip(itertools.permutations(range(n)), signs)
+        }
+        return 1, [terms.get(c, ()) for c in itertools.product(range(n), repeat=r)]
     if case.tag == "complex_structure":
         return 1, [((i + 1, 1),) if i % 2 == 0 else ((i - 1, -1),) for i in range(n)]
     octonions = fano_octonion_algebra()
@@ -904,12 +936,22 @@ class Chirotope:
         return self.by_subset[key] * _perm_sign(tuple(indices))
 
     def support_matroid(self):
-        """Matroid whose bases are the subsets with nonzero sign, built
-        through full axiom validation."""
+        """Matroid on 1..n whose bases are the subsets with nonzero sign,
+        built through full axiom validation: the bases are the column
+        masks of the nonzero minors, and they go straight to the
+        mask-level step of ``make_matroid`` (``matroids._validated``)."""
         from . import matroids
 
-        bases = [s for s, sg in zip(self._subsets, self.signs) if sg != 0]
-        return matroids.make_matroid(range(1, self.n + 1), bases)
+        # the ground bound first: it also bounds the masks ``_column_masks`` caches
+        ground = matroids._ground(range(1, self.n + 1))
+        masks = [b for b, sg in zip(_column_masks(self.n, self.r), self.signs) if sg != 0]
+        return matroids._validated(matroids._from_masks(ground, masks))
+
+
+@lru_cache(maxsize=None)
+def _column_masks(n: int, r: int) -> tuple[int, ...]:
+    """The r-sets of n columns as bitmasks, in combination order."""
+    return tuple(sum(1 << c for c in cols) for cols in itertools.combinations(range(n), r))
 
 
 def chirotope_of_configuration(points: Sequence[Sequence]) -> Chirotope:
@@ -922,14 +964,13 @@ def chirotope_of_configuration(points: Sequence[Sequence]) -> Chirotope:
         raise BadDims("all points need the same coordinate length")
     if n > 10 or r > 4:
         raise BadDims("configuration capped at 10 points of rank at most 4")
-    # scaling a point by the positive lcm of its denominators keeps every
-    # sign; the points are the columns of the r x n coordinate matrix
-    minors = _minors(list(zip(*(_clear(p)[0] for p in points))))
-    bits = [1 << c for c in range(n)]
-    signs = []
-    for combo in itertools.combinations(bits, r):
-        d = minors.get(sum(combo), 0)
-        signs.append((d > 0) - (d < 0))
-    if all(s == 0 for s in signs):
+    # scaling every point by the positive lcm of all denominators keeps
+    # every sign; the points are the columns of the r x n coordinate matrix
+    coords = [_frac(c) for p in points for c in p]
+    den = lcm(*[c.denominator for c in coords])
+    ints = [c.numerator * (den // c.denominator) for c in coords]
+    minors = _minors([ints[i::r] for i in range(r)], n)
+    signs = tuple((d > 0) - (d < 0) for d in minors)
+    if not any(signs):
         raise RankDeficient("all maximal minors vanish")
-    return Chirotope(n, r, tuple(signs))
+    return Chirotope(n, r, signs)

@@ -202,24 +202,29 @@ def named_complex(name: str, params: tuple[int, ...] = ()) -> SimplicialComplex:
 
 def is_closed_surface(k: SimplicialComplex) -> bool:
     """Pure 2-dimensional, every edge in exactly two triangles, and every
-    vertex link a single cycle."""
+    vertex link a single cycle.  One pass over the triangles counts them
+    per edge and groups them by vertex, so the test is linear in the
+    simplices: a vertex or an edge lies in a triangle exactly when it is
+    a vertex or an edge of one."""
     if k.dimension != 2:
         return False
-    triangles = k.simplices_of_dim(2)
-    tri_set = set(triangles)
+    edge_count: dict[tuple[int, int], int] = {}
+    links: dict[int, list[tuple[int, int]]] = {}
+    for t in k.simplices:
+        if len(t) == 3:
+            a, b, c = sorted(t)
+            for e in ((a, b), (a, c), (b, c)):
+                edge_count[e] = edge_count.get(e, 0) + 1
+            for v, e in ((a, (b, c)), (b, (a, c)), (c, (a, b))):
+                links.setdefault(v, []).append(e)
     for s in k.simplices:
-        if not any(s <= t for t in tri_set):
+        if len(s) == 1 and min(s) not in links:
             return False
-    edge_count: dict[frozenset[int], int] = {}
-    for t in triangles:
-        for e in itertools.combinations(sorted(t), 2):
-            edge_count[frozenset(e)] = edge_count.get(frozenset(e), 0) + 1
+        if len(s) == 2 and tuple(sorted(s)) not in edge_count:
+            return False
     if any(c != 2 for c in edge_count.values()):
         return False
-    for v in k.vertices:
-        link_edges = [tuple(sorted(t - {v})) for t in triangles if v in t]
-        if not link_edges:
-            return False
+    for link_edges in links.values():
         deg: dict[int, int] = {}
         for a, b in link_edges:
             deg[a] = deg.get(a, 0) + 1

@@ -326,20 +326,30 @@ def make_matroid(
     ground.
 
     Checks, in order: the ground labels are distinct integers within the
-    bound; the family is nonempty; every basis lies in the ground (the
-    stray element named is the first met in canonical basis order, by
-    size and then lexicographically); no basis properly contains
-    another; exchange holds for every ordered pair of distinct bases.
-    The first violation is reported with a witness.  The bases become
-    masks once, in ``Matroid``, and every check after the third reads
-    the masks.
-
-    The last two checks run in ``_check_family``, at 0.3-0.8 us per step
-    of B * r * (n - r) for B bases of rank r, or, for an equal-size family
-    on n <= TABLE_BOUND elements, in ``_rank_axioms_hold`` when that is
-    cheaper: 2-8 ns per unit of n * 2^n at n >= 12, hence the weight 100
-    (CPython 3.11, x86-64); the check then only names a rejection's witness.
+    bound (``_ground``); every basis lies in the ground (the stray element
+    named is the first met in canonical basis order, by size and then
+    lexicographically); the family is nonempty; no basis properly
+    contains another; exchange holds for every ordered pair of distinct
+    bases.  The first violation is reported with a witness.  The bases
+    become masks once, in ``Matroid``, and the mask-level step
+    ``_validated`` makes every check after the second; a producer that
+    already has the masks (``Chirotope.support_matroid``) calls that step
+    directly.
     """
+    g = _ground(ground, bound)
+    fam = list(bases)
+    try:
+        m = Matroid(g, fam)
+    except ElementNotInGround:
+        # name the stray element met first in canonical basis order
+        Matroid(g, sorted(map(frozenset, fam), key=lambda b: (len(b), sorted(b))))
+        raise
+    return _validated(m)
+
+
+def _ground(ground: Iterable[int], bound: int = GROUND_BOUND) -> tuple[int, ...]:
+    """The ground labels, sorted, once they are distinct integers and at
+    most ``bound`` of them."""
     g = tuple(sorted(ground))
     if len(set(g)) != len(g):
         raise MatroidError("ground labels must be distinct")
@@ -347,17 +357,24 @@ def make_matroid(
         raise MatroidError("ground labels must be integers")
     if len(g) > bound:
         raise GroundTooLarge(f"{len(g)} elements exceed the bound {bound}")
+    return g
 
-    fam = list(bases)
-    if not fam:
+
+def _validated(m: Matroid) -> Matroid:
+    """``m`` once its masks are a nonempty basis family with no basis
+    inside another and basis exchange for every ordered pair; else the
+    first failure, with its witness.
+
+    The last two checks run in ``_check_family``, at 0.3-0.8 us per step
+    of B * r * (n - r) for B bases of rank r, or, for an equal-size family
+    on n <= TABLE_BOUND elements, in ``_rank_axioms_hold`` when that is
+    cheaper: 2-8 ns per unit of n * 2^n at n >= 12, hence the weight 100
+    (CPython 3.11, x86-64); the check then only names a rejection's witness.
+    """
+    masks, n = m._masks, len(m.ground)
+    if not masks:
         raise EmptyBases("a matroid needs at least one basis")
-    try:
-        m = Matroid(g, fam)
-    except ElementNotInGround:
-        # name the stray element met first in canonical basis order
-        Matroid(g, sorted(map(frozenset, fam), key=lambda b: (len(b), sorted(b))))
-        raise
-    masks, n, r = m._masks, len(g), m.rank
+    r = m.rank
     equal = all(b.bit_count() == r for b in masks)
     if equal and n <= TABLE_BOUND and len(masks) * r * (n - r) * 100 >= n << n:
         if _rank_axioms_hold(masks, n, r):
@@ -418,6 +435,15 @@ def _lacking(i: int, n: int) -> int:
     return int.from_bytes(unit * count, "little") & ((1 << (1 << n)) - 1)
 
 
+@lru_cache(maxsize=None)
+def _by_size(n: int) -> tuple[int, ...]:
+    """Entry k is the family of the k-element subsets of n elements."""
+    by_size = [1]
+    for i in range(n):
+        by_size = [a | b << (1 << i) for a, b in zip(by_size + [0], [0] + by_size)]
+    return tuple(by_size)
+
+
 def _rank_axioms_hold(masks: tuple[int, ...], n: int, r: int) -> bool:
     """Whether an equal-size family of r-element masks over n elements is
     the basis family of a matroid, decided on the rank table.
@@ -437,9 +463,7 @@ def _rank_axioms_hold(masks: tuple[int, ...], n: int, r: int) -> bool:
     indep = int.from_bytes(table, "little")  # then the subsets inside some basis
     for i in range(n):
         indep |= indep >> (1 << i) & lacking[i]
-    by_size = [1]  # by_size[k]: the k-element subsets
-    for i in range(n):
-        by_size = [a | b << (1 << i) for a, b in zip(by_size + [0], [0] + by_size)]
+    by_size = _by_size(n)
     spans = [~0] * n  # spans[i]: the X lacking i with r(X + i) = r(X)
     for k in range(1, r + 1):
         level = indep & by_size[k]  # then the X with r(X) >= k

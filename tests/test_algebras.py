@@ -243,6 +243,18 @@ def ref_cross_axioms_report(case, trials=200, seed=0):
     )
 
 
+def ref_basis_terms(case):
+    """The epsilon terms of every index tuple in product order, each
+    permutation sign by counting inversions."""
+    n, r = case.n, case.r
+    every = n * (n - 1) // 2
+    out = []
+    for combo in itertools.product(range(n), repeat=r):
+        j = every - sum(combo)
+        out.append(((j, A._perm_sign(combo + (j,))),) if len(set(combo)) == r else ())
+    return 1, out
+
+
 def same_report(got, want):
     """Equal field by field, with the same JSON bytes (so a witness
     coordinate is a ``Fraction`` on both sides)."""
@@ -559,6 +571,16 @@ def test_division_report_matches_reference(name, count, seed):
     )
 
 
+@pytest.mark.parametrize("name", ALGEBRAS)
+def test_division_report_matches_reference_on_seeds(name):
+    alg = A.algebra_by_name(name)
+    for seed in range(21):
+        same_report(
+            A.division_algebra_report(alg, 30, seed),
+            ref_division_algebra_report(alg, 30, seed),
+        )
+
+
 @st.composite
 def perturbed_algebras(draw, most=3):
     """A Cayley-Dickson table with 1 to ``most`` entries off row and column
@@ -765,6 +787,113 @@ def test_chirotope_signs_match_sympy(points):
         assert list(A.chirotope_of_configuration(points).signs) == want
 
 
+def minors_by_det(rows, n):
+    """Every maximal minor as its own Bareiss determinant, in combination
+    order of the column sets."""
+    return [
+        A._det([[row[c] for c in cols] for row in rows])
+        for cols in itertools.combinations(range(n), len(rows))
+    ]
+
+
+@st.composite
+def int_matrices(draw):
+    """(rows, n): r <= 4 rows of n <= 10 integers, or r = n - 1 <= 7, with
+    a zero row or a zero column now and then."""
+    if draw(st.booleans()):
+        r, n = draw(st.integers(0, 4)), draw(st.integers(0, 10))
+    else:
+        n = draw(st.integers(1, 8))
+        r = n - 1
+    entry = st.one_of(st.just(0), st.integers(-9, 9))
+    rows = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(r)]
+    if r and draw(st.booleans()):
+        rows[draw(st.integers(0, r - 1))] = [0] * n
+    if n and draw(st.booleans()):
+        c = draw(st.integers(0, n - 1))
+        for row in rows:
+            row[c] = 0
+    return rows, n
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(int_matrices())
+def test_minors_are_the_determinants_of_the_column_sets(matrix):
+    rows, n = matrix
+    assert A._minors(rows, n) == minors_by_det(rows, n)
+
+
+def test_minors_on_fixed_shapes():
+    assert A._minors([], 0) == [1] == A._minors([], 5)
+    assert A._minors([[0, 0, 0], [1, 2, 3]], 3) == [0, 0, 0]
+    assert A._minors([[1, 2], [3, 4]], 2) == [-2]
+    assert A._minors([[1], [2]], 1) == []  # r > n: no column set
+
+
+configurations = st.integers(1, 4).flatmap(
+    lambda r: st.lists(
+        st.lists(st.one_of(st.just(F(0)), st.integers(-2, 2).map(F), rationals), min_size=r, max_size=r),
+        min_size=1,
+        max_size=10,
+    )
+)
+
+
+@PROPERTY
+@given(configurations)
+def test_support_matroid_is_the_validated_tuple_family(points):
+    try:
+        ch = A.chirotope_of_configuration(points)
+    except A.RankDeficient:
+        return
+    n, r = len(points), len(points[0])
+    subsets = itertools.combinations(range(1, n + 1), r)
+    bases = [s for s, sg in zip(subsets, ch.signs) if sg]
+    got = ch.support_matroid()
+    assert got == M.make_matroid(range(1, n + 1), bases)
+    assert got.to_json_dict() == M.make_matroid(range(1, n + 1), bases).to_json_dict()
+
+
+def matroid_outcome(build):
+    try:
+        m = build()
+    except M.MatroidError as exc:
+        return type(exc), str(exc)
+    return m.ground, m.bases
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(
+    st.integers(1, 13).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.integers(1, min(n, 3)).flatmap(
+                lambda r: st.tuples(
+                    st.just(r),
+                    st.lists(
+                        st.sampled_from((-1, 0, 0, 1)),
+                        min_size=math.comb(n, r),
+                        max_size=math.comb(n, r),
+                    ),
+                )
+            ),
+        )
+    )
+)
+def test_support_matroid_of_any_signs_fails_as_make_matroid_does(shape):
+    """A hand-built chirotope's support need not be a matroid: the mask
+    path raises what ``make_matroid`` on the tuples raises, witness and
+    message included (an empty support, an exchange failure, a ground
+    above the bound)."""
+    n, (r, signs) = shape
+    ch = A.Chirotope(n, r, tuple(signs))
+    subsets = itertools.combinations(range(1, n + 1), r)
+    bases = [s for s, sg in zip(subsets, signs) if sg]
+    assert matroid_outcome(ch.support_matroid) == matroid_outcome(
+        lambda: M.make_matroid(range(1, n + 1), bases)
+    )
+
+
 # ---------------------------------------------------------------------------
 # cross products
 
@@ -906,6 +1035,12 @@ def test_basis_terms_are_the_scaled_dense_products(ident):
         assert len(coeffs) == len(terms), (combo, terms)
         assert all(type(c) is int and c for c in coeffs.values()), (combo, terms)
         assert [coeffs.get(i, 0) for i in range(n)] == [scale * c for c in x], combo
+
+
+@pytest.mark.parametrize("ident", ["three"] + [f"epsilon:{n}" for n in range(2, 9)])
+def test_epsilon_basis_terms_match_reference(ident):
+    case = A.cross_case(ident)
+    assert A._basis_terms(case) == ref_basis_terms(case)
 
 
 def test_cross_errors():

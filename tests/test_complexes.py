@@ -189,6 +189,123 @@ def test_index_sum_rejects_non_surface():
         C.index_sum_canonical(C.named_complex("sphere", (3,)))
 
 
+def ref_is_closed_surface(k):
+    """Every simplex tested against every triangle, and the triangles
+    scanned once per vertex for its link."""
+    if k.dimension != 2:
+        return False
+    triangles = k.simplices_of_dim(2)
+    tri_set = set(triangles)
+    for s in k.simplices:
+        if not any(s <= t for t in tri_set):
+            return False
+    edge_count = {}
+    for t in triangles:
+        for e in itertools.combinations(sorted(t), 2):
+            edge_count[frozenset(e)] = edge_count.get(frozenset(e), 0) + 1
+    if any(c != 2 for c in edge_count.values()):
+        return False
+    for v in k.vertices:
+        link_edges = [tuple(sorted(t - {v})) for t in triangles if v in t]
+        if not link_edges:
+            return False
+        deg = {}
+        for a, b in link_edges:
+            deg[a] = deg.get(a, 0) + 1
+            deg[b] = deg.get(b, 0) + 1
+        if any(d != 2 for d in deg.values()):
+            return False
+        adj = {}
+        for a, b in link_edges:
+            adj.setdefault(a, []).append(b)
+            adj.setdefault(b, []).append(a)
+        start = link_edges[0][0]
+        seen = {start}
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            for y in adj[x]:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        if len(seen) != len(adj):
+            return False
+    return True
+
+
+def torus_grid(w, h):
+    """The w x h grid on the torus, each square cut along one diagonal;
+    vertex (i, j) is i * h + j."""
+    def v(i, j):
+        return (i % w) * h + j % h
+
+    tris = []
+    for i in range(w):
+        for j in range(h):
+            tris.append((v(i, j), v(i + 1, j), v(i + 1, j + 1)))
+            tris.append((v(i, j), v(i, j + 1), v(i + 1, j + 1)))
+    return tris
+
+
+def surface_cases():
+    """Named complexes, grids and their broken variants, with the verdict
+    each must get."""
+    cases = [(f"sphere:{n}", C.named_complex("sphere", (n,))) for n in range(6)]
+    cases += [(f"genus:{g}", C.named_complex("genus_surface", (g,))) for g in range(5)]
+    grid = torus_grid(6, 6)
+    cases.append(("torus 6x6", C.make_complex(grid)))
+    # vertices 0 = (0, 0) and 21 = (3, 3) share no neighbour: identifying
+    # them pinches the torus, and the link there is two disjoint hexagons
+    pinched = [tuple(0 if x == 21 else x for x in t) for t in grid]
+    cases.append(("pinched torus", C.make_complex(pinched)))
+    # a disk: a fan of six triangles around 0, whose rim edges lie in one
+    cases.append(("disk", C.make_complex([(0, i, i % 6 + 1) for i in range(1, 7)])))
+    cases.append(("torus less a triangle", C.make_complex(grid[1:])))
+    cases.append(("torus plus an edge", C.make_complex(grid + [(0, 99)])))
+    cases.append(("torus plus a vertex", C.make_complex(grid + [(99,)])))
+    cases.append(("two tetrahedra on a vertex", C.make_complex(
+        list(itertools.combinations(range(4), 3)) + list(itertools.combinations((0, 4, 5, 6), 3))
+    )))
+    return cases
+
+
+def test_is_closed_surface_matches_reference_on_named_and_broken_surfaces():
+    verdicts = {}
+    for name, k in surface_cases():
+        verdicts[name] = C.is_closed_surface(k)
+        assert verdicts[name] == ref_is_closed_surface(k), name
+    assert verdicts["torus 6x6"] and verdicts["genus:4"] and verdicts["sphere:2"]
+    assert not any(verdicts[name] for name in ("pinched torus", "disk", "torus less a triangle"))
+
+
+def test_is_closed_surface_matches_reference_on_random_two_complexes():
+    rng = random.Random(15)
+    for _ in range(400):
+        nv = rng.randint(3, 7)
+        maximal = [rng.sample(range(nv), 3) for _ in range(rng.randint(1, 12))]
+        maximal += [rng.sample(range(nv), rng.randint(1, 2)) for _ in range(rng.randint(0, 2))]
+        k = C.make_complex(maximal)
+        assert C.is_closed_surface(k) == ref_is_closed_surface(k), maximal
+
+
+def test_index_sum_on_a_large_torus_grid_is_fast(tmp_path, capsys):
+    import json
+    import time
+
+    from dualities import cli
+
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({"maximal": torus_grid(40, 40)}))
+    start = time.perf_counter()
+    code = cli.main(["complex", "index-sum", str(path), "--json"])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "sources": 1600, "saddles": 4800, "sinks": 3200, "index_sum": 0
+    }
+    assert elapsed < 1.0  # 2.5 s when every simplex was tested against every triangle
+
+
 def test_is_closed_surface_rejects_pinched():
     # two triangles sharing only a vertex: the link at the shared vertex
     # is two disjoint arcs, not a cycle

@@ -330,6 +330,20 @@ def test_rank_table_agrees_with_pair_scan(seed, n):
     assert accepts(lambda: M._check_family(M.Matroid(range(n), fam))) == accepted
 
 
+def test_by_size_is_the_inline_construction():
+    """The cached per-size families: the construction ``_rank_axioms_hold``
+    ran inline, and for n <= 10 the subsets counted by popcount."""
+    for n in range(21):
+        by_size = [1]
+        for i in range(n):
+            by_size = [a | b << (1 << i) for a, b in zip(by_size + [0], [0] + by_size)]
+        assert M._by_size(n) == tuple(by_size)
+        if n <= 10:
+            for k, family in enumerate(M._by_size(n)):
+                assert family == sum(1 << x for x in range(1 << n) if x.bit_count() == k)
+    M._by_size.cache_clear()  # the n = 20 entry alone holds 2.75 MB
+
+
 def test_rank_table_rejection_carries_the_pair_witness():
     # U(3,6) without {1,2,3} and {1,2,4}, which share two elements: not a
     # matroid, and dense enough that the rank table runs first
