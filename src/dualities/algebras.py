@@ -690,8 +690,7 @@ def _epsilon_cross(vectors: Sequence[Sequence[int]], n: int) -> list[int]:
     j-th unit row, i.e. the epsilon contraction with the result index last:
     the cofactor (-1)^(n-1+j) times the maximal minor of the arguments
     without column j, which is minor n-1-j in combination order."""
-    minors = _minors(vectors, n)
-    return [-minors[n - 1 - j] if (n - 1 + j) & 1 else minors[n - 1 - j] for j in range(n)]
+    return [-m if (n - 1 + j) & 1 else m for j, m in enumerate(reversed(_minors(vectors, n)))]
 
 
 def _rotate(v: Sequence) -> list:
