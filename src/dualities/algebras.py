@@ -24,16 +24,15 @@ witnesses are converted back to ``Fraction``.  The samples are drawn by
 ``_randints``, which makes the ``getrandbits`` calls of
 ``Random.randint`` without its call layers.
 
-Chirotope signs and the epsilon cross products share one minor kernel,
-``_minors``.  A plan cached per shape (``_minor_plan``) lists, for every
-column set in combination order, its Laplace terms along the newest row
-as (signed column, index of the sub-minor one level down); the kernel
-runs it on plain lists, skipping zero entries and zero sub-minors, and
-returns the maximal minors in combination order.  The chirotope reads
-its signs straight off that list, and its support matroid goes from the
-nonzero minors' column masks to the mask-level validation of
-``make_matroid``.  ``_det`` (fraction-free Bareiss elimination) serves
-``det_rational`` and the Gram determinants.
+The two dense kernels are straight-line code that ``_compiled`` builds on
+first use, never at import: an algebra's product (``_mul``) is one signed
+sum of x_i y_j per output index, and the maximal minors (``_minors``) are
+one local per column set, level by level, each expanded along the newest
+row over the sub-minors one level down.  The chirotope reads its signs
+off the minors, and its support matroid goes from the nonzero minors'
+column masks to the mask-level validation of ``make_matroid``.  ``_det``
+(fraction-free Bareiss elimination) serves ``det_rational`` and the Gram
+determinants.
 
 Two octonion presentations are provided: the doubling construction
 applied three times, and a table read off the seven cyclic triples of
@@ -49,7 +48,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm, prod
+from math import comb, lcm, prod
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .formats import split_ident
@@ -79,7 +78,7 @@ class IndexOutOfRange(AlgebraError):
 
 
 class BadDims(AlgebraError):
-    """Inconsistent dimensions for a multivector operation."""
+    """Dimensions out of range or inconsistent."""
 
 
 class RankDeficient(AlgebraError):
@@ -155,6 +154,14 @@ def _randints(rng: random.Random, lo: int, hi: int, count: int) -> list[int]:
     return out
 
 
+def _compiled(source: str, name: str):
+    """The function ``name`` that ``source`` defines, run with no builtins;
+    the kernel generators' source holds only ints and fixed identifiers."""
+    namespace = {"__builtins__": {}}
+    exec(compile(source, f"<{name}>", "exec"), namespace)
+    return namespace[name]
+
+
 # ---------------------------------------------------------------------------
 # algebras
 
@@ -170,8 +177,9 @@ class HypercomplexAlgebra:
 
     def __post_init__(self):
         dim, table = self.dim, self.table
-        if not (isinstance(dim, int) and dim >= 1):
-            raise AlgebraError(f"dimension must be a positive int, got {dim!r}")
+        # 16 (the sedenions) at most keeps each generated sum within what CPython compiles
+        if type(dim) is not int or not 1 <= dim <= 16:
+            raise BadDims(f"dimension must be an int in 1..16, got {dim!r}")
         if len(table) != dim or any(len(row) != dim for row in table):
             raise AlgebraError(f"table must have {dim} rows of {dim} entries")
         for i, row in enumerate(table):
@@ -195,6 +203,9 @@ class HypercomplexAlgebra:
     def __repr__(self):
         return f"HypercomplexAlgebra({self.name}, dim={self.dim})"
 
+    def __reduce__(self):  # the generated kernels do not pickle; they are rebuilt on use
+        return type(self), (self.name, self.dim, self.table, self.provenance)
+
     def e(self, i: int) -> Element:
         """The i-th basis element, 0 <= i < dim."""
         if not (isinstance(i, int) and 0 <= i < self.dim):
@@ -208,19 +219,11 @@ class HypercomplexAlgebra:
         return x
 
     @cached_property
-    def _rows(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-        """Row i of the table as (j, k, sign) with e_i e_j = sign * e_k;
-        built on the first product, not at construction."""
-        return tuple(
-            tuple((j, k, s) for j, (s, k) in enumerate(row)) for row in self.table
-        )
-
-    @cached_property
     def _triple_terms(self) -> tuple[tuple[int, int, int, int], ...]:
         """Entry (p * dim + q) * dim + r is (s, k, t, m) with
         e_p (conj(e_q) e_r) = s e_k and e_r (conj(e_q) e_p) = t e_m, the two
         halves of the triple8 cross product on basis vectors; built on
-        first use, like ``_rows``."""
+        first use, like ``_mul``."""
         table = self.table
         out = []
         for p, q, r in itertools.product(range(self.dim), repeat=3):
@@ -230,14 +233,19 @@ class HypercomplexAlgebra:
             out.append((conj * u * s, k, conj * v * t, m))
         return tuple(out)
 
-    def _mul(self, x: Sequence[int], y: Sequence[int]) -> list[int]:
-        """The integer kernel: bilinear extension of the basis table."""
-        out = [0] * self.dim
-        for xi, row in zip(x, self._rows):
-            if xi:
-                for j, k, s in row:
-                    out[k] += s * xi * y[j]
-        return out
+    @cached_property
+    def _mul(self):
+        """The integer kernel ``mul(x, y)``, generated on the first product:
+        output k is the signed sum of x_i y_j over the entries e_i e_j =
+        +-e_k, never empty since e_0 is an identity."""
+        dim = self.dim
+        sums: list[list[str]] = [[] for _ in range(dim)]
+        for i, row in enumerate(self.table):
+            for j, (s, k) in enumerate(row):
+                sums[k].append(f"{'-' if s < 0 else '+'} x{i}*y{j}")
+        xs, ys = (", ".join(f"{v}{i}" for i in range(dim)) for v in "xy")
+        out = ", ".join(" ".join(terms).lstrip("+ ") for terms in sums)
+        return _compiled(f"def mul(x, y):\n [{xs}] = x\n [{ys}] = y\n return [{out}]\n", "mul")
 
     def multiply(self, x: Element, y: Element) -> Element:
         """Bilinear extension of the basis table."""
@@ -639,50 +647,32 @@ def cross_case(ident: str) -> CrossProductCase:
 
 
 @lru_cache(maxsize=None)
-def _minor_plan(r: int, n: int) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
-    """Entry k - 1 lists, for every k-set of the n columns in combination
-    order, the Laplace terms of its minor along row k as pairs (entry,
-    sub): ``sub`` indexes the (k - 1)-set without the term's column c one
-    level down, and ``entry`` is c when the cofactor sign is +1 and n + c
-    when it is -1 (one per chosen column to the right of c).  Depends on
-    the shape only, like ``matroids._lacking``."""
-    plan, index = [], {(): 0}
-    for k in range(1, r + 1):
-        level, grown = [], {}
+def _minor_kernel(r: int, n: int):
+    """``minors(rows)`` for r rows of n integers, generated once per shape:
+    row k's entries are the locals a<k>_<c>, and each k-minor (k >= 2) is a
+    local, the Laplace expansion along row k - 1.  Returns the r-minors in
+    combination order, ``[1]`` for r = 0 and ``[]`` for r > n."""
+    rows = ", ".join("[" + ", ".join(f"a{k}_{c}" for c in range(n)) + "]" for k in range(r))
+    lines = [f"[{rows}] = rows"]
+    names = {(c,): f"a0_{c}" for c in range(n)} if r else {(): "1"}
+    for k in range(2, r + 1):
+        grown = {}
         for i, cols in enumerate(itertools.combinations(range(n), k)):
-            grown[cols] = i
-            level.append(
-                tuple(
-                    (c + n * ((k - 1 - p) & 1), index[cols[:p] + cols[p + 1 :]])
-                    for p, c in enumerate(cols)
-                )
+            terms = " ".join(
+                f"{'-' if (k - 1 - p) & 1 else '+'} a{k - 1}_{c}*{names[cols[:p] + cols[p + 1 :]]}"
+                for p, c in enumerate(cols)
             )
-        plan.append(tuple(level))
-        index = grown
-    return tuple(plan)
+            grown[cols] = f"m{k}_{i}"
+            lines.append(f"m{k}_{i} = {terms.lstrip('+ ')}")
+        names = grown
+    lines.append(f"return [{', '.join(names.values())}]")
+    return _compiled("def minors(rows):\n" + "".join(f" {line}\n" for line in lines), "minors")
 
 
 def _minors(rows: Sequence[Sequence[int]], n: int) -> list[int]:
     """The minors of the r rows on every r-set of the n columns, in
-    ``itertools.combinations`` order: one list per level of
-    ``_minor_plan``, built row by row by Laplace expansion along the
-    newest row, so all minors share their sub-minors.  A term with a zero
-    entry or a zero sub-minor is skipped."""
-    minors = [1]
-    for row, level in zip(rows, _minor_plan(len(rows), n)):
-        signed = [*row, *[-a for a in row]]
-        grown = []
-        for terms in level:
-            d = 0
-            for entry, sub in terms:
-                a = signed[entry]
-                if a:
-                    m = minors[sub]
-                    if m:
-                        d += a * m
-            grown.append(d)
-        minors = grown
-    return minors
+    ``itertools.combinations`` order."""
+    return _minor_kernel(len(rows), n)(rows)
 
 
 def _epsilon_cross(vectors: Sequence[Sequence[int]], n: int) -> list[int]:
@@ -915,6 +905,16 @@ class Chirotope:
     n: int
     r: int
     signs: tuple[int, ...]  # aligned with sorted r-subsets of 1..n
+
+    def __post_init__(self):
+        n, r, signs = self.n, self.r, self.signs
+        if type(n) is not int or type(r) is not int or not 0 <= r <= n:
+            raise BadDims(f"need ints 0 <= r <= n, got n={n!r} r={r!r}")
+        # C(n, r) >= n for 0 < r < n, so a short vector fails before comb runs
+        if (0 < r < n and len(signs) < n) or len(signs) != comb(n, r):
+            raise BadDims(f"need one sign per {r}-subset of 1..{n}, got {len(signs)} signs")
+        if not {-1, 0, 1}.issuperset(signs) or {*map(type, signs)} != {int}:
+            raise BadDims("every sign must be the int -1, 0 or 1")
 
     @cached_property
     def _subsets(self) -> tuple[tuple[int, ...], ...]:

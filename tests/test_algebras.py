@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import pickle
 import random
 import subprocess
 import sys
@@ -367,6 +368,31 @@ def test_table_shape_and_entries_are_checked():
     assert C.multiply(C.e(1), C.e(1)) == neg(C.e(0))
 
 
+@pytest.mark.parametrize("dim", [0, 32, True])
+def test_dimension_outside_one_to_sixteen_raises(dim):
+    """The product kernel is one generated sum per output index; 16 keeps
+    each sum at most 256 terms, well inside what CPython compiles."""
+    size = int(dim)
+    table = tuple(tuple((1, i ^ j) for j in range(size)) for i in range(size))
+    with pytest.raises(A.BadDims):
+        A.HypercomplexAlgebra("bad", dim, table, "test")
+
+
+def test_no_kernel_is_generated_at_import():
+    code = (
+        "import dualities\n"
+        "from dualities import algebras as A, cli\n"
+        "print(A._minor_kernel.cache_info().currsize, A.cayley_dickson_algebra.cache_info().currsize,"
+        " A.fano_octonion_algebra.cache_info().currsize)\n"
+    )
+    src = str(Path(A.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}, timeout=60,
+    )
+    assert out.stdout.split() == ["0", "0", "0"], out.stderr
+
+
 def test_table_check_survives_optimize_flag():
     # asserts vanish under python -O; the table check must not
     code = (
@@ -636,6 +662,48 @@ def test_pair_zero_divisor_matches_dense_scan_on_collided_tables(alg):
 
 
 @st.composite
+def algebras_with_int_vectors(draw):
+    """A named, perturbed or collided algebra and two integer vectors with
+    zeros now and then."""
+    alg = draw(
+        st.one_of(
+            st.sampled_from(ALGEBRAS).map(A.algebra_by_name), perturbed_algebras(), collided_algebras()
+        )
+    )
+    entry = st.one_of(st.just(0), st.integers(-9, 9))
+    x = draw(st.lists(entry, min_size=alg.dim, max_size=alg.dim))
+    y = draw(st.lists(entry, min_size=alg.dim, max_size=alg.dim))
+    return alg, x, y
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(algebras_with_int_vectors())
+def test_generated_product_is_the_dense_loop(drawn):
+    alg, x, y = drawn
+    got = alg._mul(x, y)
+    assert got == ref_int_mul(alg)(x, y)
+    assert all(type(c) is int for c in got)
+
+
+def test_each_kernel_is_generated_once():
+    alg = A.HypercomplexAlgebra("O", 8, A.cayley_dickson_algebra(3).table, "test")
+    assert "_mul" not in vars(alg)  # not at construction
+    assert alg._mul is alg._mul
+    A._minors([[1, 2, 3], [4, 5, 6]], 3)
+    misses = A._minor_kernel.cache_info().misses
+    assert A._minors([[7, 8, 9], [1, 0, 2]], 3) == minors_by_det([[7, 8, 9], [1, 0, 2]], 3)
+    assert A._minor_kernel.cache_info().misses == misses
+    assert A._minor_kernel(2, 3) is A._minor_kernel(2, 3)
+
+
+def test_algebra_pickles_after_a_product():
+    O = A.algebra_by_name("o")
+    O.multiply(O.e(1), O.e(2))
+    copy = pickle.loads(pickle.dumps(O))
+    assert copy == O and copy.multiply(O.e(1), O.e(2)) == O.multiply(O.e(1), O.e(2))
+
+
+@st.composite
 def oriented_algebras(draw):
     """e_a e_b = +-e_(a xor b), every imaginary unit squaring to -1, units
     anticommuting, and each triple {a, b, a xor b} given a random
@@ -892,6 +960,29 @@ def test_support_matroid_of_any_signs_fails_as_make_matroid_does(shape):
     assert matroid_outcome(ch.support_matroid) == matroid_outcome(
         lambda: M.make_matroid(range(1, n + 1), bases)
     )
+
+
+@pytest.mark.parametrize(
+    "n, r, signs",
+    [
+        (4, 2, (1,)),  # one sign for six 2-subsets
+        (3, 2, (1,) * 5),  # extra signs
+        (3, -1, (1,)),  # a negative rank
+        (2, 3, ()),  # a rank above n
+        (F(3), 1, (1, 1, 0)),  # a non-int n
+        (3, 1, (1, 2, 0)),  # a sign outside -1..1
+        (3, 1, (1, True, 0)),  # a bool sign
+        (10**9, 5 * 10**8, (1,)),  # a short vector, refused before C(n, r) is computed
+    ],
+)
+def test_chirotope_fields_are_checked(n, r, signs):
+    with pytest.raises(A.BadDims):
+        A.Chirotope(n, r, signs)
+
+
+def test_chirotope_edge_shapes_are_accepted():
+    assert A.Chirotope(0, 0, (1,)).by_subset == {(): 1}
+    assert A.Chirotope(3, 3, (-1,)).sign((3, 1, 2)) == -1
 
 
 # ---------------------------------------------------------------------------
