@@ -604,9 +604,6 @@ def hodge_dual(
 # generalized cross products
 
 
-CROSS_TAGS = ("three", "seven", "epsilon", "complex_structure", "triple8")
-
-
 @dataclass(frozen=True)
 class CrossProductCase:
     """One admissible (r, n) pair: r argument vectors in dimension n."""

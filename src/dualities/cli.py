@@ -1,5 +1,10 @@
 """Command-line surface for the library.
 
+Every command is declared once, in ``COMMANDS``, with the handler that
+runs it and the arguments and options that handler reads; the parser
+and the dispatch are both built from that table.  A handler returns
+``(report, text lines, ok)`` and ``main`` prints one or the other.
+
 Exit codes: 0 on success or a verified property, 1 when a checked
 property fails (an axiom check, a cross-product axiom, an invalid
 matroid), 2 on usage or input errors.  ``--json`` prints one JSON object
@@ -63,14 +68,6 @@ def _parse_vector(text: str) -> tuple[Fraction, ...]:
     return fractions(text.replace(",", " ").split(), algebras.AlgebraError)
 
 
-def _emit(args, report, lines: list[str]) -> None:
-    if args.json:
-        print(json.dumps(to_json(report), sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
-
-
 def _matroid_summary(m: matroids.Matroid) -> dict:
     d = m.to_json_dict()
     d["rank"] = m.rank
@@ -78,271 +75,244 @@ def _matroid_summary(m: matroids.Matroid) -> dict:
     return d
 
 
+def _matroid_result(m: matroids.Matroid):
+    return _matroid_summary(m), [m.to_text().rstrip()], True
+
+
 # ---------------------------------------------------------------------------
 # matroid commands
 
 
-def _cmd_matroid(args) -> int:
-    bound = args.bound or matroids.GROUND_BOUND
-    if args.action == "validate":
-        try:
-            m = _load("matroid", args.source, bound)
-        except (matroids.BadInput, matroids.UnknownName, matroids.BadParams):
-            raise
-        except matroids.MatroidError as exc:
-            _emit(
-                args,
-                {"valid": False, "error": type(exc).__name__, "message": str(exc)},
-                [f"invalid: {type(exc).__name__}: {exc}"],
-            )
-            return 1
-        rep = _matroid_summary(m)
-        rep["valid"] = True
-        _emit(args, rep, [f"valid matroid: {m!r}", m.to_text().rstrip()])
-        return 0
+def _matroid(args, value: str) -> matroids.Matroid:
+    return _load("matroid", value, args.bound or matroids.GROUND_BOUND)
 
-    m = _load("matroid", args.source, bound)
-    if args.action == "dual":
-        d = m.dual()
-        _emit(args, _matroid_summary(d), [d.to_text().rstrip()])
-        return 0
-    if args.action == "minor":
-        res = m.minor(
-            deletions=_parse_elements(args.delete),
-            contractions=_parse_elements(args.contract),
-        )
-        _emit(args, _matroid_summary(res), [res.to_text().rstrip()])
-        return 0
-    if args.action == "classify":
-        rep = matroids.classify(m, bound=args.bound or 10)
-        lines = [f"{k}: {v}" for k, v in to_json(rep).items() if k != "witnesses"]
-        lines += [f"witness[{k}]: {v}" for k, v in rep.witnesses.items()]
-        _emit(args, rep, lines)
-        return 0
-    if args.action == "check-duality":
-        rep = matroids.check_duality_axioms(m)
-        lines = [
-            f"involution_ok: {rep.involution_ok}",
-            f"ground_preserved_ok: {rep.ground_preserved_ok}",
-        ]
-        lines += [
-            f"element {e}: delete/contract {a}, contract/delete {b}"
-            for e, (a, b) in rep.delete_contract_ok.items()
-        ]
-        lines.append(f"all_ok: {rep.all_ok}")
-        _emit(args, rep, lines)
-        return 0 if rep.all_ok else 1
-    if args.action == "isomorphic":
-        other = _load("matroid", args.target, bound)
-        ok, bij = matroids.is_isomorphic(m, other)
-        rep = {"isomorphic": ok, "bijection": bij}
-        _emit(args, rep, [f"isomorphic: {ok}" + (f" via {bij}" if bij else "")])
-        return 0
-    if args.action == "has-minor":
-        target = _load("matroid", args.target, bound)
-        found, wit = matroids.has_minor(m, target)
-        rep = {
-            "has_minor": found,
-            "deletions": wit[0] if wit else None,
-            "contractions": wit[1] if wit else None,
-        }
-        lines = [f"has_minor: {found}"]
-        if wit:
-            lines.append(f"deletions: {list(wit[0])}  contractions: {list(wit[1])}")
-        _emit(args, rep, lines)
-        return 0
-    raise InputError(f"unknown matroid action {args.action!r}")
+
+def _validate(args):
+    try:
+        m = _matroid(args, args.source)
+    except (matroids.BadInput, matroids.UnknownName, matroids.BadParams):
+        raise
+    except matroids.MatroidError as exc:
+        rep = {"valid": False, "error": type(exc).__name__, "message": str(exc)}
+        return rep, [f"invalid: {type(exc).__name__}: {exc}"], False
+    rep = _matroid_summary(m)
+    rep["valid"] = True
+    return rep, [f"valid matroid: {m!r}", m.to_text().rstrip()], True
+
+
+def _dual(args):
+    return _matroid_result(_matroid(args, args.source).dual())
+
+
+def _minor(args):
+    m = _matroid(args, args.source)
+    return _matroid_result(
+        m.minor(deletions=_parse_elements(args.delete), contractions=_parse_elements(args.contract))
+    )
+
+
+def _classify(args):
+    rep = matroids.classify(_matroid(args, args.source), bound=args.bound or 10)
+    lines = [f"{k}: {v}" for k, v in to_json(rep).items() if k != "witnesses"]
+    lines += [f"witness[{k}]: {v}" for k, v in rep.witnesses.items()]
+    return rep, lines, True
+
+
+def _check_duality(args):
+    rep = matroids.check_duality_axioms(_matroid(args, args.source))
+    lines = [
+        f"involution_ok: {rep.involution_ok}",
+        f"ground_preserved_ok: {rep.ground_preserved_ok}",
+    ]
+    lines += [
+        f"element {e}: delete/contract {a}, contract/delete {b}"
+        for e, (a, b) in rep.delete_contract_ok.items()
+    ]
+    lines.append(f"all_ok: {rep.all_ok}")
+    return rep, lines, rep.all_ok
+
+
+def _isomorphic(args):
+    m = _matroid(args, args.source)
+    ok, bij = matroids.is_isomorphic(m, _matroid(args, args.target))
+    line = f"isomorphic: {ok}" + (f" via {bij}" if bij else "")
+    return {"isomorphic": ok, "bijection": bij}, [line], True
+
+
+def _has_minor(args):
+    m = _matroid(args, args.source)
+    found, wit = matroids.has_minor(m, _matroid(args, args.target))
+    rep = {
+        "has_minor": found,
+        "deletions": wit[0] if wit else None,
+        "contractions": wit[1] if wit else None,
+    }
+    lines = [f"has_minor: {found}"]
+    if wit:
+        lines.append(f"deletions: {list(wit[0])}  contractions: {list(wit[1])}")
+    return rep, lines, True
 
 
 # ---------------------------------------------------------------------------
 # graph commands
 
 
-def _cmd_graph(args) -> int:
-    if args.action == "platonic":
-        rows = graphs.platonic_solids()
-        rep = {"rows": rows}
-        lines = ["p q V E F name"] + [
-            f"{r.p} {r.q} {r.vertices} {r.edges} {r.faces} {r.name}" for r in rows
-        ]
-        _emit(args, rep, lines)
-        return 0
-    if args.action == "invariants":
-        g = _load("graph", args.source)
-        inv = graphs.graph_invariants(g)
-        _emit(
-            args,
-            inv,
-            [f"components: {inv.components}", f"rank: {inv.rank}", f"nullity: {inv.nullity}"],
+def _platonic(args):
+    rows = graphs.platonic_solids()
+    lines = ["p q V E F name"] + [
+        f"{r.p} {r.q} {r.vertices} {r.edges} {r.faces} {r.name}" for r in rows
+    ]
+    return {"rows": rows}, lines, True
+
+
+def _invariants(args):
+    inv = graphs.graph_invariants(_load("graph", args.source))
+    lines = [f"components: {inv.components}", f"rank: {inv.rank}", f"nullity: {inv.nullity}"]
+    return inv, lines, True
+
+
+def _euler(args):
+    emb = _load("embedding", args.source)
+    t = graphs.trace_faces(emb)
+    rep = to_json(t)
+    rep["vertices"] = emb.graph.vertex_count
+    rep["edges"] = len(emb.graph.edges)
+    lines = [
+        f"V: {emb.graph.vertex_count}",
+        f"E: {len(emb.graph.edges)}",
+        f"F: {t.face_count}",
+        f"chi: {t.chi}",
+        f"genus: {t.genus}",
+    ]
+    return rep, lines, True
+
+
+def _graph_dual(args):
+    d = graphs.dual_embedding(_load("embedding", args.source))
+    return d, [graphs.embedding_to_text(d).rstrip()], True
+
+
+def _planar(args):
+    rep = graphs.is_planar(_load("graph", args.source), bound=args.bound or 20)
+    lines = [f"planar: {rep.planar}", f"note: {rep.note}"]
+    if rep.obstruction:
+        lines.append(
+            f"obstruction: {rep.obstruction} at deletions={list(rep.deletions)} "
+            f"contractions={list(rep.contractions)}"
         )
-        return 0
-    if args.action == "euler":
-        emb = _load("embedding", args.source)
-        t = graphs.trace_faces(emb)
-        rep = to_json(t)
-        rep["vertices"] = emb.graph.vertex_count
-        rep["edges"] = len(emb.graph.edges)
-        lines = [
-            f"V: {emb.graph.vertex_count}",
-            f"E: {len(emb.graph.edges)}",
-            f"F: {t.face_count}",
-            f"chi: {t.chi}",
-            f"genus: {t.genus}",
-        ]
-        _emit(args, rep, lines)
-        return 0
-    if args.action == "dual":
-        emb = _load("embedding", args.source)
-        d = graphs.dual_embedding(emb)
-        _emit(args, d, [graphs.embedding_to_text(d).rstrip()])
-        return 0
-    if args.action == "planar":
-        g = _load("graph", args.source)
-        rep = graphs.is_planar(g, bound=args.bound or 20)
-        lines = [f"planar: {rep.planar}", f"note: {rep.note}"]
-        if rep.obstruction:
-            lines.append(
-                f"obstruction: {rep.obstruction} at deletions={list(rep.deletions)} "
-                f"contractions={list(rep.contractions)}"
-            )
-        _emit(args, rep, lines)
-        return 0
-    if args.action == "blocks":
-        g = _load("graph", args.source)
-        bl = graphs.blocks(g)
-        rep = {"blocks": bl}
-        lines = [
-            f"block {i}: vertices {list(b.vertices)} edges {list(b.edge_indices)}"
-            for i, b in enumerate(bl)
-        ]
-        _emit(args, rep, lines)
-        return 0
-    if args.action == "cycle-matroid":
-        g = _load("graph", args.source)
-        m = graphs.cycle_matroid(g, bound=args.bound or matroids.GROUND_BOUND)
-        _emit(args, _matroid_summary(m), [m.to_text().rstrip()])
-        return 0
-    raise InputError(f"unknown graph action {args.action!r}")
+    return rep, lines, True
+
+
+def _blocks(args):
+    bl = graphs.blocks(_load("graph", args.source))
+    lines = [
+        f"block {i}: vertices {list(b.vertices)} edges {list(b.edge_indices)}"
+        for i, b in enumerate(bl)
+    ]
+    return {"blocks": bl}, lines, True
+
+
+def _cycle_matroid(args):
+    g = _load("graph", args.source)
+    return _matroid_result(graphs.cycle_matroid(g, bound=args.bound or matroids.GROUND_BOUND))
 
 
 # ---------------------------------------------------------------------------
 # complex commands
 
 
-def _cmd_complex(args) -> int:
-    if args.action == "genus-duality":
-        emb = _load("embedding", args.source)
-        rep = complexes.genus_duality_check(emb)
-        d = to_json(rep)
-        lines = [f"{k}: {v}" for k, v in d.items()]
-        _emit(args, d, lines)
-        return 0 if rep.all_ok else 1
+def _chi(args):
     k = _load("complex", args.source)
-    if args.action in ("chi", "named"):
-        rep = {
-            "alpha": list(k.alpha),
-            "dimension": k.dimension,
-            "chi": complexes.euler_char_complex(k),
-        }
-        _emit(
-            args,
-            rep,
-            [f"alpha: {list(k.alpha)}", f"chi: {rep['chi']}"],
-        )
-        return 0
-    if args.action == "betti":
-        b = complexes.betti_numbers(k)
-        chi = complexes.euler_char_complex(k)
-        alt = sum((-1) ** i * x for i, x in enumerate(b))
-        rep = {"betti": list(b), "chi": chi, "betti_alternating_sum": alt, "match": alt == chi}
-        _emit(args, rep, [f"betti: {list(b)}", f"chi: {chi}", f"match: {alt == chi}"])
-        return 0 if alt == chi else 1
-    if args.action == "index-sum":
-        rep = complexes.index_sum_canonical(k)
-        d = to_json(rep)
-        _emit(args, d, [f"{key}: {val}" for key, val in d.items()])
-        return 0
-    raise InputError(f"unknown complex action {args.action!r}")
+    chi = complexes.euler_char_complex(k)
+    rep = {"alpha": list(k.alpha), "dimension": k.dimension, "chi": chi}
+    return rep, [f"alpha: {list(k.alpha)}", f"chi: {chi}"], True
+
+
+def _betti(args):
+    k = _load("complex", args.source)
+    b = complexes.betti_numbers(k)
+    chi = complexes.euler_char_complex(k)
+    alt = sum((-1) ** i * x for i, x in enumerate(b))
+    rep = {"betti": list(b), "chi": chi, "betti_alternating_sum": alt, "match": alt == chi}
+    return rep, [f"betti: {list(b)}", f"chi: {chi}", f"match: {alt == chi}"], alt == chi
+
+
+def _index_sum(args):
+    d = to_json(complexes.index_sum_canonical(_load("complex", args.source)))
+    return d, [f"{key}: {val}" for key, val in d.items()], True
+
+
+def _genus_duality(args):
+    rep = complexes.genus_duality_check(_load("embedding", args.source))
+    d = to_json(rep)
+    return d, [f"{k}: {v}" for k, v in d.items()], rep.all_ok
 
 
 # ---------------------------------------------------------------------------
 # algebra commands
 
 
-def _cmd_algebra(args) -> int:
-    if args.action == "table":
-        alg = algebras.algebra_by_name(args.algebra)
-        rep = {
-            "algebra": alg.name,
-            "dim": alg.dim,
-            "table": [
-                [f"{'+' if s > 0 else '-'}e{k}" for s, k in row] for row in alg.table
-            ],
-        }
-        lines = []
-        for i, row in enumerate(alg.table):
-            cells = " ".join(f"{'+' if s > 0 else '-'}e{k}" for s, k in row)
-            lines.append(f"e{i}: {cells}")
-        _emit(args, rep, lines)
-        return 0
-    if args.action == "report":
-        alg = algebras.algebra_by_name(args.algebra)
-        rep = algebras.division_algebra_report(alg, sample_count=args.trials, seed=args.seed)
-        lines = [
-            f"algebra: {alg.name} (dim {alg.dim})",
-            f"norm_multiplicative: {rep.norm_multiplicative}",
-            f"alternative: {rep.alternative}",
-            f"zero_divisor: {_fmt_pair(rep.zero_divisor)}",
-            f"samples: {rep.samples} (seed {rep.seed})",
-        ]
-        _emit(args, rep, lines)
-        return 0
-    if args.action == "zero-divisors":
-        alg = algebras.algebra_by_name(args.algebra)
-        rep = algebras.division_algebra_report(alg, sample_count=0, seed=args.seed)
-        d = {"algebra": alg.name, "zero_divisor": rep.zero_divisor}
-        lines = [f"zero_divisor: {_fmt_pair(rep.zero_divisor)}"]
-        _emit(args, d, lines)
-        return 0
-    if args.action == "cross":
-        case = algebras.cross_case(args.case)
-        vectors = [_parse_vector(v) for v in args.vectors]
-        out = algebras.cross_product(case, vectors)
-        rep = {"case": case.tag, "n": case.n, "r": case.r, "result": out}
-        _emit(args, rep, ["result: " + " ".join(str(c) for c in out)])
-        return 0
-    if args.action == "cross-check":
-        case = algebras.cross_case(args.case)
-        rep = algebras.cross_axioms_report(case, trials=args.trials, seed=args.seed)
-        d = to_json(rep)
-        _emit(args, d, [f"{k}: {v}" for k, v in d.items()])
-        return 0 if rep.all_ok else 1
-    if args.action == "hodge":
-        comps: dict[tuple[int, ...], Fraction] = {}
-        for item in args.components:
-            key, _, val = item.partition("=")
-            idx = ints(key.replace(",", " ").split(), algebras.AlgebraError)
-            coeff = fractions([val], algebras.AlgebraError)[0] if val else Fraction(1)
-            comps[idx] = comps.get(idx, 0) + coeff  # the map is linear
-        out = algebras.hodge_dual(comps, args.n)
-        rep = {"n": args.n, "result": out}
-        lines = [
-            f"{' '.join(str(i) for i in k)}: {v}" for k, v in sorted(out.items())
-        ]
-        _emit(args, rep, lines)
-        return 0
-    if args.action == "chirotope":
-        points = [_parse_vector(p) for p in args.points]
-        ch = algebras.chirotope_of_configuration(points)
-        m = ch.support_matroid()
-        rep = to_json({"n": ch.n, "r": ch.r, "signs": ch.by_subset})
-        rep["support_matroid"] = _matroid_summary(m)
-        lines = [f"n: {ch.n}", f"rank: {ch.r}"]
-        lines += [f"{k}: {v}" for k, v in rep["signs"].items()]
-        lines.append(f"support matroid: {m!r} (validated)")
-        _emit(args, rep, lines)
-        return 0
-    raise InputError(f"unknown algebra action {args.action!r}")
+def _table(args):
+    alg = algebras.algebra_by_name(args.algebra)
+    rows = [[f"{'+' if s > 0 else '-'}e{k}" for s, k in row] for row in alg.table]
+    rep = {"algebra": alg.name, "dim": alg.dim, "table": rows}
+    return rep, [f"e{i}: {' '.join(cells)}" for i, cells in enumerate(rows)], True
+
+
+def _report(args):
+    alg = algebras.algebra_by_name(args.algebra)
+    rep = algebras.division_algebra_report(alg, sample_count=args.trials, seed=args.seed)
+    lines = [
+        f"algebra: {alg.name} (dim {alg.dim})",
+        f"norm_multiplicative: {rep.norm_multiplicative}",
+        f"alternative: {rep.alternative}",
+        f"zero_divisor: {_fmt_pair(rep.zero_divisor)}",
+        f"samples: {rep.samples} (seed {rep.seed})",
+    ]
+    return rep, lines, True
+
+
+def _zero_divisors(args):
+    alg = algebras.algebra_by_name(args.algebra)
+    pair = algebras.division_algebra_report(alg, sample_count=0).zero_divisor
+    return {"algebra": alg.name, "zero_divisor": pair}, [f"zero_divisor: {_fmt_pair(pair)}"], True
+
+
+def _cross(args):
+    case = algebras.cross_case(args.case)
+    out = algebras.cross_product(case, [_parse_vector(v) for v in args.vectors])
+    rep = {"case": case.tag, "n": case.n, "r": case.r, "result": out}
+    return rep, ["result: " + " ".join(str(c) for c in out)], True
+
+
+def _cross_check(args):
+    case = algebras.cross_case(args.case)
+    rep = algebras.cross_axioms_report(case, trials=args.trials, seed=args.seed)
+    d = to_json(rep)
+    return d, [f"{k}: {v}" for k, v in d.items()], rep.all_ok
+
+
+def _hodge(args):
+    comps: dict[tuple[int, ...], Fraction] = {}
+    for item in args.components:
+        key, _, val = item.partition("=")
+        idx = ints(key.replace(",", " ").split(), algebras.AlgebraError)
+        coeff = fractions([val], algebras.AlgebraError)[0] if val else Fraction(1)
+        comps[idx] = comps.get(idx, 0) + coeff  # the map is linear
+    out = algebras.hodge_dual(comps, args.n)
+    lines = [f"{' '.join(str(i) for i in k)}: {v}" for k, v in sorted(out.items())]
+    return {"n": args.n, "result": out}, lines, True
+
+
+def _chirotope(args):
+    ch = algebras.chirotope_of_configuration([_parse_vector(p) for p in args.points])
+    m = ch.support_matroid()
+    rep = to_json({"n": ch.n, "r": ch.r, "signs": ch.by_subset})
+    rep["support_matroid"] = _matroid_summary(m)
+    lines = [f"n: {ch.n}", f"rank: {ch.r}"]
+    lines += [f"{k}: {v}" for k, v in rep["signs"].items()]
+    lines.append(f"support matroid: {m!r} (validated)")
+    return rep, lines, True
 
 
 def _fmt_pair(pair):
@@ -362,7 +332,7 @@ def _fmt_elem(x) -> str:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# the command table
 
 
 # Largest --bound value: the default planarity edge cap.  --bound lifts the
@@ -392,11 +362,73 @@ def _bound(text: str) -> int:
     return _int_in(text, 1, BOUND_MAX)
 
 
-def _common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--json", action="store_true", help="emit one JSON object")
-    p.add_argument("--seed", type=int, default=0, help="seed for random trials")
-    p.add_argument("--trials", type=_trials, default=200, help=f"random trial count, 0..{algebras.TRIALS_MAX}")
-    p.add_argument("--bound", type=_bound, default=None, help=f"search/size bound, 1..{BOUND_MAX}")
+def _arg(*flags: str, **kwargs):
+    """One ``add_argument`` call: its flags and keyword arguments."""
+    return flags, kwargs
+
+
+MATROID = _arg("source", help="named id (fano, uniform:2,4, mk5), file path, or - for stdin")
+TARGET = _arg("target", help="second matroid source")
+GRAPH = _arg("source", help="named graph (k4, cube, torus), file, or -")
+EMBEDDING = _arg("source", help="named embedding (k4, cube, torus), file, or -")
+COMPLEX = _arg("source", help="named complex (sphere:2, genus:1), file, or -")
+BOUND = _arg("--bound", type=_bound, default=None, help=f"search/size bound, 1..{BOUND_MAX}")
+SEED = _arg("--seed", type=int, default=0, help="seed for random trials")
+TRIALS = _arg("--trials", type=_trials, default=200, help=f"random trial count, 0..{algebras.TRIALS_MAX}")
+ALGEBRA = _arg("--algebra", default="o", help="r|c|h|o|o-fano|sedenion")
+CASE = _arg("--case", default="three", help="three|seven|epsilon:<n>|j:<n>|triple8")
+
+# domain -> (help, {action: (handler, the arguments and options it reads)}).
+# Every action also takes --json.
+COMMANDS = {
+    "matroid": ("matroid operations", {
+        "validate": (_validate, (MATROID, BOUND)),
+        "dual": (_dual, (MATROID, BOUND)),
+        "classify": (_classify, (MATROID, BOUND)),
+        "check-duality": (_check_duality, (MATROID, BOUND)),
+        "minor": (_minor, (
+            MATROID,
+            _arg("--delete", default="", help="elements to delete (comma list)"),
+            _arg("--contract", default="", help="elements to contract (comma list)"),
+            BOUND,
+        )),
+        "isomorphic": (_isomorphic, (MATROID, TARGET, BOUND)),
+        "has-minor": (_has_minor, (MATROID, TARGET, BOUND)),
+    }),
+    "graph": ("graph and embedding operations", {
+        "platonic": (_platonic, ()),
+        "invariants": (_invariants, (GRAPH,)),
+        "euler": (_euler, (EMBEDDING,)),
+        "dual": (_graph_dual, (EMBEDDING,)),
+        "planar": (_planar, (GRAPH, BOUND)),
+        "blocks": (_blocks, (GRAPH,)),
+        "cycle-matroid": (_cycle_matroid, (GRAPH, BOUND)),
+    }),
+    "complex": ("simplicial-complex operations", {
+        "chi": (_chi, (COMPLEX,)),
+        "betti": (_betti, (COMPLEX,)),
+        "named": (_chi, (COMPLEX,)),
+        "index-sum": (_index_sum, (COMPLEX,)),
+        "genus-duality": (_genus_duality, (_arg("source", help="named embedding, file, or -"),)),
+    }),
+    "algebra": ("hypercomplex algebra operations", {
+        "table": (_table, (ALGEBRA,)),
+        "report": (_report, (ALGEBRA, SEED, TRIALS)),
+        "zero-divisors": (_zero_divisors, (ALGEBRA,)),
+        "cross": (_cross, (
+            CASE,
+            _arg("vectors", nargs="+", help="vectors as comma-separated rationals"),
+        )),
+        "cross-check": (_cross_check, (CASE, SEED, TRIALS)),
+        "hodge": (_hodge, (
+            _arg("--n", type=int, required=True, help="ambient dimension"),
+            _arg("components", nargs="+", help="entries like 1,2=3/2 (coefficient defaults to 1)"),
+        )),
+        "chirotope": (_chirotope, (
+            _arg("points", nargs="+", help="points as comma-separated rational coordinates"),
+        )),
+    }),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -405,86 +437,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact duality computations: matroids, embedded graphs, "
         "simplicial complexes, hypercomplex algebras.",
     )
-    sub = parser.add_subparsers(dest="domain", required=True)
-
-    matroid_src = "named id (fano, uniform:2,4, mk5), file path, or - for stdin"
-    pm = sub.add_parser("matroid", help="matroid operations")
-    pm_sub = pm.add_subparsers(dest="action", required=True)
-    for action in ("validate", "dual", "classify", "check-duality"):
-        p = pm_sub.add_parser(action)
-        p.add_argument("source", help=matroid_src)
-        _common(p)
-    p = pm_sub.add_parser("minor")
-    p.add_argument("source", help=matroid_src)
-    p.add_argument("--delete", default="", help="elements to delete (comma list)")
-    p.add_argument("--contract", default="", help="elements to contract (comma list)")
-    _common(p)
-    for action in ("isomorphic", "has-minor"):
-        p = pm_sub.add_parser(action)
-        p.add_argument("source", help=matroid_src)
-        p.add_argument("target", help="second matroid source")
-        _common(p)
-
-    pg = sub.add_parser("graph", help="graph and embedding operations")
-    pg_sub = pg.add_subparsers(dest="action", required=True)
-    p = pg_sub.add_parser("platonic")
-    _common(p)
-    for action, src in (
-        ("invariants", "graph"),
-        ("euler", "embedding"),
-        ("dual", "embedding"),
-        ("planar", "graph"),
-        ("blocks", "graph"),
-        ("cycle-matroid", "graph"),
-    ):
-        p = pg_sub.add_parser(action)
-        p.add_argument("source", help=f"named {src} (k4, cube, torus), file, or -")
-        _common(p)
-
-    pc = sub.add_parser("complex", help="simplicial-complex operations")
-    pc_sub = pc.add_subparsers(dest="action", required=True)
-    for action in ("chi", "betti", "named", "index-sum", "genus-duality"):
-        p = pc_sub.add_parser(action)
-        src = "embedding" if action == "genus-duality" else "complex (sphere:2, genus:1)"
-        p.add_argument("source", help=f"named {src}, file, or -")
-        _common(p)
-
-    pa = sub.add_parser("algebra", help="hypercomplex algebra operations")
-    pa_sub = pa.add_subparsers(dest="action", required=True)
-    for action in ("table", "report", "zero-divisors"):
-        p = pa_sub.add_parser(action)
-        p.add_argument("--algebra", default="o", help="r|c|h|o|o-fano|sedenion")
-        _common(p)
-    for action in ("cross", "cross-check"):
-        p = pa_sub.add_parser(action)
-        p.add_argument("--case", default="three", help="three|seven|epsilon:<n>|j:<n>|triple8")
-        if action == "cross":
-            p.add_argument("vectors", nargs="+", help="vectors as comma-separated rationals")
-        _common(p)
-    p = pa_sub.add_parser("hodge")
-    p.add_argument("--n", type=int, required=True, help="ambient dimension")
-    p.add_argument("components", nargs="+", help="entries like 1,2=3/2 (coefficient defaults to 1)")
-    _common(p)
-    p = pa_sub.add_parser("chirotope")
-    p.add_argument("points", nargs="+", help="points as comma-separated rational coordinates")
-    _common(p)
-
+    domains = parser.add_subparsers(dest="domain", required=True)
+    for domain, (help_text, actions) in COMMANDS.items():
+        pd = domains.add_parser(domain, help=help_text)
+        sub = pd.add_subparsers(dest="action", required=True)
+        for action, (handler, arguments) in actions.items():
+            p = sub.add_parser(action)
+            for flags, kwargs in arguments:
+                p.add_argument(*flags, **kwargs)
+            p.add_argument("--json", action="store_true", help="emit one JSON object")
+            p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.domain == "matroid":
-            return _cmd_matroid(args)
-        if args.domain == "graph":
-            return _cmd_graph(args)
-        if args.domain == "complex":
-            return _cmd_complex(args)
-        if args.domain == "algebra":
-            return _cmd_algebra(args)
-        parser.error(f"unknown domain {args.domain!r}")
+        report, lines, ok = args.handler(args)
     except (
         matroids.MatroidError,
         graphs.GraphError,
@@ -493,10 +462,15 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except (InputError, KeyError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 2
+    if args.json:
+        print(json.dumps(to_json(report), sort_keys=True))
+    else:
+        for line in lines:
+            print(line)
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

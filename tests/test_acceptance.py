@@ -15,6 +15,8 @@ from dualities import graphs as G
 from dualities import matroids as M
 from dualities.cli import main as cli_main
 
+from generators import disjoint_union_embeddings, random_cellular_embedding, random_planar_embedding
+
 
 def _finish(num: int, name: str, budget: float, t0: float) -> None:
     elapsed = time.perf_counter() - t0
@@ -49,7 +51,7 @@ def test_criterion_02_euler_duality_suite():
     t0 = time.perf_counter()
     rng = random.Random(2024)
     for _ in range(100):
-        emb = G.random_planar_embedding(rng, max_vertices=10, max_edges=20)
+        emb = random_planar_embedding(rng, max_vertices=10, max_edges=20)
         traced = G.trace_faces(emb)
         v, e = emb.graph.vertex_count, len(emb.graph.edges)
         assert v - e + traced.face_count == 2
@@ -58,8 +60,8 @@ def test_criterion_02_euler_duality_suite():
         assert rep.nullity_dual == rep.rank
     for _ in range(20):
         k = rng.randint(2, 5)
-        emb = G.disjoint_union_embeddings(
-            [G.random_planar_embedding(rng, max_vertices=5, max_edges=8) for _ in range(k)]
+        emb = disjoint_union_embeddings(
+            [random_planar_embedding(rng, max_vertices=5, max_edges=8) for _ in range(k)]
         )
         traced = G.trace_faces(emb)
         assert traced.component_count == k
@@ -120,7 +122,7 @@ def test_criterion_05_geometric_abstract_coherence():
     t0 = time.perf_counter()
     rng = random.Random(55)
     for _ in range(20):
-        emb = G.random_planar_embedding(rng, max_vertices=8, max_edges=12)
+        emb = random_planar_embedding(rng, max_vertices=8, max_edges=12)
         lhs = G.cycle_matroid(G.dual_embedding(emb).graph)
         rhs = G.cycle_matroid(emb.graph).dual()
         ok, _ = M.is_isomorphic(lhs, rhs)
@@ -181,7 +183,7 @@ def test_criterion_08_genus_duality():
     assert g2.all_ok
     rng = random.Random(8)
     for _ in range(20):
-        emb = G.random_cellular_embedding(rng, rng.randint(2, 7), rng.randint(0, 6))
+        emb = random_cellular_embedding(rng, rng.randint(2, 7), rng.randint(0, 6))
         rep = C.genus_duality_check(emb)
         assert 0 <= rep.genus <= 3
         assert rep.virtual_euler_ok

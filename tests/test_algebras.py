@@ -405,7 +405,7 @@ def test_table_check_survives_optimize_flag():
     src = str(Path(A.__file__).parents[1])
     out = subprocess.run(
         [sys.executable, "-O", "-c", code],
-        capture_output=True, text=True, env={"PYTHONPATH": src}, timeout=60,
+        capture_output=True, text=True, env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}, timeout=60,
     )
     assert out.stdout.strip() == "rejected", out.stderr
 

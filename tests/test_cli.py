@@ -9,12 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualities.cli import build_parser, main
+from dualities import graphs
+from dualities.cli import COMMANDS, build_parser, main
 
-# Exact --json stdout and exit code of every argv in
-# test_json_mode_is_stable and every README CLI line (``algebra report``
-# runs 20 trials instead of 500 to keep the test fast).
+# Exact stdout and exit code of every argv in test_json_mode_is_stable and
+# every README CLI line (``algebra report`` runs 20 trials instead of 500
+# to keep the test fast), each with --json and then as text.
 GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
+
+ACTIONS = [(domain, action) for domain, (_, actions) in COMMANDS.items() for action in actions]
 
 
 def run(capsys, *argv):
@@ -217,6 +220,81 @@ def test_usage_error_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["matroid", "frobnicate", "fano"])
     assert exc.value.code == 2
+
+
+def test_library_key_error_is_not_an_input_error(monkeypatch):
+    """A KeyError from the library is a bug: it propagates, not exit 2."""
+
+    def broken():
+        raise KeyError("rows")
+
+    monkeypatch.setattr(graphs, "platonic_solids", broken)
+    with pytest.raises(KeyError):
+        main(["graph", "platonic"])
+
+
+@pytest.mark.parametrize("domain,action", ACTIONS)
+def test_help_exits_0(capsys, domain, action):
+    with pytest.raises(SystemExit) as exc:
+        main([domain, action, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: dualities {domain} {action}")
+
+
+# The positional arguments of one valid call of every command.
+EXAMPLES = {
+    ("matroid", "validate"): ["fano"],
+    ("matroid", "dual"): ["fano"],
+    ("matroid", "classify"): ["fano"],
+    ("matroid", "check-duality"): ["fano"],
+    ("matroid", "minor"): ["fano"],
+    ("matroid", "isomorphic"): ["fano", "fano"],
+    ("matroid", "has-minor"): ["fano", "fano"],
+    ("graph", "platonic"): [],
+    ("graph", "invariants"): ["k4"],
+    ("graph", "euler"): ["k4"],
+    ("graph", "dual"): ["k4"],
+    ("graph", "planar"): ["k4"],
+    ("graph", "blocks"): ["k4"],
+    ("graph", "cycle-matroid"): ["k4"],
+    ("complex", "chi"): ["sphere:2"],
+    ("complex", "betti"): ["sphere:2"],
+    ("complex", "named"): ["sphere:2"],
+    ("complex", "index-sum"): ["sphere:2"],
+    ("complex", "genus-duality"): ["torus"],
+    ("algebra", "table"): [],
+    ("algebra", "report"): [],
+    ("algebra", "zero-divisors"): [],
+    ("algebra", "cross"): ["1,0,0", "0,1,0"],
+    ("algebra", "cross-check"): [],
+    ("algebra", "hodge"): ["--n", "3", "1"],
+    ("algebra", "chirotope"): ["1,0", "0,1"],
+}
+
+# The only commands that read --seed, --trials or --bound.
+SAMPLED = {("algebra", "report"), ("algebra", "cross-check")}
+BOUNDED = {("matroid", a) for a in COMMANDS["matroid"][1]} | {("graph", "planar"), ("graph", "cycle-matroid")}
+LISTED = {"--seed": SAMPLED, "--trials": SAMPLED, "--bound": BOUNDED}
+
+
+def test_every_command_has_an_example():
+    assert set(EXAMPLES) == set(ACTIONS)
+
+
+@pytest.mark.parametrize("option", sorted(LISTED))
+@pytest.mark.parametrize("domain,action", ACTIONS)
+def test_option_accepted_only_where_listed(capsys, domain, action, option):
+    arguments = COMMANDS[domain][1][action][1]
+    listed = (domain, action) in LISTED[option]
+    assert any(option in flags for flags, _ in arguments) == listed
+    argv = [domain, action, *EXAMPLES[domain, action], option, "1"]
+    if listed:
+        assert getattr(build_parser().parse_args(argv), option[2:]) == 1
+    else:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option} 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

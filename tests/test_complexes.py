@@ -6,6 +6,8 @@ import pytest
 from dualities import complexes as C
 from dualities import graphs as G
 
+from generators import disjoint_union_embeddings, random_cellular_embedding
+
 
 def naive_components(k):
     """Union-find over vertices through the 1-skeleton."""
@@ -341,14 +343,14 @@ def test_genus_duality_genus2():
 def test_genus_duality_random():
     rng = random.Random(42)
     for _ in range(20):
-        emb = G.random_cellular_embedding(rng, rng.randint(2, 6), rng.randint(0, 6))
+        emb = random_cellular_embedding(rng, rng.randint(2, 6), rng.randint(0, 6))
         rep = C.genus_duality_check(emb)
         assert rep.genus <= 3
         assert rep.all_ok
 
 
 def test_genus_duality_rejects_disconnected():
-    emb = G.disjoint_union_embeddings(
+    emb = disjoint_union_embeddings(
         [G.named_embedding("torus"), G.named_embedding("torus")]
     )
     with pytest.raises(G.NonCellular):

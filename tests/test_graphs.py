@@ -8,6 +8,8 @@ from dualities import graphs as G
 from dualities import matroids as M
 from dualities.algebras import det_rational
 
+from generators import disjoint_union_embeddings, random_cellular_embedding, random_planar_embedding
+
 
 def laplacian_tree_count(g):
     n = g.vertex_count
@@ -155,7 +157,7 @@ def test_dual_keeps_edge_indices():
 
 
 def test_dual_disconnected_rejected():
-    emb = G.disjoint_union_embeddings(
+    emb = disjoint_union_embeddings(
         [G.named_embedding("tetrahedron"), G.named_embedding("tetrahedron")]
     )
     with pytest.raises(G.NonCellular):
@@ -465,7 +467,7 @@ def test_cycle_matroid_bound():
 def test_random_planar_embeddings_euler():
     rng = random.Random(101)
     for _ in range(25):
-        emb = G.random_planar_embedding(rng, max_vertices=9, max_edges=18)
+        emb = random_planar_embedding(rng, max_vertices=9, max_edges=18)
         t = G.trace_faces(emb)
         v = emb.graph.vertex_count
         e = len(emb.graph.edges)
@@ -476,7 +478,7 @@ def test_random_planar_embeddings_euler():
 def test_random_planar_duality_exchange():
     rng = random.Random(55)
     for _ in range(15):
-        emb = G.random_planar_embedding(rng, max_vertices=8, max_edges=14)
+        emb = random_planar_embedding(rng, max_vertices=8, max_edges=14)
         rep = G.rank_nullity_duality_report(emb)
         assert rep.duality_ok
 
@@ -486,10 +488,10 @@ def test_disconnected_plane_chi():
     for _ in range(8):
         k = rng.randint(2, 4)
         embs = [
-            G.random_planar_embedding(rng, max_vertices=5, max_edges=7)
+            random_planar_embedding(rng, max_vertices=5, max_edges=7)
             for _ in range(k)
         ]
-        emb = G.disjoint_union_embeddings(embs)
+        emb = disjoint_union_embeddings(embs)
         t = G.trace_faces(emb)
         assert t.component_count == k
         assert t.chi == 1 + k
@@ -498,7 +500,7 @@ def test_disconnected_plane_chi():
 def test_geometric_abstract_duality_coherence():
     rng = random.Random(13)
     for _ in range(6):
-        emb = G.random_planar_embedding(rng, max_vertices=6, max_edges=9)
+        emb = random_planar_embedding(rng, max_vertices=6, max_edges=9)
         cm_dual = G.cycle_matroid(G.dual_embedding(emb).graph)
         dual_cm = G.cycle_matroid(emb.graph).dual()
         ok, _ = M.is_isomorphic(cm_dual, dual_cm)
@@ -508,7 +510,7 @@ def test_geometric_abstract_duality_coherence():
 def test_random_cellular_genus_bounds():
     rng = random.Random(88)
     for _ in range(20):
-        emb = G.random_cellular_embedding(rng, rng.randint(2, 6), rng.randint(0, 6))
+        emb = random_cellular_embedding(rng, rng.randint(2, 6), rng.randint(0, 6))
         t = G.trace_faces(emb)
         assert t.component_count == 1
         assert t.genus is not None and 0 <= t.genus <= 3

@@ -14,6 +14,8 @@ from dualities import graphs as G
 from dualities import matroids as M
 from dualities.algebras import det_rational
 
+from generators import random_planar_embedding
+
 U23 = M.make_matroid([1, 2, 3], [[1, 2], [1, 3], [2, 3]])
 U24 = M.named_matroid("uniform", (2, 4))
 FANO = M.named_matroid("fano")
@@ -711,7 +713,7 @@ def test_graphic_witness_realizes_random_multigraphs():
 def test_graphic_witness_realizes_planar_duals():
     rng = random.Random(32)
     for _ in range(25):
-        emb = G.random_planar_embedding(rng, max_vertices=6, max_edges=10)
+        emb = random_planar_embedding(rng, max_vertices=6, max_edges=10)
         m = relabelled(G.cycle_matroid(G.dual_embedding(emb).graph), rng)
         rep = M.classify(m)
         assert rep.graphic and rep.cographic
