@@ -84,13 +84,18 @@ def _matroid_result(m: matroids.Matroid):
 
 
 def _matroid(args, value: str) -> matroids.Matroid:
-    return _load("matroid", value, args.bound or matroids.GROUND_BOUND)
+    """A matroid source whose ground, named or read from a file, is within
+    ``--bound``."""
+    bound = args.bound or matroids.GROUND_BOUND
+    m = _load("matroid", value, bound)
+    matroids._ground(m.ground, bound)
+    return m
 
 
 def _validate(args):
     try:
         m = _matroid(args, args.source)
-    except (matroids.BadInput, matroids.UnknownName, matroids.BadParams):
+    except (matroids.BadInput, matroids.UnknownName, matroids.BadParams, matroids.GroundTooLarge):
         raise
     except matroids.MatroidError as exc:
         rep = {"valid": False, "error": type(exc).__name__, "message": str(exc)}
@@ -274,7 +279,7 @@ def _report(args):
 
 def _zero_divisors(args):
     alg = algebras.algebra_by_name(args.algebra)
-    pair = algebras.division_algebra_report(alg, sample_count=0).zero_divisor
+    pair = algebras._pair_zero_divisor(alg)
     return {"algebra": alg.name, "zero_divisor": pair}, [f"zero_divisor: {_fmt_pair(pair)}"], True
 
 

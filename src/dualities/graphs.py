@@ -163,13 +163,15 @@ class Embedding:
         }
 
 
+def _rot_next(rotation) -> dict[Dart, Dart]:
+    """Each dart's successor in the cyclic order at its vertex."""
+    return {d: cyc[(i + 1) % len(cyc)] for cyc in rotation for i, d in enumerate(cyc)}
+
+
 def _face_orbits(
     edges: tuple[tuple[int, int], ...], rotation
 ) -> list[tuple[Dart, ...]]:
-    rot_next: dict[Dart, Dart] = {}
-    for cyc in rotation:
-        for i, d in enumerate(cyc):
-            rot_next[d] = cyc[(i + 1) % len(cyc)]
+    rot_next = _rot_next(rotation)
     succ: dict[Dart, Dart] = {}
     for e in range(len(edges)):
         for s in (0, 1):
@@ -252,6 +254,35 @@ def dual_embedding(emb: Embedding) -> Embedding:
     )
     rotation = tuple(tuple(face) for face in traced.faces)
     return Embedding(Multigraph(len(traced.faces), edges), rotation)
+
+
+def _walk(rot_next: dict[Dart, Dart], start: Dart) -> list[int]:
+    """Label darts in discovery order from ``start``; for each labelled
+    dart, record the labels of its rotation successor and its twin."""
+    label = {start: 0}
+    order = [start]
+    out = []
+    for d in order:
+        for x in (rot_next[d], (d[0], 1 - d[1])):
+            if x not in label:
+                label[x] = len(order)
+                order.append(x)
+            out.append(label[x])
+    return out
+
+
+def _same_map(a: Embedding, b: Embedding) -> bool:
+    """Whether two connected maps with edges agree up to mirror image.
+
+    A map isomorphism commutes with the rotation successor and the twin,
+    so the image of one dart forces the rest (Mohar and Thomassen, Graphs
+    on Surfaces, 2001, 3.2): no backtracking.  The walk of ``a`` from one
+    dart is compared with the walk from every dart of ``b`` and of its
+    mirror, whose every rotation is reversed.
+    """
+    want = _walk(_rot_next(a.rotation), (0, 0))
+    mirror = tuple(cyc[::-1] for cyc in b.rotation)
+    return any(_walk(nxt, d) == want for nxt in (_rot_next(b.rotation), _rot_next(mirror)) for d in nxt)
 
 
 @dataclass(frozen=True)
@@ -580,9 +611,12 @@ def platonic_solids() -> list[PlatonicRow]:
     E(2p - pq + 2q) = 2pq; only five (p, q) pairs admit positive E.
     Each row is checked against its named embedding (V, E, F and genus
     0), and the duality {p,q} <-> {q,p} on the embeddings: the dual map
-    of the tetrahedron, the cube and the dodecahedron is isomorphic to
-    the tetrahedron, the octahedron and the icosahedron graph.  A
-    mismatch raises ``GraphError``.
+    of the tetrahedron, the cube and the dodecahedron is the tetrahedron,
+    the octahedron and the icosahedron map, up to mirror image
+    (``_same_map``).  Each solid's graph is 3-connected, so its plane
+    embedding is unique up to mirror image (Whitney, 1933) and the maps
+    agree exactly when the graphs are isomorphic.  A mismatch raises
+    ``GraphError``.
     """
     candidates = [
         (p, q)
@@ -611,7 +645,7 @@ def platonic_solids() -> list[PlatonicRow]:
         if got != (row.vertices, row.edges, row.faces, 0):
             raise GraphError(f"the {row.name} embedding has (V, E, F, genus) = {got}")
         dual = _PLATONIC_NAMES[(row.q, row.p)]
-        if row.p >= row.q and not is_graph_isomorphic(dual_embedding(emb).graph, named_graph(dual)):
+        if row.p >= row.q and not _same_map(dual_embedding(emb), named_embedding(dual)):
             raise GraphError(f"the dual of the {row.name} embedding is not the {dual}")
     return rows
 
@@ -769,75 +803,6 @@ def cycle_matroid(g: Multigraph, bound: int = matroids.GROUND_BOUND) -> Matroid:
 
 
 # ---------------------------------------------------------------------------
-# graph isomorphism (small multigraphs)
-
-
-def is_graph_isomorphic(g1: Multigraph, g2: Multigraph) -> bool:
-    """Backtracking multigraph isomorphism with degree/loop pruning."""
-    n = g1.vertex_count
-    if n != g2.vertex_count or len(g1.edges) != len(g2.edges):
-        return False
-
-    def profile(g: Multigraph):
-        loops = [0] * g.vertex_count
-        mult: dict[tuple[int, int], int] = {}
-        for u, v in g.edges:
-            if u == v:
-                loops[u] += 1
-            else:
-                key = (min(u, v), max(u, v))
-                mult[key] = mult.get(key, 0) + 1
-        return loops, mult
-
-    loops1, mult1 = profile(g1)
-    loops2, mult2 = profile(g2)
-
-    def sig(g, loops, mult):
-        out = []
-        for v in range(g.vertex_count):
-            neigh = sorted(
-                m for (a, b), m in mult.items() if v in (a, b)
-            )
-            out.append((g.degree(v), loops[v], tuple(neigh)))
-        return out
-
-    s1, s2 = sig(g1, loops1, mult1), sig(g2, loops2, mult2)
-    if sorted(s1) != sorted(s2):
-        return False
-
-    perm = [-1] * n
-    used = [False] * n
-
-    def consistent(v: int, w: int) -> bool:
-        if s1[v] != s2[w]:
-            return False
-        if loops1[v] != loops2[w]:
-            return False
-        for u in range(v):
-            x = perm[u]
-            a = mult1.get((min(u, v), max(u, v)), 0)
-            b = mult2.get((min(x, w), max(x, w)), 0)
-            if a != b:
-                return False
-        return True
-
-    def rec(v: int) -> bool:
-        if v == n:
-            return True
-        for w in range(n):
-            if not used[w] and consistent(v, w):
-                perm[v] = w
-                used[w] = True
-                if rec(v + 1):
-                    return True
-                used[w] = False
-                perm[v] = -1
-        return False
-
-    return rec(0)
-
-
-# ---------------------------------------------------------------------------
 # named graphs and embeddings
 
 
@@ -986,9 +951,6 @@ def parse_embedding(text: str) -> Embedding:
     if not {v for edge in g.edges for v in edge} <= seen_rot:
         raise GraphError("every vertex with incident edges needs a rot line")
     return Embedding(g, tuple(rot))
-
-
-embedding_to_json_dict = Embedding.to_json_dict
 
 
 def embedding_to_text(emb: Embedding) -> str:

@@ -219,10 +219,6 @@ class Matroid:
         s = self._mask(subset)
         return max((b & s).bit_count() for b in self._masks)
 
-    def is_independent(self, subset: Iterable[int]) -> bool:
-        s = self._mask(subset)
-        return any(s & ~b == 0 for b in self._masks)
-
     @cached_property
     def loops(self) -> frozenset[int]:
         union = 0

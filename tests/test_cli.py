@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualities import graphs
+from dualities import algebras, graphs
 from dualities.cli import COMMANDS, build_parser, main
 
 # Exact stdout and exit code of every argv in test_json_mode_is_stable and
@@ -475,6 +475,36 @@ def test_bound_accepted(capsys):
     assert run(capsys, "graph", "planar", "cycle:5", "--bound", "4")[0] == 2
     for bound in (1, 20):
         assert build_parser().parse_args(["graph", "planar", "k4", "--bound", str(bound)]).bound == bound
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("matroid", "validate", "FILE"),
+        ("matroid", "dual", "FILE"),
+        ("matroid", "validate", "uniform:3,12"),
+        ("matroid", "dual", "uniform:3,12"),
+        ("matroid", "isomorphic", "uniform:1,2", "uniform:3,12"),
+    ],
+    ids=" ".join,
+)
+def test_ground_over_bound_exit_2(capsys, tmp_path, argv):
+    """A hit --bound is an input error for a file (6 elements) or a named
+    source (12), and for the target as well as the source; it never
+    reads as an invalid matroid."""
+    path = tmp_path / "six.txt"
+    path.write_text("ground: 1 2 3 4 5 6\nbasis: 1 2\n")
+    count = 6 if "FILE" in argv else 12
+    argv = [str(path) if a == "FILE" else a for a in argv]
+    code, out, err = run(capsys, *argv, "--bound", "5")
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"error: GroundTooLarge: {count} elements exceed the bound 5"]
+
+
+def test_zero_divisors_reads_only_the_pair_scan(capsys, monkeypatch):
+    monkeypatch.setattr(algebras, "division_algebra_report", None)
+    code, data = run_json(capsys, "algebra", "zero-divisors", "--algebra", "sedenion")
+    assert code == 0 and data["zero_divisor"] is not None
 
 
 # Tokens that are malformed, negative, huge or just out of range, mixed

@@ -107,15 +107,30 @@ def test_rotation_validation():
 # duals
 
 
+def assert_isomorphic_graphs(g1, g2):
+    """networkx's multigraph isomorphism as the independent oracle."""
+    nx = pytest.importorskip("networkx")
+
+    def multigraph(g):
+        h = nx.MultiGraph()
+        h.add_nodes_from(range(g.vertex_count))
+        h.add_edges_from(g.edges)
+        return h
+
+    assert nx.is_isomorphic(multigraph(g1), multigraph(g2))
+
+
 def test_dual_tetrahedron_self_dual():
     emb = G.named_embedding("tetrahedron")
     d = G.dual_embedding(emb)
-    assert G.is_graph_isomorphic(d.graph, emb.graph)
+    assert G._same_map(d, emb)
+    assert_isomorphic_graphs(d.graph, emb.graph)
 
 
 def test_dual_cube_is_octahedron():
     d = G.dual_embedding(G.named_embedding("cube"))
-    assert G.is_graph_isomorphic(d.graph, G.named_graph("octahedron"))
+    assert G._same_map(d, G.named_embedding("octahedron"))
+    assert_isomorphic_graphs(d.graph, G.named_graph("octahedron"))
 
 
 @pytest.mark.parametrize(
@@ -132,15 +147,60 @@ def test_platonic_embedding_counts_and_dual(name, counts, dual):
     emb = G.named_embedding(name)
     t = G.trace_faces(emb)
     assert (emb.graph.vertex_count, len(emb.graph.edges), t.face_count, t.genus) == (*counts, 0)
-    assert G.is_graph_isomorphic(G.dual_embedding(emb).graph, G.named_graph(dual))
+    assert G._same_map(G.dual_embedding(emb), G.named_embedding(dual))
+    assert_isomorphic_graphs(G.dual_embedding(emb).graph, G.named_graph(dual))
 
 
 def test_dual_dual_is_original():
     for name in ("tetrahedron", "cube", "k4"):
         emb = G.named_embedding(name)
         dd = G.dual_embedding(G.dual_embedding(emb))
-        assert G.is_graph_isomorphic(dd.graph, emb.graph)
+        assert G._same_map(dd, emb)
         assert G.trace_faces(dd).face_count == G.trace_faces(emb).face_count
+    for name in ("tetrahedron", "cube", "k4"):
+        emb = G.named_embedding(name)
+        assert_isomorphic_graphs(G.dual_embedding(G.dual_embedding(emb)).graph, emb.graph)
+
+
+def relabelled(emb, seed):
+    """``emb`` with its edges shuffled and some of them reversed."""
+    rng = random.Random(seed)
+    ne = len(emb.graph.edges)
+    perm = rng.sample(range(ne), ne)
+    flip = [rng.randrange(2) for _ in range(ne)]
+    edges = [None] * ne
+    for e, (u, v) in enumerate(emb.graph.edges):
+        edges[perm[e]] = (v, u) if flip[e] else (u, v)
+    rotation = tuple(tuple((perm[e], s ^ flip[e]) for e, s in cyc) for cyc in emb.rotation)
+    return G.Embedding(G.Multigraph(emb.graph.vertex_count, tuple(edges)), rotation)
+
+
+def test_same_map_accepts_mirror_and_relabelling():
+    ico = G.named_embedding("icosahedron")
+    mirror = G.Embedding(ico.graph, tuple(cyc[::-1] for cyc in ico.rotation))
+    assert G._same_map(ico, mirror) and G._same_map(mirror, ico)
+    for seed in range(3):
+        assert G._same_map(ico, relabelled(ico, seed))
+        assert G._same_map(relabelled(mirror, seed), ico)
+
+
+def test_same_map_rejects_other_maps():
+    names = ("tetrahedron", "cube", "octahedron", "dodecahedron", "icosahedron")
+    for a, b in itertools.product(names, repeat=2):
+        assert G._same_map(G.named_embedding(a), G.named_embedding(b)) == (a == b)
+    # same graph, different map: the two vertices of a 4-edge dipole in
+    # rotation order 0 1 2 3 against 0 2 1 3 at one end
+    g = G.Multigraph(2, ((0, 1),) * 4)
+    plane = G.Embedding(g, (((0, 0), (1, 0), (2, 0), (3, 0)), ((3, 1), (2, 1), (1, 1), (0, 1))))
+    torus = G.Embedding(g, (((0, 0), (2, 0), (1, 0), (3, 0)), ((3, 1), (2, 1), (1, 1), (0, 1))))
+    assert G.trace_faces(plane).genus == 0 and G.trace_faces(torus).genus == 1
+    assert not G._same_map(plane, torus)
+
+
+def test_platonic_check_catches_a_wrong_dual(monkeypatch):
+    monkeypatch.setattr(G, "dual_embedding", lambda emb: emb)
+    with pytest.raises(G.GraphError, match="the dual of the cube embedding is not the octahedron"):
+        G.platonic_solids()
 
 
 def test_dual_keeps_edge_indices():
@@ -538,7 +598,7 @@ def test_embedding_json_roundtrip():
     import json
 
     emb = G.named_embedding("torus")
-    again = G.parse_embedding(json.dumps(G.embedding_to_json_dict(emb)))
+    again = G.parse_embedding(json.dumps(emb.to_json_dict()))
     assert again == emb
 
 

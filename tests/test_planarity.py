@@ -6,7 +6,8 @@ block's cycle matroid ear by ear and read the faces off the vertex stars
 of the realizing graph.  ``networkx.check_planarity`` is the second,
 independent verdict, and ``ref_has_minor`` (from ``test_matroid_core``)
 the exhaustive minor scan whose first witness the library must reproduce
-on a Kuratowski subdivision.
+on a Kuratowski subdivision.  ``networkx.is_isomorphic`` checks that a
+witness leaves K5 or K3,3.
 """
 
 import random
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from dualities import graphs as G
 from dualities import matroids as M
-from test_graphs import grid
+from test_graphs import assert_isomorphic_graphs, grid
 from test_matroid_core import MULTI_BLOCK, ref_cycle_matroid, ref_has_minor, wheel
 
 PROPERTY = settings(max_examples=200, derandomize=True, deadline=None, database=None)
@@ -131,7 +132,7 @@ def assert_verdict_checks(g, rep):
         return
     name = KURATOWSKI[rep.obstruction][0]
     assert set(rep.deletions).isdisjoint(rep.contractions)
-    assert G.is_graph_isomorphic(witness_graph(g, rep.deletions, rep.contractions), G.named_graph(name))
+    assert_isomorphic_graphs(witness_graph(g, rep.deletions, rep.contractions), G.named_graph(name))
 
 
 # ---------------------------------------------------------------------------
