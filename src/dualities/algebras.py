@@ -19,9 +19,11 @@ products of e_i +- e_j pairs by dict lookup, in O(dim) steps per left
 factor.  The cross-product report reads the product of every basis
 tuple off the tables as signed index terms (``_basis_terms``): x . e_a is
 the coefficient of e_a, and the Gram determinant of unit vectors is 1 or
-0.  Only their seeded random samples run the dense integer kernels; the
-witnesses are converted back to ``Fraction``.  The samples are drawn by
-``_randints``, which makes the ``getrandbits`` calls of
+0.  These table facts are cached properties of the algebra or case
+object, computed on the first report that needs them, so only the
+reports' seeded random samples run on every call, on the dense integer
+kernels; the witnesses are converted back to ``Fraction``.  The samples
+are drawn by ``_randints``, which makes the ``getrandbits`` calls of
 ``Random.randint`` without its call layers.
 
 The two dense kernels are straight-line code that ``_compiled`` builds on
@@ -203,7 +205,7 @@ class HypercomplexAlgebra:
     def __repr__(self):
         return f"HypercomplexAlgebra({self.name}, dim={self.dim})"
 
-    def __reduce__(self):  # the generated kernels do not pickle; they are rebuilt on use
+    def __reduce__(self):  # the kernels do not pickle; they and the cached facts are rebuilt on use
         return type(self), (self.name, self.dim, self.table, self.provenance)
 
     def e(self, i: int) -> Element:
@@ -232,6 +234,54 @@ class HypercomplexAlgebra:
             (s, k), (t, m) = table[p][a], table[r][b]
             out.append((conj * u * s, k, conj * v * t, m))
         return tuple(out)
+
+    # The division report's table facts, each computed the first time a
+    # report reads it, so later reports run only their seeded samples.
+
+    def _assoc(self, p: int, q: int, r: int) -> tuple[int, int]:
+        """a(p, q, r) = (e_p e_q) e_r - e_p (e_q e_r) as the codes
+        +-(index + 1) of its two signed basis terms."""
+        table = self.table
+        s, k = table[p][q]  # e_p e_q = s e_k
+        t, left = table[k][r]
+        u, m = table[q][r]  # e_q e_r = u e_m
+        v, right = table[p][m]
+        return s * t * (left + 1), u * v * (right + 1)
+
+    @cached_property
+    def _basis_alternative_witness(self) -> Optional[tuple[Element, Element]]:
+        """The first basis pair (e_i, e_j), in product order, that breaks
+        an alternative law a(i, i, j) = 0 = a(j, i, i); None if none does."""
+        dim, assoc = self.dim, self._assoc
+        for i, j in itertools.product(range(dim), repeat=2):
+            (a, b), (c, d) = assoc(i, i, j), assoc(j, i, i)
+            if a != b or c != d:
+                return _element(_unit(i, dim)), _element(_unit(j, dim))
+        return None
+
+    @cached_property
+    def _family_alternative_witness(self) -> Optional[tuple[Element, Element]]:
+        """The first (e_i + e_j, e_k) that breaks the left alternative law,
+        for a table whose basis pairs keep both laws; None if none does.
+
+        The e_i +- e_j family catches sedenion failures that basis pairs
+        miss.  Once a(i, i, k) = 0 for all i and k, the linearised left
+        alternative law (Schafer, An Introduction to Nonassociative
+        Algebras, 1966, III.1) gives (x, x, e_k) = s (a(i, j, k) + a(j, i, k))
+        for x = e_i + s e_j, so the first failure in family order has
+        s = +1 and is the first k with a(i, j, k) + a(j, i, k) != 0."""
+        dim, assoc = self.dim, self._assoc
+        for i, j in itertools.combinations(range(dim), 2):
+            for k in range(dim):
+                (a, b), (c, d) = assoc(i, j, k), assoc(j, i, k)
+                if not _cancels(a, -b, c, -d):
+                    return _element(_pair_vector(dim, i, j, 1)), _element(_unit(k, dim))
+        return None
+
+    @cached_property
+    def _zero_divisor(self) -> Optional[tuple[Element, Element]]:
+        """``_pair_zero_divisor`` of this table."""
+        return _pair_zero_divisor(self)
 
     @cached_property
     def _mul(self):
@@ -433,40 +483,18 @@ def division_algebra_report(
     pairs, then on seeded random integer pairs, then alternativity on the
     e_i +- e_j family, and an exhaustive zero-divisor search over products
     of e_i +- e_j pairs.  The basis families are read off the table's
-    associators; only the random pairs run the dense kernel."""
+    associators, once per algebra object: each is a cached fact of
+    ``alg``, computed the first time a report needs it, so a first report
+    does the same work as before and a later one runs only the random
+    pairs, on the dense kernel.  The e_i +- e_j family is read only when
+    no basis pair or sample has already broken alternativity."""
     _check_count(sample_count, "sample_count")
     rng = random.Random(seed)
-    dim, table, mul = alg.dim, alg.table, alg._mul
-
-    def assoc(p, q, r):
-        """a(p, q, r) = (e_p e_q) e_r - e_p (e_q e_r) as the codes
-        +-(index + 1) of its two signed basis terms."""
-        s, k = table[p][q]  # e_p e_q = s e_k
-        t, left = table[k][r]
-        u, m = table[q][r]  # e_q e_r = u e_m
-        v, right = table[p][m]
-        return s * t * (left + 1), u * v * (right + 1)
-
-    def alternative_on(i, j):
-        """The alternative laws on (e_i, e_j): a(i, i, j) = 0 = a(j, i, i)."""
-        (a, b), (c, d) = assoc(i, i, j), assoc(j, i, i)
-        return a == b and c == d
-
-    def linearised_zero(i, j, k):
-        """a(i, j, k) + a(j, i, k) = 0."""
-        (a, b), (c, d) = assoc(i, j, k), assoc(j, i, k)
-        return _cancels(a, -b, c, -d)
+    dim, mul = alg.dim, alg._mul
 
     # Norm composition holds on every basis pair by construction:
     # ``__post_init__`` admits only entries +-e_k, so |e_i e_j|^2 = 1.
-    alt_wit = next(
-        (
-            (_unit(i, dim), _unit(j, dim))
-            for i, j in itertools.product(range(dim), repeat=2)
-            if not alternative_on(i, j)
-        ),
-        None,
-    )
+    alt_wit = alg._basis_alternative_witness
     norm_ok, norm_wit = True, None
     alt_ok = alt_wit is None
     for _ in range(sample_count):
@@ -474,39 +502,19 @@ def division_algebra_report(
         x, y = drawn[:dim], drawn[dim:]
         xy = mul(x, y)  # one of the two checks still runs, and both read it
         if norm_ok and _dot(xy, xy) != _dot(x, x) * _dot(y, y):
-            norm_ok, norm_wit = False, (x, y)
+            norm_ok, norm_wit = False, (_element(x), _element(y))
         if alt_ok:
             xx = mul(x, x)
             if mul(xx, y) != mul(x, xy) or mul(mul(y, x), x) != mul(y, xx):
-                alt_ok, alt_wit = False, (x, y)
+                alt_ok, alt_wit = False, (_element(x), _element(y))
         if not norm_ok and not alt_ok:
             break
-
-    # The e_i +- e_j family catches sedenion failures that basis pairs
-    # miss.  Once a(i, i, k) = 0 for all i and k, the linearised left
-    # alternative law (Schafer, An Introduction to Nonassociative Algebras,
-    # 1966, III.1) gives (x, x, e_k) = s (a(i, j, k) + a(j, i, k)) for
-    # x = e_i + s e_j, so the first failure in family order has s = +1.
     if alt_ok:
-        for i, j in itertools.combinations(range(dim), 2):
-            k = next((k for k in range(dim) if not linearised_zero(i, j, k)), None)
-            if k is not None:
-                alt_ok, alt_wit = False, (_pair_vector(dim, i, j, 1), _unit(k, dim))
-                break
-
-    def witness(pair):
-        return None if pair is None else (_element(pair[0]), _element(pair[1]))
+        alt_wit = alg._family_alternative_witness
+        alt_ok = alt_wit is None
 
     return DivisionAlgebraReport(
-        alg.name,
-        alg.dim,
-        norm_ok,
-        alt_ok,
-        _pair_zero_divisor(alg),
-        witness(norm_wit),
-        witness(alt_wit),
-        sample_count,
-        seed,
+        alg.name, alg.dim, norm_ok, alt_ok, alg._zero_divisor, norm_wit, alt_wit, sample_count, seed
     )
 
 
@@ -627,6 +635,42 @@ class CrossProductCase:
         )
         if not ok:
             raise UnknownCase(f"no admissible case for tag={self.tag} r={self.r} n={self.n}")
+
+    @cached_property
+    def _basis_verdict(self) -> tuple[bool, bool, Optional[str], int, Optional[tuple[int, ...]]]:
+        """What the basis tuples show, computed on the first report that
+        needs it: orthogonality, the norm identity, the first witness text
+        among those two, the number of tuples, and the first tuple that
+        repeats an index yet has a nonzero product.  There are no tuples
+        when n^r > 5000.  The products are read off the tables as signed
+        index terms (``_basis_terms``): x . e_a is the coefficient of e_a,
+        and the Gram determinant of unit vectors is 1 when their indices
+        are distinct, else 0."""
+        n, r = self.n, self.r
+        if n**r > 5000:
+            return True, True, None, 0, None
+        combos = list(itertools.product(range(n), repeat=r))
+        scale, basis = _basis_terms(self)
+
+        def shown(combo):
+            return tuple(_element(_unit(i, n)) for i in combo)
+
+        orth = norm = True
+        witness = None
+        scale_sq = scale * scale
+        sizes = list(map(len, map(set, combos)))
+        for combo, size, terms in zip(combos, sizes, basis):
+            norm_sq = 0
+            for k, c in terms:
+                norm_sq += c * c
+                if orth and k in combo:
+                    orth, witness = False, f"orthogonality at {shown(combo)}"
+            if norm and norm_sq != (scale_sq if size == r else 0):
+                norm, witness = False, witness or f"norm at {shown(combo)}"
+        repeat = next(
+            (c for c, size, terms in zip(combos, sizes, basis) if size < r and terms), None
+        )
+        return orth, norm, witness, len(combos), repeat
 
 
 def cross_case(ident: str) -> CrossProductCase:
@@ -803,9 +847,11 @@ def cross_axioms_report(
     its squared norm is the Gram determinant of the arguments, it is
     multilinear, and it flips sign under argument swaps (vacuous for
     r = 1).  Runs over every basis tuple (when there are at most 5000 of
-    them) plus seeded random tuples.  The basis products are read off the
-    tables as signed index terms (``_basis_terms``); only the random
-    tuples, drawn through ``_randints``, run the dense kernel."""
+    them) plus seeded random tuples.  The basis tuples' verdict is read
+    off the tables once per case object (``CrossProductCase._basis_verdict``),
+    the first time a report needs it, so a first report does the same work
+    as before and a later one runs only the random tuples, drawn through
+    ``_randints``, on the dense kernel."""
     _check_count(trials, "trials")
     rng = random.Random(seed)
     n, r = case.n, case.r
@@ -820,29 +866,8 @@ def cross_axioms_report(
     def shown(args):
         return tuple(_element(a) for a in args)
 
-    def shown_units(combo):
-        return shown([_unit(i, n) for i in combo])
-
-    combos, scale, basis = [], 1, []
-    if n**r <= 5000:
-        combos = list(itertools.product(range(n), repeat=r))
-        scale, basis = _basis_terms(case)
+    orth, norm, witness, tuples, repeat = case._basis_verdict
     samples = [rand_vecs(r) for _ in range(trials)]
-
-    orth = norm = True
-    witness = None
-    scale_sq = scale * scale
-    sizes = list(map(len, map(set, combos)))
-    for combo, size, terms in zip(combos, sizes, basis):
-        # x . e_a is the coefficient of e_a in x, and the Gram determinant
-        # of unit vectors is 1 when their indices are distinct, else 0
-        norm_sq = 0
-        for k, c in terms:
-            norm_sq += c * c
-            if orth and k in combo:
-                orth, witness = False, f"orthogonality at {shown_units(combo)}"
-        if norm and norm_sq != (scale_sq if size == r else 0):
-            norm, witness = False, witness or f"norm at {shown_units(combo)}"
     for args in samples if orth or norm else ():
         x = cross(args)
         if orth and any(_dot(x, a) for a in args):
@@ -880,15 +905,10 @@ def cross_axioms_report(
             if [-c for c in cross(args)] != cross(swapped):
                 alt, witness = False, witness or f"alternation at swap {(i, j)}"
                 break
-        repeat = next(
-            (c for c, size, terms in zip(combos, sizes, basis) if size < r and terms), None
-        )
         if repeat is not None:
             alt, witness = False, witness or f"repeat args {repeat} gave nonzero"
 
-    return CrossAxiomsReport(
-        case.tag, n, r, orth, norm, multi, alt, len(combos), trials, seed, witness
-    )
+    return CrossAxiomsReport(case.tag, n, r, orth, norm, multi, alt, tuples, trials, seed, witness)
 
 
 # ---------------------------------------------------------------------------

@@ -279,7 +279,7 @@ def _report(args):
 
 def _zero_divisors(args):
     alg = algebras.algebra_by_name(args.algebra)
-    pair = algebras._pair_zero_divisor(alg)
+    pair = alg._zero_divisor
     return {"algebra": alg.name, "zero_divisor": pair}, [f"zero_divisor: {_fmt_pair(pair)}"], True
 
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from dualities import algebras as A
 from dualities import matroids as M
 from dualities.formats import PARAM_MAX, to_json
+from test_matroids import counted
 
 
 def neg(x):
@@ -701,6 +702,66 @@ def test_algebra_pickles_after_a_product():
     O.multiply(O.e(1), O.e(2))
     copy = pickle.loads(pickle.dumps(O))
     assert copy == O and copy.multiply(O.e(1), O.e(2)) == O.multiply(O.e(1), O.e(2))
+    # objects holding every cached table fact a report reads
+    holders = [(sedenions(), A.division_algebra_report), (A.cross_case("triple8"), A.cross_axioms_report)]
+    for obj, report in holders:
+        first = report(obj, 0, 3)
+        copy = pickle.loads(pickle.dumps(obj))
+        assert copy == obj
+        same_report(report(copy, 0, 3), first)
+        same_report(report(obj, 0, 3), first)
+
+
+DIVISION_FACTS = ("_basis_alternative_witness", "_family_alternative_witness", "_zero_divisor")
+
+
+def sedenions():
+    """A fresh algebra object with the sedenion table and no cached facts."""
+    return A.HypercomplexAlgebra("S", 16, A.cayley_dickson_algebra(4).table, "test")
+
+
+def test_division_report_computes_table_facts_once(monkeypatch):
+    zero_divisor_calls = counted(monkeypatch, A, "_pair_zero_divisor")
+    assoc_calls = counted(monkeypatch, A.HypercomplexAlgebra, "_assoc")
+    S = sedenions()
+    first = A.division_algebra_report(S, 0, seed=1)
+    assert all(fact in vars(S) for fact in DIVISION_FACTS)
+    assert len(zero_divisor_calls) == 1 and zero_divisor_calls[0] is S
+    scanned = len(assoc_calls)
+    same_report(A.division_algebra_report(S, 0, seed=1), first)
+    A.division_algebra_report(S, 7, seed=2)
+    assert len(zero_divisor_calls) == 1 and len(assoc_calls) == scanned
+    # a fresh object with the same table computes its own facts
+    fresh = sedenions()
+    same_report(A.division_algebra_report(fresh, 0, seed=1), first)
+    assert len(zero_divisor_calls) == 2 and zero_divisor_calls[1] is fresh
+    assert len(assoc_calls) == 2 * scanned
+
+
+def test_first_division_report_skips_the_family_when_samples_fail():
+    S = sedenions()
+    rep = A.division_algebra_report(S, sample_count=12, seed=0)
+    assert rep.alternative_witness == SEDENION_FIRST_FAILURE[0]
+    assert "_family_alternative_witness" not in vars(S)
+    assert "_basis_alternative_witness" in vars(S) and "_zero_divisor" in vars(S)
+    rep = A.division_algebra_report(S, sample_count=0, seed=0)
+    assert rep.alternative_witness is not None
+    assert vars(S)["_family_alternative_witness"] == rep.alternative_witness
+
+
+def test_cross_report_reads_the_basis_tuples_once(monkeypatch):
+    calls = counted(monkeypatch, A, "_basis_terms")
+    case = A.cross_case("triple8")
+    first = A.cross_axioms_report(case, 3, seed=1)
+    same_report(A.cross_axioms_report(case, 3, seed=1), first)
+    A.cross_axioms_report(case, 5, seed=2)
+    assert len(calls) == 1 and calls[0] is case
+    fresh = A.cross_case("triple8")
+    same_report(A.cross_axioms_report(fresh, 3, seed=1), first)
+    assert len(calls) == 2 and calls[1] is fresh
+    # more than 5000 basis tuples: the report reads no table terms
+    assert A.cross_axioms_report(A.cross_case("epsilon:8"), 1).basis_tuples == 0
+    assert len(calls) == 2
 
 
 @st.composite
@@ -729,6 +790,29 @@ def test_division_report_matches_reference_on_oriented_tables(alg, count, seed):
         A.division_algebra_report(alg, count, seed),
         ref_division_algebra_report(alg, count, seed),
     )
+
+
+def kept_facts(obj, names, before):
+    """The cached facts ``obj`` holds now, after checking that each one in
+    ``before`` is still the very same object."""
+    now = {name: vars(obj)[name] for name in names if name in vars(obj)}
+    assert all(now[name] is fact for name, fact in before.items())
+    return now
+
+
+REPORT_RUNS = st.lists(st.tuples(st.integers(0, 6), SEEDS), min_size=2, max_size=4)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(alg=st.one_of(perturbed_algebras(), oriented_algebras()), runs=REPORT_RUNS)
+def test_division_reports_on_one_algebra_match_reference(alg, runs):
+    facts = {}
+    for count, seed in runs:
+        same_report(
+            A.division_algebra_report(alg, count, seed),
+            ref_division_algebra_report(alg, count, seed),
+        )
+        facts = kept_facts(alg, DIVISION_FACTS, facts)
 
 
 def test_sedenion_alternativity_witness_from_pair_family():
@@ -1243,6 +1327,21 @@ def test_cross_report_matches_reference_on_random_breaks(broken, trials, seed):
             A.cross_axioms_report(case, trials, seed),
             ref_cross_axioms_report(case, trials, seed),
         )
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(broken=broken_cases(), runs=REPORT_RUNS)
+def test_cross_reports_on_one_case_match_reference(broken, runs):
+    case, breaks = broken
+    facts = {}
+    with pytest.MonkeyPatch.context() as mp:
+        break_products(mp, breaks)
+        for trials, seed in runs:
+            same_report(
+                A.cross_axioms_report(case, trials, seed),
+                ref_cross_axioms_report(case, trials, seed),
+            )
+            facts = kept_facts(case, ["_basis_verdict"], facts)
 
 
 # ---------------------------------------------------------------------------
