@@ -261,8 +261,10 @@ class HypercomplexAlgebra:
 
     @cached_property
     def _family_alternative_witness(self) -> Optional[tuple[Element, Element]]:
-        """The first (e_i + e_j, e_k) that breaks the left alternative law,
-        for a table whose basis pairs keep both laws; None if none does.
+        """The first pair of the basis and e_i +- e_j families that breaks
+        an alternative law: ``_basis_alternative_witness`` if there is one,
+        else the first (e_i + e_j, e_k) that breaks the left law; None if
+        none does.
 
         The e_i +- e_j family catches sedenion failures that basis pairs
         miss.  Once a(i, i, k) = 0 for all i and k, the linearised left
@@ -270,6 +272,8 @@ class HypercomplexAlgebra:
         Algebras, 1966, III.1) gives (x, x, e_k) = s (a(i, j, k) + a(j, i, k))
         for x = e_i + s e_j, so the first failure in family order has
         s = +1 and is the first k with a(i, j, k) + a(j, i, k) != 0."""
+        if self._basis_alternative_witness is not None:  # the scan below needs a(i, i, k) = 0
+            return self._basis_alternative_witness
         dim, assoc = self.dim, self._assoc
         for i, j in itertools.combinations(range(dim), 2):
             for k in range(dim):
@@ -484,10 +488,11 @@ def division_algebra_report(
     e_i +- e_j family, and an exhaustive zero-divisor search over products
     of e_i +- e_j pairs.  The basis families are read off the table's
     associators, once per algebra object: each is a cached fact of
-    ``alg``, computed the first time a report needs it, so a first report
-    does the same work as before and a later one runs only the random
-    pairs, on the dense kernel.  The e_i +- e_j family is read only when
-    no basis pair or sample has already broken alternativity."""
+    ``alg``, computed the first time a report needs it.  A first report
+    on a fresh object computes the facts it reads, and a later one runs
+    only the random pairs, on the dense kernel.  The e_i +- e_j family is
+    read only when no basis pair or sample has already broken
+    alternativity."""
     _check_count(sample_count, "sample_count")
     rng = random.Random(seed)
     dim, mul = alg.dim, alg._mul
@@ -612,6 +617,11 @@ def hodge_dual(
 # generalized cross products
 
 
+def _shown(vectors) -> tuple[Element, ...]:
+    """Argument vectors as a report's witness text shows them."""
+    return tuple(_element(v) for v in vectors)
+
+
 @dataclass(frozen=True)
 class CrossProductCase:
     """One admissible (r, n) pair: r argument vectors in dimension n."""
@@ -651,10 +661,6 @@ class CrossProductCase:
             return True, True, None, 0, None
         combos = list(itertools.product(range(n), repeat=r))
         scale, basis = _basis_terms(self)
-
-        def shown(combo):
-            return tuple(_element(_unit(i, n)) for i in combo)
-
         orth = norm = True
         witness = None
         scale_sq = scale * scale
@@ -664,9 +670,9 @@ class CrossProductCase:
             for k, c in terms:
                 norm_sq += c * c
                 if orth and k in combo:
-                    orth, witness = False, f"orthogonality at {shown(combo)}"
+                    orth, witness = False, f"orthogonality at {_shown(_unit(i, n) for i in combo)}"
             if norm and norm_sq != (scale_sq if size == r else 0):
-                norm, witness = False, witness or f"norm at {shown(combo)}"
+                norm, witness = False, witness or f"norm at {_shown(_unit(i, n) for i in combo)}"
         repeat = next(
             (c for c, size, terms in zip(combos, sizes, basis) if size < r and terms), None
         )
@@ -849,9 +855,9 @@ def cross_axioms_report(
     r = 1).  Runs over every basis tuple (when there are at most 5000 of
     them) plus seeded random tuples.  The basis tuples' verdict is read
     off the tables once per case object (``CrossProductCase._basis_verdict``),
-    the first time a report needs it, so a first report does the same work
-    as before and a later one runs only the random tuples, drawn through
-    ``_randints``, on the dense kernel."""
+    the first time a report needs it; a later report on the same object
+    runs only the random tuples, drawn through ``_randints``, on the dense
+    kernel."""
     _check_count(trials, "trials")
     rng = random.Random(seed)
     n, r = case.n, case.r
@@ -863,17 +869,14 @@ def cross_axioms_report(
         drawn = _randints(rng, -4, 4, count * n)
         return [drawn[i : i + n] for i in range(0, count * n, n)]
 
-    def shown(args):
-        return tuple(_element(a) for a in args)
-
     orth, norm, witness, tuples, repeat = case._basis_verdict
     samples = [rand_vecs(r) for _ in range(trials)]
     for args in samples if orth or norm else ():
         x = cross(args)
         if orth and any(_dot(x, a) for a in args):
-            orth, witness = False, f"orthogonality at {shown(args)}"
+            orth, witness = False, f"orthogonality at {_shown(args)}"
         if norm and _dot(x, x) != _det([[_dot(a, b) for b in args] for a in args]):
-            norm, witness = False, witness or f"norm at {shown(args)}"
+            norm, witness = False, witness or f"norm at {_shown(args)}"
         if not orth and not norm:
             break
 

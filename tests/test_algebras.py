@@ -792,6 +792,15 @@ def test_division_report_matches_reference_on_oriented_tables(alg, count, seed):
     )
 
 
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(alg=st.one_of(perturbed_algebras(), oriented_algebras()))
+def test_family_fact_read_first_is_the_zero_sample_witness(alg):
+    # read before any report: the family fact must not depend on a report
+    # having checked the basis pairs first
+    want = ref_division_algebra_report(alg, 0).alternative_witness
+    assert alg._family_alternative_witness == want
+
+
 def kept_facts(obj, names, before):
     """The cached facts ``obj`` holds now, after checking that each one in
     ``before`` is still the very same object."""
