@@ -117,7 +117,7 @@ def _minor(args):
 
 
 def _classify(args):
-    rep = matroids.classify(_matroid(args, args.source), bound=args.bound or 10)
+    rep = matroids.classify(_matroid(args, args.source))
     lines = [f"{k}: {v}" for k, v in to_json(rep).items() if k != "witnesses"]
     lines += [f"witness[{k}]: {v}" for k, v in rep.witnesses.items()]
     return rep, lines, True

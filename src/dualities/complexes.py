@@ -71,12 +71,9 @@ class SimplicialComplex:
 
     @cached_property
     def maximal_simplices(self) -> tuple[frozenset[int], ...]:
-        out = [
-            s
-            for s in self.simplices
-            if not any(s < t for t in self.simplices)
-        ]
-        return tuple(sorted(out, key=lambda s: (len(s), tuple(sorted(s)))))
+        # downward closure: a simplex lies in a larger one iff it is a facet
+        facets = {s - {v} for s in self.simplices for v in s}
+        return tuple(sorted(self.simplices - facets, key=lambda s: (len(s), tuple(sorted(s)))))
 
     def simplices_of_dim(self, d: int) -> list[frozenset[int]]:
         return sorted(

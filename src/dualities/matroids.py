@@ -14,9 +14,10 @@ element, as one bitset over the bases per element
 That choice makes duality literal set complementation, minors a direct
 recomputation of the family, and every search in this module (minor
 containment, isomorphism, excluded minors) exhaustive with deterministic
-witnesses.  Graphic realizations are built directly from the circuits;
-they decide graphic and cographic, and an excluded-minor search runs only
-to witness a side that has none.  Transversality is decided from the
+witnesses.  Binary is decided by circuit-cocircuit parity.  Graphic
+realizations are built directly from the circuits of a binary side; they
+decide graphic and cographic, and an excluded-minor search runs only to
+witness a side that has none.  Transversality is decided from the
 lattice of cyclic flats, which fixes the only candidate presentation.
 """
 
@@ -1036,8 +1037,6 @@ def _realize_component(part: int, cs: list[int]) -> Optional[tuple[int, dict[int
         ear = min((c & ~built for c in cs if c & built and c & ~built), key=int.bit_count)
         built |= ear
         inside = [c for c in cs if c & ear and not c & ~built]
-        if any(c & ear != ear for c in inside):
-            return None  # the ear's elements are not in series: not graphic
         plan.append((runs(ear), [c & ~ear for c in inside]))
 
     ends: dict[int, tuple[int, int]] = {}
@@ -1113,32 +1112,29 @@ def _realization_witness(m: Matroid) -> Optional[list[tuple[int, int]]]:
     return edges
 
 
-def classify(m: Matroid, bound: int = 10) -> ClassificationReport:
-    """Classify by graphic realization, excluded minors and the lattice
-    of cyclic flats.
+def classify(m: Matroid) -> ClassificationReport:
+    """Classify by circuit-cocircuit parity, graphic realization, excluded
+    minors and the lattice of cyclic flats.
 
-    ``m`` and its dual are realized first (``_realization_witness``).  A
-    graphic side is witnessed by a labelled realizing graph, ``cycle
-    matroid of graph with edges [...]``, whose edge i is ground element i
-    in sorted order; if either side is graphic, ``m`` is regular and so
-    binary, and those two witnesses name that graph.  Only a side without a
-    realization is scanned for an excluded minor, which becomes its
-    negative witness: binary is no U(2,4) minor, regular additionally no
-    Fano or dual-Fano minor, graphic additionally no dual M(K5) / dual
-    M(K3,3) minor.  Transversality is decided by
-    ``transversal_presentation``: its witness is the maximal presentation,
-    or the cyclic flat or r-subset that rules every presentation out,
-    with the number of cyclic flats and r-subsets examined.
+    ``m`` is binary iff every circuit meets every cocircuit evenly (Oxley,
+    Matroid Theory, 9.1).  Only a binary side can be graphic, so only then
+    are ``m`` and its dual realized (``_realization_witness``), each side
+    witnessed by a labelled graph, ``cycle matroid of graph with edges
+    [...]``, whose edge i is ground element i in sorted order; a graphic
+    side makes ``m`` regular, and the binary and regular witnesses name
+    it.  A side without a realization is scanned for its first excluded
+    minor, the negative witness: U(2,4) if not binary, else Fano, dual
+    Fano, dual M(K5), dual M(K3,3), of which a regular ``m`` skips the
+    first two.  Transversality is decided by ``transversal_presentation``:
+    the maximal presentation, or the cyclic flat or r-subset ruling every
+    presentation out, with the cyclic flats and r-subsets examined.
     """
-    if len(m.ground) > bound:
-        raise GroundTooLarge(f"classification capped at {bound} elements")
-
-    targets = _graphic_targets()
     sides = {"graphic": m, "cographic": m.dual()}
-    edges = {key: _realization_witness(mm) for key, mm in sides.items()}
+    circuits, cocircuits = (mm._circuit_masks for mm in sides.values())
+    binary = not any((c & d).bit_count() % 2 for c in circuits for d in cocircuits)
+    edges = {key: _realization_witness(mm) if binary else None for key, mm in sides.items()}
     realized = [key for key in sides if edges[key] is not None]
-    if realized:
-        targets = targets[3:]  # a regular matroid has no U(2,4)/fano/fano_dual minor
+    targets = _graphic_targets()[3 if realized else 1 if binary else 0 :]
     texts, minors = {}, {}
     for key, mm in sides.items():
         if edges[key] is not None:
@@ -1149,14 +1145,15 @@ def classify(m: Matroid, bound: int = 10) -> ClassificationReport:
     if realized:
         key = realized[0]
         text = texts[key] if key == "graphic" else "dual is the " + texts[key]
-        binary = regular = True
+        regular = True
         witnesses = {"binary": f"{key}, so binary: {text}", "regular": f"{key}, so regular: {text}"}
     else:
-        binary = minors["graphic"] != "U(2,4)"
         regular = binary and minors["graphic"] not in ("fano", "fano_dual")
+        counts = f"{len(circuits)} circuits x {len(cocircuits)} cocircuits"
         witnesses = {
-            "binary": "no U(2,4) minor (exhaustive delete/contract search)" if binary else texts["graphic"],
-            "regular": "no U(2,4)/fano/fano_dual minor (exhaustive search)" if regular else texts["graphic"],
+            "binary": f"no U(2,4) minor: every circuit meets every cocircuit evenly (exhaustive: {counts})"
+            if binary else texts["graphic"],
+            "regular": "binary, and no fano/fano_dual minor (exhaustive search)" if regular else texts["graphic"],
         }
     witnesses.update(texts)
 

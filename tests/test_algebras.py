@@ -1259,6 +1259,10 @@ def test_cross_report_matches_reference(ident, trials, seed):
     )
 
 
+def is_unit(v):
+    return sorted(v) == [0] * (len(v) - 1) + [1]
+
+
 def break_products(mp, breaks):
     """Add d e_m to the product of each basis index tuple in ``breaks``
     (tuple -> (m, d)) wherever a basis product comes from: the library's
@@ -1270,7 +1274,7 @@ def break_products(mp, breaks):
 
     def cross(case, vs):
         x = list(real_cross(case, vs))
-        if all(sorted(v) == [0] * (len(v) - 1) + [1] for v in vs):
+        if all(map(is_unit, vs)):
             hit = breaks.get(tuple(v.index(1) for v in vs))
             if hit:
                 m, d = hit
@@ -1316,6 +1320,34 @@ def test_cross_report_matches_reference_on_broken_products(ident, breaks, failed
         same_report(rep, ref_cross_axioms_report(case, trials=4, seed=1))
     assert not getattr(rep, failed)
     assert rep.witness is not None
+
+
+@pytest.mark.parametrize("ident", ["epsilon:6", "three"])
+def test_cross_report_matches_reference_on_sampled_failures(ident):
+    """``_cross`` wrong only off the unit vectors, so every basis tuple
+    passes and the random samples decide: a term quadratic in the first
+    argument, or one that keeps its sign when two arguments swap.  epsilon:6
+    has 6^5 > 5000 basis tuples, so none are checked at all."""
+    case = A.cross_case(ident)
+    real_cross = A._cross
+    terms = [lambda vs: vs[0][0] ** 2, lambda vs: vs[0][0] * vs[1][0]]
+    flags = ("orthogonality_ok", "norm_identity_ok", "multilinearity_ok", "alternating_ok")
+    failed = set()
+    for term in terms:
+
+        def cross(case, vs, term=term):
+            x = list(real_cross(case, vs))
+            if not all(map(is_unit, vs)):
+                x[0] += term(vs)
+            return x
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(A, "_cross", cross)
+            for seed in range(3):
+                rep = A.cross_axioms_report(case, trials=20, seed=seed)
+                same_report(rep, ref_cross_axioms_report(case, trials=20, seed=seed))
+                failed.update(f for f in flags if not getattr(rep, f))
+    assert failed == set(flags)
 
 
 @st.composite

@@ -85,6 +85,26 @@ def test_closure_idempotent():
         assert C.make_complex(k.maximal_simplices) == k
 
 
+def naive_maximal(k):
+    """The simplices in no larger simplex, by testing every pair."""
+    out = [s for s in k.simplices if not any(s < t for t in k.simplices)]
+    return tuple(sorted(out, key=lambda s: (len(s), tuple(sorted(s)))))
+
+
+def test_maximal_simplices_match_the_definition():
+    rng = random.Random(3)
+    for _ in range(200):
+        k = random_complex(rng)
+        assert k.maximal_simplices == naive_maximal(k)
+
+
+def test_maximal_simplices_of_a_torus_grid_are_its_triangles():
+    grid = torus_grid(8, 8)
+    k = C.make_complex(grid)
+    assert set(k.maximal_simplices) == {frozenset(t) for t in grid}
+    assert len(k.maximal_simplices) == len(grid) == 128
+
+
 # ---------------------------------------------------------------------------
 # euler characteristic and betti numbers
 

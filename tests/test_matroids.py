@@ -1,4 +1,5 @@
 import ast
+import inspect
 import itertools
 import math
 import random
@@ -618,9 +619,59 @@ def test_classify_mk4():
     assert "edges" in rep.witnesses["graphic"]
 
 
-def test_classify_ground_too_large():
+def test_classify_is_bounded_by_the_ground_bound_alone():
+    assert list(inspect.signature(M.classify).parameters) == ["m"]
+    n = M.GROUND_BOUND
+    assert not M.classify(M.named_matroid("uniform", (2, n))).binary
     with pytest.raises(M.GroundTooLarge):
-        M.classify(M.named_matroid("uniform", (2, 11)))
+        M.make_matroid(range(n + 1), [range(2)])
+
+
+MINOR_WITNESS = re.compile(r".* minor at deletions=(\(.*\)) contractions=(\(.*\))")
+
+
+def no_realization(m):
+    raise AssertionError("_realization_witness called")
+
+
+@pytest.mark.parametrize("r", range(2, 11))
+def test_classify_realizes_no_non_binary_side(r, monkeypatch):
+    """U(r,12) for 2 <= r <= 10 fails circuit-cocircuit parity, so neither
+    side is realized and both are witnessed by their U(2,4) minor."""
+    monkeypatch.setattr(M, "_realization_witness", no_realization)
+    m = M.named_matroid("uniform", (r, 12))
+    rep = M.classify(m)
+    assert not (rep.binary or rep.regular or rep.graphic or rep.cographic)
+    for key in ("binary", "regular", "graphic", "cographic"):
+        assert rep.witnesses[key].startswith("U(2,4) minor at "), rep.witnesses[key]
+    dele, contr = map(ast.literal_eval, MINOR_WITNESS.fullmatch(rep.witnesses["graphic"]).groups())
+    assert M.is_isomorphic(m.minor(deletions=dele, contractions=contr), U24)[0]
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_classify_binary_matches_the_excluded_minor_search(n):
+    for m in all_matroids(n):
+        assert M.classify(m).binary == (not M.has_minor(m, U24)[0]), m
+
+
+def test_classify_r10_is_regular_but_neither_graphic_nor_cographic():
+    """R10, the ten weight-3 vectors of GF(2)^5, reaches the positive
+    regular witness with no realized side."""
+    cols = [sum(1 << i for i in c) for c in itertools.combinations(range(5), 3)]
+    ground = range(1, 11)
+    bases = [b for b in itertools.combinations(ground, 5) if gf2.rank_of_rows([cols[e - 1] for e in b]) == 5]
+    m = M.make_matroid(ground, bases)
+    rep = M.classify(m)
+    assert rep.binary and rep.regular and not rep.graphic and not rep.cographic
+    assert rep.witnesses["binary"] == (
+        "no U(2,4) minor: every circuit meets every cocircuit evenly (exhaustive: 30 circuits x 30 cocircuits)"
+    )
+    assert rep.witnesses["regular"] == "binary, and no fano/fano_dual minor (exhaustive search)"
+    k33_dual = M.named_matroid("mk33").dual()
+    for key, side in (("graphic", m), ("cographic", m.dual())):
+        assert rep.witnesses[key].startswith("dual(M(K3,3)) minor at "), rep.witnesses[key]
+        dele, contr = map(ast.literal_eval, MINOR_WITNESS.fullmatch(rep.witnesses[key]).groups())
+        assert M.is_isomorphic(side.minor(deletions=dele, contractions=contr), k33_dual)[0]
 
 
 def test_classify_decides_transversal_above_seven():
