@@ -198,7 +198,7 @@ def _graph_dual(args):
 
 
 def _planar(args):
-    rep = graphs.is_planar(_load("graph", args.source), bound=args.bound or 20)
+    rep = graphs.is_planar(_load("graph", args.source), bound=args.bound or graphs.PLANAR_EDGE_BOUND)
     lines = [f"planar: {rep.planar}", f"note: {rep.note}"]
     if rep.obstruction:
         lines.append(
@@ -340,9 +340,9 @@ def _fmt_elem(x) -> str:
 # the command table
 
 
-# Largest --bound value: the default planarity edge cap.  --bound lifts the
-# matroid ground, classification and planarity caps, whose searches grow
-# exponentially with it.
+# Largest --bound value of the matroid commands: it lifts the matroid
+# ground cap, and their searches grow exponentially with the ground.
+# graph planar takes up to graphs.PLANAR_EDGE_BOUND edges instead.
 BOUND_MAX = 20
 
 
@@ -367,6 +367,10 @@ def _bound(text: str) -> int:
     return _int_in(text, 1, BOUND_MAX)
 
 
+def _planar_bound(text: str) -> int:
+    return _int_in(text, 1, graphs.PLANAR_EDGE_BOUND)
+
+
 def _arg(*flags: str, **kwargs):
     """One ``add_argument`` call: its flags and keyword arguments."""
     return flags, kwargs
@@ -378,6 +382,9 @@ GRAPH = _arg("source", help="named graph (k4, cube, torus), file, or -")
 EMBEDDING = _arg("source", help="named embedding (k4, cube, torus), file, or -")
 COMPLEX = _arg("source", help="named complex (sphere:2, genus:1), file, or -")
 BOUND = _arg("--bound", type=_bound, default=None, help=f"search/size bound, 1..{BOUND_MAX}")
+PLANAR_BOUND = _arg(
+    "--bound", type=_planar_bound, default=None, help=f"edge bound, 1..{graphs.PLANAR_EDGE_BOUND}"
+)
 SEED = _arg("--seed", type=int, default=0, help="seed for random trials")
 TRIALS = _arg("--trials", type=_trials, default=200, help=f"random trial count, 0..{algebras.TRIALS_MAX}")
 ALGEBRA = _arg("--algebra", default="o", help="r|c|h|o|o-fano|sedenion")
@@ -405,7 +412,7 @@ COMMANDS = {
         "invariants": (_invariants, (GRAPH,)),
         "euler": (_euler, (EMBEDDING,)),
         "dual": (_graph_dual, (EMBEDDING,)),
-        "planar": (_planar, (GRAPH, BOUND)),
+        "planar": (_planar, (GRAPH, PLANAR_BOUND)),
         "blocks": (_blocks, (GRAPH,)),
         "cycle-matroid": (_cycle_matroid, (GRAPH, BOUND)),
     }),

@@ -6,14 +6,14 @@ twin of d, so the face count, Euler characteristic and genus are defined
 purely combinatorially.  Loops and parallel edges are first-class: dual
 graphs generate them even from simple polyhedra.
 
-Darts are (edge_index, end) pairs with end 0 or 1; the dart (e, s) sits
-at the endpoint edges[e][s].  The dual embedding keeps edge indices, so
-"which dual edge crosses which primal edge" is the identity map.
+Public darts are (edge_index, end) pairs with end 0 or 1; the dart (e, s)
+sits at the endpoint edges[e][s].  The dual embedding keeps edge indices,
+so "which dual edge crosses which primal edge" is the identity map.
 
-Planarity is decided on the graph itself: path addition draws the faces
-of each block, and a non-planar graph's witness comes from deleting
-edges until a Kuratowski subdivision is left.  No matroid is built on
-that path; cycle matroids serve the matroid side of the library.
+Planarity runs on the graph itself, on integer darts 2e + s (twin d ^ 1):
+path addition draws the faces of each block, and a non-planar graph's
+witness comes from deleting edges until a Kuratowski subdivision is left.
+No matroid is built on that path; cycle matroids serve the matroid side.
 """
 
 from __future__ import annotations
@@ -79,30 +79,31 @@ class Multigraph:
 
     @cached_property
     def components(self) -> tuple[tuple[int, ...], ...]:
-        parent = list(range(self.vertex_count))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for u, v in self.edges:
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-        groups: dict[int, list[int]] = {}
-        for v in range(self.vertex_count):
-            groups.setdefault(find(v), []).append(v)
-        return tuple(tuple(g) for g in sorted(groups.values()))
+        groups: list[list[int]] = [[] for _ in range(max(self.component_of, default=-1) + 1)]
+        for v, c in enumerate(self.component_of):
+            groups[c].append(v)
+        return tuple(map(tuple, groups))
 
     @cached_property
     def component_of(self) -> tuple[int, ...]:
-        out = [0] * self.vertex_count
-        for ci, grp in enumerate(self.components):
-            for v in grp:
-                out[v] = ci
-        return tuple(out)
+        """Each vertex's component, components numbered by least vertex."""
+        adj: list[list[int]] = [[] for _ in range(self.vertex_count)]
+        for u, v in self.edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        label = [-1] * self.vertex_count
+        k = 0
+        for root in range(self.vertex_count):
+            if label[root] < 0:
+                label[root] = k
+                todo = [root]
+                for v in todo:
+                    for w in adj[v]:
+                        if label[w] < 0:
+                            label[w] = k
+                            todo.append(w)
+                k += 1
+        return tuple(label)
 
     def degree(self, v: int) -> int:
         return sum((u == v) + (w == v) for u, w in self.edges)
@@ -168,26 +169,25 @@ def _rot_next(rotation) -> dict[Dart, Dart]:
     return {d: cyc[(i + 1) % len(cyc)] for cyc in rotation for i, d in enumerate(cyc)}
 
 
-def _face_orbits(
-    edges: tuple[tuple[int, int], ...], rotation
-) -> list[tuple[Dart, ...]]:
-    rot_next = _rot_next(rotation)
-    succ: dict[Dart, Dart] = {}
-    for e in range(len(edges)):
-        for s in (0, 1):
-            succ[(e, s)] = rot_next[(e, 1 - s)]
+def _face_orbits(edges: tuple[tuple[int, int], ...], rotation) -> list[tuple[Dart, ...]]:
+    """Orbits of the face successor d -> rot_next(twin(d)), each from its
+    least dart, in dart order.  The walk runs on darts 2e + s."""
+    succ = [0] * (2 * len(edges))
+    for cyc in rotation:
+        for i, (e, s) in enumerate(cyc):  # (e, s) = rot_next((f, t))
+            f, t = cyc[i - 1]
+            succ[2 * f + 1 - t] = 2 * e + s
+    darts = [(e, s) for e in range(len(edges)) for s in (0, 1)]
     faces = []
-    seen: set[Dart] = set()
-    for d in sorted(succ):
-        if d in seen:
-            continue
-        face = []
-        cur = d
-        while cur not in seen:
-            seen.add(cur)
-            face.append(cur)
-            cur = succ[cur]
-        faces.append(tuple(face))
+    seen = [False] * len(succ)
+    for first in range(len(succ)):
+        d, face = first, []
+        while not seen[d]:
+            seen[d] = True
+            face.append(darts[d])
+            d = succ[d]
+        if face:
+            faces.append(tuple(face))
     return faces
 
 
@@ -216,12 +216,10 @@ def trace_faces(emb: Embedding) -> TracedFaces:
     g = emb.graph
     faces = _face_orbits(g.edges, emb.rotation)
     comp_of = g.component_of
-    k = len(g.components)
-    v_c = [0] * k
-    e_c = [0] * k
-    f_c = [0] * k
-    for v in range(g.vertex_count):
-        v_c[comp_of[v]] += 1
+    k = max(comp_of, default=-1) + 1
+    v_c, e_c, f_c = [0] * k, [0] * k, [0] * k
+    for c in comp_of:
+        v_c[c] += 1
     for u, _ in g.edges:
         e_c[comp_of[u]] += 1
     for face in faces:
@@ -234,9 +232,7 @@ def trace_faces(emb: Embedding) -> TracedFaces:
     genus_by_comp = tuple((2 - chi) // 2 for chi in chi_by_comp)
     chi = sum(chi_by_comp) - (k - 1)
     genus = genus_by_comp[0] if k == 1 else None
-    return TracedFaces(
-        tuple(faces), sum(f_c), k, chi, genus, chi_by_comp, genus_by_comp
-    )
+    return TracedFaces(tuple(faces), sum(f_c), k, chi, genus, chi_by_comp, genus_by_comp)
 
 
 def dual_embedding(emb: Embedding) -> Embedding:
@@ -331,168 +327,157 @@ class PlanarityReport:
     note: str
 
 
-def _incident_darts(g: Multigraph) -> list[list[Dart]]:
-    """Darts at each vertex in incidence order: by edge index, end 0 first."""
-    incident: list[list[Dart]] = [[] for _ in range(g.vertex_count)]
-    for e, (u, v) in enumerate(g.edges):
-        incident[u].append((e, 0))
-        incident[v].append((e, 1))
-    return incident
-
-
-def _block_faces(blk: Block) -> Optional[list[list[Dart]]]:
-    """Oriented face walks of a plane embedding of a 2-connected loopless
-    block, in block-local darts, or None if the block is not planar.
+def _block_faces(n: int, edges) -> Optional[list[list[int]]]:
+    """Oriented face walks of a plane embedding of a block on vertices
+    0..n-1, or None if it is not planar.  Dart d = 2e + s leaves
+    ``edges[e][s]``; its twin is d ^ 1.  A bridge has one face, a loop two.
 
     Path addition (Demoucron, Malgrange and Pertuiset, 1964).  A cycle
     through edge 0, walked both ways, gives the first two faces.  A
     fragment is an unplaced edge between placed vertices, or a component
-    of unplaced vertices with its edges to placed ones; its attachments
-    are the placed vertices it touches, and it fits a face whose walk
-    passes all of them.  If some fragment fits no face the block is not
-    planar.  Otherwise a fragment that fits exactly one face, or failing
-    that the first fragment, gets one path between two of its attachments
-    a and b drawn through that face.  The face splits into its walk from a
-    to b followed by the path reversed, and its walk from b to a followed
-    by the path, so every edge stays walked once in each direction.
+    of unplaced vertices with its edges to placed ones.  It fits a face
+    whose walk passes all of its attachments, the placed vertices it
+    touches: the AND of their bit masks of faces.  If a fragment fits no
+    face the block is not planar.  Otherwise the first fragment that fits
+    exactly one face, or else the first fragment (edges by index, then
+    components by least vertex), has a path between two attachments a and
+    b drawn through its lowest fitting face.  That face splits into its
+    walk from a to b then the path reversed, and its walk from b to a then
+    the path, so every edge stays walked once in each direction.
     """
-    edges = blk.edges
-    incident = _incident_darts(blk.graph)
+    if len(edges) == 1:
+        return [[0], [1]] if edges[0][0] == edges[0][1] else [[0, 1]]
+    tail = [v for uv in edges for v in uv]
+    incident: list[list[int]] = [[] for _ in range(n)]
+    for d, v in enumerate(tail):
+        incident[v].append(d)
 
-    def head(d: Dart) -> int:
-        return edges[d[0]][1 - d[1]]
-
-    def bfs_path(a: int, enter, done) -> list[Dart]:
-        """Shortest dart path from ``a``: every dart but the last passes
-        ``enter`` into a new vertex, the last passes ``done``."""
-        prev: dict[int, Optional[Dart]] = {a: None}
+    def bfs_path(a: int, comp: list[int], c: int, done, first: int) -> list[int]:
+        """Shortest dart path from ``a`` through vertices w with comp[w] == c to
+        one marked ``done``, by a last dart not of edge 0 nor, if ``first``, from a."""
+        prev = {a: -1}
         todo = [a]
-        for v in todo:
+        for k, v in enumerate(todo):
             for d in incident[v]:
-                if done(d):
+                w = tail[d ^ 1]
+                if done[w] and k >= first and w != a and d != 1:
                     path = [d]
-                    while prev[v] is not None:
+                    while prev[v] >= 0:
                         path.append(prev[v])
-                        v = edges[prev[v][0]][prev[v][1]]
+                        v = tail[prev[v]]
                     return path[::-1]
-                if head(d) not in prev and enter(d):
-                    prev[head(d)] = d
-                    todo.append(head(d))
+                if comp[w] == c and w not in prev:
+                    prev[w] = d
+                    todo.append(w)
+        raise AssertionError("a 2-connected block has a path between two attachments")
 
-    u0, v0 = edges[0]
-    cycle = [(0, 0)] + bfs_path(v0, lambda d: d[0] != 0, lambda d: d[0] != 0 and head(d) == u0)
-    faces = [cycle, [(e, 1 - s) for e, s in reversed(cycle)]]
-    face_at: list[set[int]] = [set() for _ in blk.vertices]
-    used = set()
-    for e, s in cycle:
-        used.add(e)
-        face_at[edges[e][s]] = {0, 1}
-    while len(used) < len(edges):
-        # fragments as (attachments, its edge or the index of its component)
-        frags: list[tuple[set[int], object]] = [
-            ({u, v}, (e, 0)) for e, (u, v) in enumerate(edges) if e not in used and face_at[u] and face_at[v]
-        ]
-        comp = [-1] * len(blk.vertices)
-        for x, fx in enumerate(face_at):
-            if fx or comp[x] >= 0:
-                continue
-            c, attach, todo = len(frags), set(), [x]
-            comp[x] = c
-            for v in todo:
-                for d in incident[v]:
-                    w = head(d)
-                    if face_at[w]:
-                        attach.add(w)
-                    elif comp[w] < 0:
-                        comp[w] = c
-                        todo.append(w)
-            frags.append((attach, c))
-        chosen = None
-        for attach, part in frags:
-            fit = set.intersection(*(face_at[a] for a in attach))
-            if not fit:
-                return None
-            if chosen is None or len(fit) == 1:
-                chosen = attach, part, min(fit)
-                if len(fit) == 1:
-                    break
-        attach, part, fi = chosen
-        if isinstance(part, tuple):
-            path = [part]
-        else:  # from the smallest attachment through the component to another
-            a = min(attach)
-            path = bfs_path(
-                a,
-                lambda d: comp[head(d)] == part,
-                lambda d: comp[edges[d[0]][d[1]]] == part and face_at[head(d)] and head(d) != a,
-            )
-        a, b = edges[path[0][0]][path[0][1]], head(path[-1])
+    at_u0 = [v == tail[0] for v in range(n)]
+    cycle = [0] + bfs_path(tail[1], at_u0, False, at_u0, 0)  # back to edge 0's other end
+    faces = [cycle, [d ^ 1 for d in reversed(cycle)]]
+    face_at = [0] * n  # bit f is set when the vertex lies on face f
+    for d in cycle:
+        face_at[tail[d]] = 3
+    placed = {d >> 1 for d in cycle}
+    pending = [e for e in range(len(edges)) if e not in placed]
+    while pending:
+        chosen = None  # (fitting faces, the path or the least attachment, component)
+        for e in pending:
+            u, v = edges[e]
+            if face_at[u] and face_at[v]:
+                fit = face_at[u] & face_at[v]
+                if chosen is None or not fit & fit - 1:
+                    chosen = fit, [2 * e], None
+                    if not fit & fit - 1:  # fits one face or none
+                        break
+        if chosen is None or chosen[0] & chosen[0] - 1:
+            comp = [-1] * n
+            for x in range(n):
+                if face_at[x] or comp[x] >= 0:
+                    continue
+                fit, least, todo = -1, n, [x]
+                comp[x] = x
+                for v in todo:
+                    for d in incident[v]:
+                        w = tail[d ^ 1]
+                        if face_at[w]:
+                            fit &= face_at[w]
+                            least = min(least, w)
+                        elif comp[w] < 0:
+                            comp[w] = x
+                            todo.append(w)
+                if chosen is None or not fit & fit - 1:
+                    chosen = fit, least, x
+                    if not fit & fit - 1:
+                        break
+        fit, path, c = chosen
+        if not fit:
+            return None
+        if c is not None:  # from the least attachment through the component to another
+            path = bfs_path(path, comp, c, face_at, 1)
+        fi = (fit & -fit).bit_length() - 1
+        a, b = tail[path[0]], tail[path[-1] ^ 1]
         walk = faces[fi]
-        tails = [edges[e][s] for e, s in walk]
+        tails = [tail[d] for d in walk]
         i = tails.index(a)
         walk = walk[i:] + walk[:i]
         j = (tails.index(b) - i) % len(walk)
-        for v in tails:
-            face_at[v].discard(fi)
-        faces[fi] = walk[:j] + [(e, 1 - s) for e, s in reversed(path)]
+        both = 1 << fi | 1 << len(faces)
+        for d in walk[j + 1:]:  # strictly from b to a: moves to the new face
+            face_at[tail[d]] ^= both
+        for v in [tail[d] for d in path] + [b]:  # a and b gain the new face, inner vertices both
+            face_at[v] |= both
+        faces[fi] = walk[:j] + [d ^ 1 for d in reversed(path)]
         faces.append(walk[j:] + path)
-        for fj in (fi, len(faces) - 1):
-            for e, s in faces[fj]:
-                face_at[edges[e][s]].add(fj)
-        used.update(e for e, _ in path)
+        placed = {d >> 1 for d in path}
+        pending = [e for e in pending if e not in placed]
     return faces
 
 
 def find_planar_embedding(g: Multigraph) -> Optional[Embedding]:
-    """A genus-0 rotation system of ``g``, or None if ``g`` is not planar.
+    """A genus-0 rotation system of ``g``, or None if ``g`` is not planar;
+    no edge bound applies here (``is_planar`` has ``PLANAR_EDGE_BOUND``).
 
-    Each block is embedded on its own: a loop or a bridge directly, a
-    larger block from the face walks that path addition (``_block_faces``)
-    builds, with rotation successor rot_next(d) = succ(reverse(d)) for the
-    face successor succ.  At a cut vertex the blocks' rotations are
+    Each block is embedded on its own from the face walks of path addition
+    (``_block_faces``), with rotation successor rot_next(d) = succ(reverse(d))
+    for the face successor succ.  At a cut vertex the blocks' rotations are
     concatenated.  Each vertex's list starts at its first incident dart,
     and of the rotation and its mirror the one with the smaller key in
-    incidence order is returned.  When the embedding is unique up to
-    mirror image (a 3-connected graph, such as every named polyhedron),
-    that is the first genus-0 rotation in incidence order.  The embedding
-    is returned only after ``trace_faces`` gives genus 0 on every
-    component.
+    incidence order (by edge index, end 0 first) is returned: for a
+    3-connected graph, whose embedding is unique up to mirror image, the
+    first genus-0 rotation in incidence order.  The embedding is returned
+    only after ``trace_faces`` gives genus 0 on every component.
     """
     return _plane_embedding(g)[0]
 
 
 def _plane_embedding(g: Multigraph) -> tuple[Optional[Embedding], Optional[Block]]:
-    """The search of ``find_planar_embedding``: its embedding and None,
-    or None and the first block that path addition cannot embed.  Both
-    are None only if every block embeds but the rotation fails the
-    genus-0 check."""
-    rot_next: dict[Dart, Dart] = {}
+    """The search of ``find_planar_embedding`` on darts 2e + s: its embedding
+    and None, or None and the first block that path addition cannot embed.
+    Both are None only if the rotation fails the genus-0 check."""
+    tail = [v for uv in g.edges for v in uv]
+    rot_next = [0] * len(tail)
     for blk in blocks(g):
-        if len(blk.edges) == 1:  # a loop turns to its other end, a bridge to itself
-            (e,) = blk.edge_indices
-            loop = blk.edges[0][0] == blk.edges[0][1]
-            rot_next[(e, 0)], rot_next[(e, 1)] = ((e, 1), (e, 0)) if loop else ((e, 0), (e, 1))
-            continue
-        faces = _block_faces(blk)
+        faces = _block_faces(len(blk.vertices), blk.edges)
         if faces is None:
             return None, blk
+        glob = [2 * e + s for e in blk.edge_indices for s in (0, 1)]
         for face in faces:
-            for i, (e, s) in enumerate(face):  # rot_next(reverse(d)) = succ(d)
-                f, t = face[(i + 1) % len(face)]
-                rot_next[(blk.edge_indices[e], 1 - s)] = (blk.edge_indices[f], t)
-    incident = _incident_darts(g)
-    rotation = []
-    for darts in incident:
-        cyc: list[Dart] = []
-        for d in darts:  # append each block's cycle at its first dart
-            while d not in cyc:
-                cyc.append(d)
-                d = rot_next[d]
-        rotation.append(cyc)
-    mirror = [cyc[:1] + cyc[:0:-1] for cyc in rotation]
-    pos = {d: i for darts in incident for i, d in enumerate(darts)}
-    best = min(rotation, mirror, key=lambda rot: [[pos[d] for d in cyc] for cyc in rot])
-    emb = Embedding(g, tuple(map(tuple, best)))
+            d = face[-1]
+            for f in face:  # rot_next(reverse(d)) = succ(d)
+                rot_next[glob[d] ^ 1] = glob[f]
+                d = f
+    rotation: list[list[int]] = [[] for _ in range(g.vertex_count)]
+    seen = [False] * len(tail)
+    for first in range(len(tail)):  # each block's cycle joins at its first dart
+        d, cyc = first, rotation[tail[first]]
+        while not seen[d]:
+            seen[d] = True
+            cyc.append(d)
+            d = rot_next[d]
+    # in dart (incidence) order the mirror is smaller iff, at the first vertex of degree 3+, cyc[-1] is
+    if next((cyc[-1] < cyc[1] for cyc in rotation if len(cyc) > 2), False):
+        rotation = [cyc[:1] + cyc[:0:-1] for cyc in rotation]
+    emb = Embedding(g, tuple([tuple([(d >> 1, d & 1) for d in cyc]) for cyc in rotation]))
     if any(trace_faces(emb).genus_by_component):
         return None, None
     return emb, None
@@ -507,26 +492,46 @@ def _kuratowski_edges(blk: Block) -> list[int]:
     and halving after a failure.  A run whose removal leaves a non-planar
     graph loses each of its edges one at a time too, because every graph
     in between contains that non-planar one; so the result is the
-    edge-by-edge one.
+    edge-by-edge one.  A trial strips pendant vertices, which lie on no
+    Kuratowski subdivision, and needs no path addition when fewer than 5
+    vertices of degree 4 or more and 6 of degree 3 or more are left.  The
+    stripped graph carries over: degrees, edges gone, and the XOR of the
+    edges at each vertex, which is a pendant vertex's one edge.
     """
-    n = len(blk.vertices)
+    n, edges = len(blk.vertices), blk.edges
+    degree, link = [0] * n, [0] * n
+    for e, uv in enumerate(edges):
+        for v in uv:
+            degree[v] += 1
+            link[v] ^= e
+    core = degree, link, [False] * len(edges)
 
-    def nonplanar(kept: list[int]) -> bool:
-        degree = [0] * n
-        for e in kept:
-            for v in blk.edges[e]:
-                degree[v] += 1
-        if sum(d > 3 for d in degree) < 5 and sum(d > 2 for d in degree) < 6:
-            return False  # too few vertices of high degree to branch a K5 or K3,3
-        h = Multigraph(n, tuple(blk.edges[e] for e in kept))
-        return any(len(b.edges) > 1 and _block_faces(b) is None for b in blocks(h))
+    def drop(core, run: list[int]):
+        """The stripped ``core`` without ``run`` if it is non-planar, else None."""
+        degree, link, gone = core[0][:], core[1][:], core[2][:]
+        todo = list(run)
+        for e in todo:  # the run, then the edge of each vertex left pendant
+            if not gone[e]:
+                gone[e] = True
+                for v in edges[e]:
+                    degree[v] -= 1
+                    link[v] ^= e
+                    if degree[v] == 1:
+                        todo.append(link[v])
+        three = n - degree.count(0) - degree.count(2)  # no vertex is left pendant
+        if three - degree.count(3) < 5 and three < 6:
+            return None
+        h = Multigraph(n, tuple(uv for uv, out in zip(edges, gone) if not out))
+        nonplanar = any(_block_faces(len(b.vertices), b.edges) is None for b in blocks(h))
+        return (degree, link, gone) if nonplanar else None
 
-    kept = list(range(len(blk.edges)))
+    kept = list(range(len(edges)))
     i, run = 0, 1
     while i < len(kept):
-        rest = kept[:i] + kept[i + run:]
-        if nonplanar(rest):
-            kept, run = rest, 2 * run
+        rest = drop(core, kept[i:i + run])
+        if rest is not None:
+            core = rest
+            kept, run = kept[:i] + kept[i + run:], 2 * run
         elif run > 1:
             run //= 2
         else:
@@ -534,8 +539,15 @@ def _kuratowski_edges(blk: Block) -> list[int]:
     return kept
 
 
-def is_planar(g: Multigraph, bound: int = 20) -> PlanarityReport:
-    """Planarity by path addition, with explicit witnesses.
+# Default edge cap of ``is_planar``, set by measured cost: on k x k grids
+# (CPython 3.11, 2-vCPU x86-64 host) a planar verdict takes about 10 ms at
+# 264 edges, and a Kuratowski witness with two crossing chords about 0.07 s.
+PLANAR_EDGE_BOUND = 256
+
+
+def is_planar(g: Multigraph, bound: int = PLANAR_EDGE_BOUND) -> PlanarityReport:
+    """Planarity by path addition, with explicit witnesses, for at most
+    ``bound`` edges (else ``TooLarge``).
 
     The search of ``find_planar_embedding`` decides it: a planar verdict
     always carries a genus-0 rotation system.  For a non-planar graph,
@@ -557,11 +569,11 @@ def is_planar(g: Multigraph, bound: int = 20) -> PlanarityReport:
     if blk is None:
         raise GraphError("every block has a plane embedding, but their rotation is not genus 0")
     kept = _kuratowski_edges(blk)
-    at: dict[int, list[int]] = {}
+    at: list[list[int]] = [[] for _ in blk.vertices]
     for e in kept:
         for v in blk.edges[e]:
-            at.setdefault(v, []).append(e)
-    branch = [v for v, es in at.items() if len(es) > 2]
+            at[v].append(e)
+    branch = [v for v, es in enumerate(at) if len(es) > 2]
     cons, walked = [], set()
     for v in branch:
         for e in at[v]:
@@ -576,7 +588,7 @@ def is_planar(g: Multigraph, bound: int = 20) -> PlanarityReport:
             cons += sorted(path)[:-1]
     name = "M(K5)" if len(branch) == 5 else "M(K3,3)"
     keep = {blk.edge_indices[e] for e in kept}
-    dels = tuple(e for e in range(len(g.edges)) if e not in keep)
+    dels = tuple([e for e in range(len(g.edges)) if e not in keep])
     cons = tuple(sorted(blk.edge_indices[e] for e in cons))
     return PlanarityReport(False, name, dels, cons, None, f"{name} minor found")
 
@@ -671,64 +683,52 @@ class Block:
 
 
 def blocks(g: Multigraph) -> list[Block]:
-    """Biconnected components; bridges and loops are single-edge blocks."""
+    """Biconnected components; bridges and loops are single-edge blocks.
+    A depth-first search over darts 2e + s, whose twins are d ^ 1."""
     n = g.vertex_count
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    tail = [v for uv in g.edges for v in uv]
+    adj: list[list[int]] = [[] for _ in range(n)]
     edge_sets: list[list[int]] = []
-    for ei, (u, v) in enumerate(g.edges):
-        if u == v:
-            edge_sets.append([ei])
-        else:
-            adj[u].append((ei, v))
-            adj[v].append((ei, u))
-
-    disc = [-1] * n
-    low = [0] * n
-    time = 0
-    estack: list[int] = []
+    for d, v in enumerate(tail):
+        if tail[d ^ 1] != v:
+            adj[v].append(d)
+        elif not d & 1:
+            edge_sets.append([d >> 1])
+    disc, low, estack, tick = [-1] * n, [0] * n, [], itertools.count()
     for root in range(n):
         if disc[root] != -1:
             continue
-        disc[root] = low[root] = time
-        time += 1
-        stack: list[list] = [[root, -1, 0]]
+        disc[root] = low[root] = next(tick)
+        stack = [(root, -2, iter(adj[root]))]  # (vertex, the dart back to its parent, darts left)
         while stack:
-            v, pe, pos = stack[-1]
-            if pos < len(adj[v]):
-                stack[-1][2] += 1
-                ei, w = adj[v][pos]
-                if ei == pe:
+            v, back, darts = stack[-1]
+            for d in darts:
+                if d == back:
                     continue
+                w = tail[d ^ 1]
                 if disc[w] == -1:
-                    estack.append(ei)
-                    disc[w] = low[w] = time
-                    time += 1
-                    stack.append([w, ei, 0])
-                elif disc[w] < disc[v]:
-                    estack.append(ei)
-                    if disc[w] < low[v]:
-                        low[v] = disc[w]
+                    estack.append(d >> 1)
+                    disc[w] = low[w] = next(tick)
+                    stack.append((w, d ^ 1, iter(adj[w])))
+                    break
+                if disc[w] < disc[v]:
+                    estack.append(d >> 1)
+                    low[v] = min(low[v], disc[w])
             else:
                 stack.pop()
                 if stack:
                     u = stack[-1][0]
-                    if low[v] < low[u]:
-                        low[u] = low[v]
-                    if low[v] >= disc[u]:
+                    low[u] = min(low[u], low[v])
+                    if low[v] >= disc[u]:  # v's parent edge and the edges above it form a block
                         blk = []
-                        while True:
-                            e = estack.pop()
-                            blk.append(e)
-                            if e == pe:
-                                break
-                        edge_sets.append(blk)
-
+                        while not blk or blk[-1] != back >> 1:
+                            blk.append(estack.pop())
+                        edge_sets.append(sorted(blk))
     out = []
-    for es in sorted(edge_sets, key=min):
-        vs = sorted({v for ei in es for v in g.edges[ei]})
+    for es in sorted(edge_sets):
+        vs = sorted({v for e in es for v in g.edges[e]})
         vmap = {v: i for i, v in enumerate(vs)}
-        sub_edges = tuple((vmap[g.edges[ei][0]], vmap[g.edges[ei][1]]) for ei in sorted(es))
-        out.append(Block(tuple(vs), tuple(sorted(es)), sub_edges))
+        out.append(Block(tuple(vs), tuple(es), tuple([(vmap[u], vmap[v]) for u, v in map(g.edges.__getitem__, es)])))
     return out
 
 

@@ -11,7 +11,16 @@ from __future__ import annotations
 
 import random
 
-from dualities.graphs import Dart, Embedding, Multigraph, _face_orbits, _incident_darts
+from dualities.graphs import Dart, Embedding, Multigraph, _face_orbits
+
+
+def incident_darts(g: Multigraph) -> list[list[Dart]]:
+    """Darts at each vertex in incidence order: by edge index, end 0 first."""
+    incident: list[list[Dart]] = [[] for _ in range(g.vertex_count)]
+    for e, (u, v) in enumerate(g.edges):
+        incident[u].append((e, 0))
+        incident[v].append((e, 1))
+    return incident
 
 
 class _PlaneBuilder:
@@ -86,7 +95,7 @@ def random_cellular_embedding(
         edges.append((min(u, v), max(u, v)))
     g = Multigraph(vertices, tuple(edges))
     rot = []
-    for darts in _incident_darts(g):
+    for darts in incident_darts(g):
         rng.shuffle(darts)
         rot.append(tuple(darts))
     return Embedding(g, tuple(rot))

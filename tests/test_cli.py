@@ -461,20 +461,32 @@ def test_trials_range_ends_accepted():
         assert args.trials == trials
 
 
-@pytest.mark.parametrize("bound", ["0", "-1", "21", "x"])
+@pytest.mark.parametrize("bound", ["0", "-1", "21", "257", "x"])
 def test_bound_out_of_range_exit_2(capsys, bound):
-    with pytest.raises(SystemExit) as exc:
-        main(["graph", "planar", "k4", "--bound", bound])
-    assert exc.value.code == 2
-    assert "--bound" in capsys.readouterr().err
+    """--bound takes 1..20 on the matroid commands and 1..256 on graph planar."""
+    commands = [["matroid", "validate", "fano"]] + ([] if bound == "21" else [["graph", "planar", "k4"]])
+    for argv in commands:
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--bound", bound])
+        assert exc.value.code == 2
+        assert "--bound" in capsys.readouterr().err
 
 
 def test_bound_accepted(capsys):
     code, data = run_json(capsys, "graph", "planar", "cycle:5", "--bound", "5")
     assert code == 0 and data["planar"] and data["embedding"] is not None
     assert run(capsys, "graph", "planar", "cycle:5", "--bound", "4")[0] == 2
-    for bound in (1, 20):
+    for bound in (1, 21, 256):
         assert build_parser().parse_args(["graph", "planar", "k4", "--bound", str(bound)]).bound == bound
+    for bound in (1, 20):
+        assert build_parser().parse_args(["matroid", "validate", "fano", "--bound", str(bound)]).bound == bound
+
+
+def test_planar_default_bound_decides_the_solids(capsys):
+    """The 30-edge solids need no --bound."""
+    for name in ("icosahedron", "dodecahedron"):
+        code, data = run_json(capsys, "graph", "planar", name)
+        assert code == 0 and data["planar"] and len(data["embedding"]["edges"]) == 30
 
 
 @pytest.mark.parametrize(

@@ -282,8 +282,12 @@ def test_k33_minus_edge_planar():
 
 
 def test_planarity_bound():
+    assert G.PLANAR_EDGE_BOUND == 256
+    assert G.is_planar(G.Multigraph(1, ((0, 0),) * 256)).planar
     with pytest.raises(G.TooLarge):
-        G.is_planar(G.Multigraph(1, tuple((0, 0) for _ in range(21))))
+        G.is_planar(G.Multigraph(1, ((0, 0),) * 257))
+    with pytest.raises(G.TooLarge):
+        G.is_planar(G.named_graph("k4"), bound=5)
 
 
 def random_multigraph(rng):
