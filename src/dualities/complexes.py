@@ -110,10 +110,9 @@ def euler_char_complex(k: SimplicialComplex) -> int:
     return sum((-1) ** i * a for i, a in enumerate(k.alpha))
 
 
-def betti_numbers(k: SimplicialComplex, bound: int = 5000) -> tuple[int, ...]:
-    """GF(2) Betti numbers b_0..b_n from boundary-matrix ranks."""
-    if len(k.simplices) > bound:
-        raise TooLarge(f"{len(k.simplices)} simplices exceed the bound {bound}")
+def betti_numbers(k: SimplicialComplex) -> tuple[int, ...]:
+    """GF(2) Betti numbers b_0..b_n from boundary-matrix ranks; the size
+    of ``k`` is capped once, by ``SIMPLEX_BOUND`` in ``make_complex``."""
     n = k.dimension
     by_dim = [k.simplices_of_dim(d) for d in range(n + 1)]
     index = [

@@ -19,11 +19,14 @@ realizations are built directly from the circuits of a binary side; they
 decide graphic and cographic, and an excluded-minor search runs only to
 witness a side that has none.  Transversality is decided from the
 lattice of cyclic flats, which fixes the only candidate presentation.
+Circuits and the check of that presentation are computed for every
+subset at once, on bitsets over all 2^n subsets (``TABLE_BOUND``).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -32,7 +35,9 @@ from .formats import json_ints, read_records, split_ident
 
 GROUND_BOUND = 12
 # Largest ground on which a family is handled as a bitset over all 2^n
-# subsets (2^20 bits are 128 KB).
+# subsets (2^20 bits are 128 KB).  Validation switches to the exchange
+# check above it; circuits and transversality, which are computed only on
+# such bitsets, refuse a larger ground with ``GroundTooLarge``.
 TABLE_BOUND = 20
 
 # ---------------------------------------------------------------------------
@@ -441,6 +446,40 @@ def _by_size(n: int) -> tuple[int, ...]:
     return tuple(by_size)
 
 
+def _family(masks: Iterable[int], n: int) -> int:
+    """The family of the subsets ``masks`` of n elements."""
+    table = bytearray(max(1, (1 << n) >> 3))
+    for b in masks:
+        table[b >> 3] |= 1 << (b & 7)
+    return int.from_bytes(table, "little")
+
+
+def _independent(masks: Iterable[int], n: int) -> int:
+    """The family of the subsets of n elements inside some of ``masks``."""
+    indep = _family(masks, n)
+    for i in range(n):
+        indep |= indep >> (1 << i) & _lacking(i, n)
+    return indep
+
+
+_BYTE_BITS = tuple(tuple(_bits(v)) for v in range(256))
+
+
+def _members_of(family: int) -> list[int]:
+    """The subsets in a family as masks, in increasing order, read off
+    the nonzero bytes of the family."""
+    data = family.to_bytes((family.bit_length() + 7) >> 3, "little")
+    return [k << 3 | j for k in itertools.compress(range(len(data)), data) for j in _BYTE_BITS[data[k]]]
+
+
+def _table_ground(m: Matroid, what: str) -> int:
+    """The ground size of ``m`` once its subsets fit in a bitset table."""
+    n = len(m.ground)
+    if n > TABLE_BOUND:
+        raise GroundTooLarge(f"{what} on {n} elements: the subset table stops at {TABLE_BOUND}")
+    return n
+
+
 def _rank_axioms_hold(masks: tuple[int, ...], n: int, r: int) -> bool:
     """Whether an equal-size family of r-element masks over n elements is
     the basis family of a matroid, decided on the rank table.
@@ -454,12 +493,7 @@ def _rank_axioms_hold(masks: tuple[int, ...], n: int, r: int) -> bool:
     rank level, so each step handles every subset at once.
     """
     lacking = [_lacking(i, n) for i in range(n)]
-    table = bytearray(max(1, (1 << n) >> 3))
-    for b in masks:
-        table[b >> 3] |= 1 << (b & 7)
-    indep = int.from_bytes(table, "little")  # then the subsets inside some basis
-    for i in range(n):
-        indep |= indep >> (1 << i) & lacking[i]
+    indep = _independent(masks, n)
     by_size = _by_size(n)
     spans = [~0] * n  # spans[i]: the X lacking i with r(X + i) = r(X)
     for k in range(1, r + 1):
@@ -516,7 +550,13 @@ def _cooc_matrix(m: Matroid) -> list[list[int]]:
 
 
 def _refine_colors(c1: list, c2: list, cooc1, cooc2) -> tuple[list[int], list[int]]:
-    """Joint color refinement of the two element sets by co-occurrence."""
+    """Joint color refinement of the two element sets by co-occurrence.
+
+    Each round's colors are the ranks of the sorted signatures, so they
+    sort first by the previous color; once a round splits no color class
+    they are the dense ranks of the stable partition, which every later
+    round would return unchanged.
+    """
     def signatures(c: list[int], cooc) -> list:
         at = range(len(c))
         return [(c[i], tuple(sorted((c[j], cooc[i][j]) for j in at if j != i))) for i in at]
@@ -524,19 +564,23 @@ def _refine_colors(c1: list, c2: list, cooc1, cooc2) -> tuple[list[int], list[in
     while True:
         sig1, sig2 = signatures(c1, cooc1), signatures(c2, cooc2)
         palette = {s: k for k, s in enumerate(sorted(set(sig1) | set(sig2)))}
-        n1_new = [palette[s] for s in sig1]
-        n2_new = [palette[s] for s in sig2]
-        if n1_new == c1 and n2_new == c2:
+        split = len(palette) > len(set(c1) | set(c2))
+        c1, c2 = [palette[s] for s in sig1], [palette[s] for s in sig2]
+        if not split:
             return c1, c2
-        c1, c2 = n1_new, n2_new
 
 
 def is_isomorphic(m1: Matroid, m2: Matroid) -> tuple[bool, Optional[dict[int, int]]]:
     """Search for a ground bijection carrying bases onto bases.
 
     Prunes by (size, rank, basis count), then by iterated co-occurrence
-    colors; the backtracking order is deterministic, so the witness is
-    the first bijection in canonical enumeration order.
+    colors, refined until the joint partition stops splitting.  The
+    backtracking extends a partial map only where the basis count of
+    every mapped pair equals its image's and, once a branch has failed,
+    of every mapped 3-set too (popcounts of ANDed ``_incidence``
+    bitsets); a search that meets no dead end skips that cost.  An
+    isomorphism keeps both counts, so the witness is the first bijection
+    in canonical enumeration order either way.
     """
     n = len(m1.ground)
     if (n, m1.rank, len(m1._masks)) != (len(m2.ground), m2.rank, len(m2._masks)):
@@ -552,8 +596,15 @@ def is_isomorphic(m1: Matroid, m2: Matroid) -> tuple[bool, Optional[dict[int, in
 
     order = sorted(range(n), key=lambda i: (c1[i], i))
     target_masks = m2._mask_set
+    inc1, inc2 = m1._incidence, m2._incidence
     assign: list[int] = []
     used = [False] * n
+    # pairs2: the AND of the incidences of the images of each 2-set of
+    # mapped depths (a < b), b-major; need[d]: the basis count of each
+    # 3-set of order[d] with such a 2-set of order[:d], in the same order
+    pairs2: list[int] = []
+    need: dict[int, list[int]] = {}
+    strict = False  # whether 3-sets are checked: once a branch has failed
 
     def ok_partial(i: int, j: int) -> bool:
         if c1[i] != c2[j]:
@@ -564,7 +615,18 @@ def is_isomorphic(m1: Matroid, m2: Matroid) -> tuple[bool, Optional[dict[int, in
                 return False
         return True
 
+    def ok_triples(depth: int, j: int) -> bool:
+        counts = need.get(depth)
+        if counts is None:
+            at = inc1[order[depth]]
+            counts = need[depth] = [
+                (at & inc1[order[a]] & inc1[order[b]]).bit_count() for b in range(depth) for a in range(b)
+            ]
+        at = inc2[j]
+        return all((at & p).bit_count() == c for p, c in zip(pairs2, counts))
+
     def extend(depth: int) -> bool:
+        nonlocal strict
         if depth == n:
             perm = dict(zip(order, assign))
             for b in m1._masks:
@@ -573,17 +635,22 @@ def is_isomorphic(m1: Matroid, m2: Matroid) -> tuple[bool, Optional[dict[int, in
                     if b >> i & 1:
                         img |= 1 << perm[i]
                 if img not in target_masks:
+                    strict = True
                     return False
             return True
         i = order[depth]
+        held = len(pairs2)
         for j in range(n):
-            if not used[j] and ok_partial(i, j):
+            if not used[j] and ok_partial(i, j) and (not strict or ok_triples(depth, j)):
+                pairs2.extend(inc2[j] & inc2[ja] for ja in assign)
                 assign.append(j)
                 used[j] = True
                 if extend(depth + 1):
                     return True
                 used[j] = False
                 assign.pop()
+                del pairs2[held:]
+        strict = True
         return False
 
     if extend(0):
@@ -828,22 +895,33 @@ def _cyclic_flats(m: Matroid) -> dict[int, int]:
     return flats
 
 
-def _has_transversal(elems: tuple[int, ...], sets: list[int]) -> bool:
-    """Whether the positions ``elems`` are represented by distinct sets
-    of ``sets`` (position masks): a complete matching, grown one element
-    at a time along augmenting paths."""
-    held: dict[int, int] = {}  # set index -> the element it represents
+def _transversals(sets: list[int], n: int) -> int:
+    """The family of the |sets|-subsets of n elements that have a system
+    of distinct representatives in ``sets`` (position masks).
 
-    def place(e: int, tried: set[int]) -> bool:
-        for i, s in enumerate(sets):
-            if s >> e & 1 and i not in tried:
-                tried.add(i)
-                if i not in held or place(held[i], tried):
-                    held[i] = e
-                    return True
-        return False
+    A set T has one in A_1..A_k exactly when T - e has one in
+    A_1..A_(k-1) for some e of T in A_k, the element representing A_k;
+    so level k is {t + e : t in level k - 1, e in A_k - t}, one shift of
+    the table per element of A_k.
+    """
+    level = 1  # the empty set
+    for s in sets:
+        nxt = 0
+        for e in _bits(s):
+            nxt |= (level & _lacking(e, n)) << (1 << e)
+        level = nxt
+    return level
 
-    return all(place(e, set()) for e in elems)
+
+def _combination_rank(picks: list[int], size: int) -> int:
+    """The 1-based place of the increasing ``picks`` among the subsets of
+    range(size) of that many elements, in ``itertools.combinations``
+    order."""
+    rank, prev, r = 1, -1, len(picks)
+    for k, c in enumerate(picks):
+        rank += sum(math.comb(size - 1 - j, r - 1 - k) for j in range(prev + 1, c))
+        prev = c
+    return rank
 
 
 def _decide_transversal(m: Matroid) -> _Transversal:
@@ -860,7 +938,15 @@ def _decide_transversal(m: Matroid) -> _Transversal:
     beta(F) copies of each E - F are the only candidate, and ``m`` is
     transversal exactly when the r-subsets with a system of distinct
     representatives in it are its bases.
+
+    Those r-subsets are built all at once, set by set, on the table of
+    all 2^n subsets (``_transversals``; n <= TABLE_BOUND, else
+    ``GroundTooLarge``) and compared with the bases.  A disagreement is
+    named by the first r-subset of the non-loops, in combination order,
+    on which they differ, and the witness counts the r-subsets up to it
+    as matched; agreement counts them all.
     """
+    n = _table_ground(m, "transversality")
     r, g = m.rank, m.ground
 
     def show(mask: int) -> str:
@@ -885,16 +971,18 @@ def _decide_transversal(m: Matroid) -> _Transversal:
     sets.sort(key=lambda s: (s.bit_count(), [*_bits(s)]))
     listed = ", ".join(map(show, sets))
     nonloops = [i for i, e in enumerate(g) if e not in m.loops]
-    matched = 0
-    for matched, elems in enumerate(itertools.combinations(nonloops, r), 1):
-        mask = sum(1 << i for i in elems)
-        hit = _has_transversal(elems, sets)
-        if hit != (mask in m._mask_set):
-            claim = "is not a basis but has a" if hit else "is a basis but has no"
-            return refuted(matched, (
-                f"{show(mask)} {claim} system of distinct representatives "
-                f"in the only candidate presentation {listed}"
-            ))
+    hits = _transversals(sets, n)
+    differ = _members_of(hits ^ _family(m._masks, n))
+    if differ:
+        mask = min(differ, key=lambda x: [*_bits(x)])
+        place = {p: k for k, p in enumerate(nonloops)}
+        matched = _combination_rank([place[p] for p in _bits(mask)], len(nonloops))
+        claim = "is not a basis but has a" if hits >> mask & 1 else "is a basis but has no"
+        return refuted(matched, (
+            f"{show(mask)} {claim} system of distinct representatives "
+            f"in the only candidate presentation {listed}"
+        ))
+    matched = math.comb(len(nonloops), r)
     pres = tuple(m._members(s) for s in sets)
     return _Transversal(pres, len(flats), (
         f"presentation {listed} (maximal; {len(flats)} cyclic flats, {matched} r-subsets matched)"
@@ -907,7 +995,9 @@ def transversal_presentation(
     """The maximal presentation of ``m``: r subsets whose partial
     transversals are its independent sets, or None if it has none.
 
-    Decided from the cyclic flats by ``_decide_transversal``; returns
+    Decided from the cyclic flats by ``_decide_transversal``, which
+    checks the only candidate presentation against the bases on a table
+    of all subsets, so ``m`` has at most ``TABLE_BOUND`` elements; returns
     (presentation or None, number of cyclic flats examined).  The full
     verdict, with its witness text, is kept as ``m._transversal``.
     """
@@ -952,21 +1042,22 @@ def _graphic_targets() -> tuple[tuple[str, Matroid], ...]:
 
 
 def _circuits(m: Matroid) -> tuple[int, ...]:
-    """Every circuit as an element-index mask, smallest first; read them
-    from ``m._circuit_masks``, which keeps them.
+    """Every circuit as an element-index mask, by size and then mask;
+    read them from ``m._circuit_masks``, which keeps them.
 
-    Each circuit is the fundamental circuit of one of its elements with
-    respect to a basis holding the rest, so the bases yield them all.
+    The circuits are the minimal dependent sets.  On the table of all
+    2^n subsets (n <= TABLE_BOUND, else ``GroundTooLarge``), the
+    dependent sets are those outside the downward closure of the bases,
+    and the non-minimal ones are X + i for a dependent X lacking i: one
+    shift per element marks them all, and the rest are read off the
+    table's bytes.
     """
-    bases = m._mask_set
-    singles = [1 << i for i in range(len(m.ground))]
-    found = set()
-    for b in m._masks:
-        inside = [f for f in singles if b & f]
-        for e in singles:
-            if not b & e:
-                found.add(e | sum(f for f in inside if b ^ f | e in bases))
-    return tuple(sorted(found, key=lambda c: (c.bit_count(), c)))
+    n = _table_ground(m, "circuits")
+    dep = (1 << (1 << n)) - 1 & ~_independent(m._masks, n)
+    above = 0  # the dependent sets with a dependent set one element smaller
+    for i in range(n):
+        above |= (dep & _lacking(i, n)) << (1 << i)
+    return tuple(sorted(_members_of(dep & ~above), key=int.bit_count))
 
 
 def _ear_ends(ends: dict[int, tuple[int, int]], through: list[int]) -> Optional[tuple[int, int]]:

@@ -1,5 +1,7 @@
+import inspect
 import itertools
 import random
+import time
 
 import pytest
 
@@ -146,9 +148,18 @@ def test_euler_poincare_random():
         assert sum((-1) ** i * x for i, x in enumerate(b)) == C.euler_char_complex(k)
 
 
-def test_betti_bound():
+def test_betti_numbers_are_capped_only_by_the_simplex_bound():
+    assert list(inspect.signature(C.betti_numbers).parameters) == ["k"]
     with pytest.raises(C.TooLarge):
-        C.betti_numbers(C.named_complex("sphere", (2,)), bound=3)
+        C.make_complex([range(17)])  # 131,071 faces, past SIMPLEX_BOUND
+
+
+def test_betti_numbers_of_a_60_by_60_torus_within_a_second():
+    # 21,600 simplices, past the 5,000-simplex cap betti_numbers once had
+    k = C.make_complex(torus_grid(60, 60))
+    start = time.perf_counter()
+    assert C.betti_numbers(k) == (1, 2, 1)
+    assert time.perf_counter() - start < 1.0
 
 
 # ---------------------------------------------------------------------------
