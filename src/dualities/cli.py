@@ -340,12 +340,6 @@ def _fmt_elem(x) -> str:
 # the command table
 
 
-# Largest --bound value of the matroid commands: it lifts the matroid
-# ground cap, and their searches grow exponentially with the ground.
-# graph planar takes up to graphs.PLANAR_EDGE_BOUND edges instead.
-BOUND_MAX = 20
-
-
 def _int_in(text: str, lo: int, hi: int) -> int:
     try:
         n = int(text)
@@ -363,8 +357,10 @@ def _trials(text: str) -> int:
     return _int_in(text, 0, algebras.TRIALS_MAX)
 
 
+# --bound lifts the matroid ground cap up to the limit of every Matroid;
+# graph planar takes up to graphs.PLANAR_EDGE_BOUND edges instead.
 def _bound(text: str) -> int:
-    return _int_in(text, 1, BOUND_MAX)
+    return _int_in(text, 1, matroids.TABLE_BOUND)
 
 
 def _planar_bound(text: str) -> int:
@@ -381,7 +377,9 @@ TARGET = _arg("target", help="second matroid source")
 GRAPH = _arg("source", help="named graph (k4, cube, torus), file, or -")
 EMBEDDING = _arg("source", help="named embedding (k4, cube, torus), file, or -")
 COMPLEX = _arg("source", help="named complex (sphere:2, genus:1), file, or -")
-BOUND = _arg("--bound", type=_bound, default=None, help=f"search/size bound, 1..{BOUND_MAX}")
+BOUND = _arg(
+    "--bound", type=_bound, default=None, help=f"search/size bound, 1..{matroids.TABLE_BOUND}"
+)
 PLANAR_BOUND = _arg(
     "--bound", type=_planar_bound, default=None, help=f"edge bound, 1..{graphs.PLANAR_EDGE_BOUND}"
 )

@@ -24,7 +24,7 @@ from functools import cached_property, lru_cache
 from typing import Iterable, Optional
 
 from .formats import json_ints, read_records, split_ident
-from .matroids import Matroid, TooManyBases, _from_masks
+from .matroids import Matroid, _from_masks, _within
 from . import matroids
 
 Dart = tuple[int, int]
@@ -670,16 +670,12 @@ def platonic_solids() -> list[PlatonicRow]:
 class Block:
     """A biconnected component, keeping its original edge indices.
 
-    ``edges`` joins positions in ``vertices``; ``graph`` is that subgraph.
+    ``edges`` joins positions in ``vertices``.
     """
 
     vertices: tuple[int, ...]
     edge_indices: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
-
-    @cached_property
-    def graph(self) -> Multigraph:
-        return Multigraph(len(self.vertices), self.edges)
 
 
 def blocks(g: Multigraph) -> list[Block]:
@@ -735,28 +731,19 @@ def blocks(g: Multigraph) -> list[Block]:
 def cycle_matroid(g: Multigraph, bound: int = matroids.GROUND_BOUND) -> Matroid:
     """Matroid on the edge indices whose bases are the spanning forests.
 
-    The forests are grown edge by edge in index order: each step takes a
+    More than ``bound`` edges, or than ``matroids.TABLE_BOUND`` whatever
+    the bound, raise ``GroundTooLarge``.  The forests are grown by a
+    depth-first search that takes edges in index order: each step takes a
     later edge that joins two trees, never one so late that too few edges
-    remain to reach the rank.  A union-find (union by size, no path
-    compression) records the trees, and every union is undone on
-    backtracking.  A branch also stops once it has skipped the last edge
-    at a vertex that no taken edge covers, since every spanning forest
-    covers each vertex with a non-loop edge.
+    remain to reach the rank.  A union-find records the trees, and every
+    union is undone on return.
     """
     ne = len(g.edges)
-    if ne > bound:
-        raise TooManyBases(f"{ne} edges exceed the matroid ground bound {bound}")
+    _within(ne, bound)
     r = graph_invariants(g).rank
     edges = g.edges
     parent = list(range(g.vertex_count))
-    size = [1] * g.vertex_count
-    left = [0] * g.vertex_count  # non-loop edges at each vertex not yet passed
-    covered = [0] * g.vertex_count  # taken edges at each vertex
-    for u, v in edges:
-        if u != v:
-            left[u] += 1
-            left[v] += 1
-    masks = []
+    masks = [] if r else [0]
 
     def root(x: int) -> int:
         while parent[x] != x:
@@ -764,41 +751,19 @@ def cycle_matroid(g: Multigraph, bound: int = matroids.GROUND_BOUND) -> Matroid:
         return x
 
     def grow(i: int, need: int, mask: int) -> None:
-        j = i
-        while j <= ne - need:
-            a, b = edges[j]
-            j += 1
-            if a == b:
+        for j in range(i, ne - need + 1):
+            u, v = root(edges[j][0]), root(edges[j][1])
+            if u == v:
                 continue
-            left[a] -= 1
-            left[b] -= 1
-            u, v = root(a), root(b)
-            if u != v:
-                if size[u] > size[v]:
-                    u, v = v, u
+            if need == 1:
+                masks.append(mask | 1 << j)
+            else:
                 parent[u] = v
-                size[v] += size[u]
-                if need == 1:
-                    masks.append(mask | 1 << j - 1)
-                else:
-                    covered[a] += 1
-                    covered[b] += 1
-                    grow(j, need - 1, mask | 1 << j - 1)
-                    covered[a] -= 1
-                    covered[b] -= 1
-                size[v] -= size[u]
+                grow(j + 1, need - 1, mask | 1 << j)
                 parent[u] = u
-            if not (left[a] or covered[a]) or not (left[b] or covered[b]):
-                break
-        for a, b in edges[i:j]:
-            if a != b:
-                left[a] += 1
-                left[b] += 1
 
     if r:
         grow(0, r, 0)
-    else:
-        masks.append(0)
     return _from_masks(tuple(range(ne)), masks)
 
 

@@ -2,9 +2,10 @@
 
 A matroid is stored as a ground tuple plus the complete family of bases,
 as a sorted tuple of bitmasks over ground positions (``Matroid._masks``).
-Ground sets are capped (12 elements by default), so the family always
-fits in memory.  Element sets become masks once, when a matroid is
-built from them; every operation works on the masks, and every other
+A matroid has at most ``TABLE_BOUND`` (20) elements, and parsing caps
+the ground at 12 by default, so the family always fits in memory.
+Element sets become masks once, when a matroid is built from them;
+every operation works on the masks, and every other
 producer of a matroid (duals, minors, relabellings, direct sums, cycle
 matroids, minor-search candidates) builds its masks directly.  The bases
 as element sets (``Matroid.bases``) are derived on first read, for
@@ -34,10 +35,10 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 from .formats import json_ints, read_records, split_ident
 
 GROUND_BOUND = 12
-# Largest ground on which a family is handled as a bitset over all 2^n
-# subsets (2^20 bits are 128 KB).  Validation switches to the exchange
-# check above it; circuits and transversality, which are computed only on
-# such bitsets, refuse a larger ground with ``GroundTooLarge``.
+# Largest ground of any ``Matroid``, so that a family fits a bitset over
+# all 2^n subsets (2^20 bits are 128 KB), on which validation, circuits
+# and transversality work.  Every producer raises ``GroundTooLarge``
+# above it before it builds a basis mask (``_within``).
 TABLE_BOUND = 20
 
 # ---------------------------------------------------------------------------
@@ -93,7 +94,7 @@ class DependentContraction(MatroidError):
 
 
 class GroundTooLarge(MatroidError):
-    """Ground set exceeds the configured bound."""
+    """Ground set exceeds the caller's bound or ``TABLE_BOUND``."""
 
 
 class GroundNotDisjoint(MatroidError):
@@ -106,10 +107,6 @@ class UnknownName(MatroidError):
 
 class BadParams(MatroidError):
     """Named-matroid parameters out of range."""
-
-
-class TooManyBases(MatroidError):
-    """A generated basis family would exceed the ground bound."""
 
 
 class BadInput(MatroidError):
@@ -128,6 +125,14 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _within(n: int, bound: int = TABLE_BOUND) -> None:
+    """Raise ``GroundTooLarge`` unless n elements fit ``bound`` and
+    ``TABLE_BOUND``, the limit of every ``Matroid``."""
+    limit = min(bound, TABLE_BOUND)
+    if n > limit:
+        raise GroundTooLarge(f"{n} elements exceed the bound {limit}")
+
+
 def _squeeze(mask: int, gone: list[int]) -> int:
     """``mask`` with the bit positions ``gone`` (highest first) removed
     and the bits above each removed position shifted down into it."""
@@ -142,9 +147,10 @@ class Matroid:
     """Ground tuple plus the basis family as sorted position masks.
 
     ``Matroid(ground, bases)`` takes the bases as element sets and turns
-    them into masks once; an element outside the ground raises
-    ``ElementNotInGround``.  Instances are immutable, and equality and
-    hashing compare the ground tuple and the masks.  ``bases``, the
+    them into masks once; a ground of more than ``TABLE_BOUND`` elements
+    raises ``GroundTooLarge`` before any basis is read, and an element
+    outside the ground ``ElementNotInGround``.  Instances are immutable,
+    and equality and hashing compare the ground tuple and the masks.  ``bases``, the
     element sets in canonical order, is derived on first read.
     """
 
@@ -153,6 +159,7 @@ class Matroid:
 
     def __init__(self, ground: Iterable[int], bases: Iterable[Iterable[int]]):
         object.__setattr__(self, "ground", tuple(ground))
+        _within(len(self.ground))
         object.__setattr__(self, "_masks", tuple(sorted({self._mask(b) for b in bases})))
 
     def __repr__(self):
@@ -309,6 +316,7 @@ class Matroid:
 def _from_masks(ground: tuple[int, ...], masks: Iterable[int]) -> Matroid:
     """The matroid on ``ground`` whose bases are the position masks
     ``masks``: bit i of a mask stands for ``ground[i]``."""
+    _within(len(ground))
     out = object.__new__(Matroid)
     object.__setattr__(out, "ground", ground)
     object.__setattr__(out, "_masks", tuple(sorted(set(masks))))
@@ -351,14 +359,14 @@ def make_matroid(
 
 def _ground(ground: Iterable[int], bound: int = GROUND_BOUND) -> tuple[int, ...]:
     """The ground labels, sorted, once they are distinct integers and at
-    most ``bound`` of them."""
+    most ``bound`` of them, and at most ``TABLE_BOUND`` whatever the
+    bound."""
     g = tuple(sorted(ground))
     if len(set(g)) != len(g):
         raise MatroidError("ground labels must be distinct")
     if any(not isinstance(e, int) for e in g):
         raise MatroidError("ground labels must be integers")
-    if len(g) > bound:
-        raise GroundTooLarge(f"{len(g)} elements exceed the bound {bound}")
+    _within(len(g), bound)
     return g
 
 
@@ -369,16 +377,17 @@ def _validated(m: Matroid) -> Matroid:
 
     The last two checks run in ``_check_family``, at 0.3-0.8 us per step
     of B * r * (n - r) for B bases of rank r, or, for an equal-size family
-    on n <= TABLE_BOUND elements, in ``_rank_axioms_hold`` when that is
-    cheaper: 2-8 ns per unit of n * 2^n at n >= 12, hence the weight 100
-    (CPython 3.11, x86-64); the check then only names a rejection's witness.
+    (every matroid has n <= TABLE_BOUND elements), in ``_rank_axioms_hold``
+    when that is cheaper: 2-8 ns per unit of n * 2^n at n >= 12, hence the
+    weight 100 (CPython 3.11, x86-64); the check then only names a
+    rejection's witness.
     """
     masks, n = m._masks, len(m.ground)
     if not masks:
         raise EmptyBases("a matroid needs at least one basis")
     r = m.rank
     equal = all(b.bit_count() == r for b in masks)
-    if equal and n <= TABLE_BOUND and len(masks) * r * (n - r) * 100 >= n << n:
+    if equal and len(masks) * r * (n - r) * 100 >= n << n:
         if _rank_axioms_hold(masks, n, r):
             return m
         _check_family(m)
@@ -472,14 +481,6 @@ def _members_of(family: int) -> list[int]:
     return [k << 3 | j for k in itertools.compress(range(len(data)), data) for j in _BYTE_BITS[data[k]]]
 
 
-def _table_ground(m: Matroid, what: str) -> int:
-    """The ground size of ``m`` once its subsets fit in a bitset table."""
-    n = len(m.ground)
-    if n > TABLE_BOUND:
-        raise GroundTooLarge(f"{what} on {n} elements: the subset table stops at {TABLE_BOUND}")
-    return n
-
-
 def _rank_axioms_hold(masks: tuple[int, ...], n: int, r: int) -> bool:
     """Whether an equal-size family of r-element masks over n elements is
     the basis family of a matroid, decided on the rank table.
@@ -528,11 +529,16 @@ def relabel(m: Matroid, mapping: dict[int, int]) -> Matroid:
 
 
 def direct_sum(m1: Matroid, m2: Matroid) -> Matroid:
-    """Direct sum on disjoint ground sets; bases are pairwise unions."""
+    """Direct sum on disjoint ground sets; bases are pairwise unions.
+
+    Shared elements raise ``GroundNotDisjoint``, and then a sum of more
+    than ``TABLE_BOUND`` elements ``GroundTooLarge``, before any union is
+    built."""
     if set(m1.ground) & set(m2.ground):
         raise GroundNotDisjoint(
             f"shared elements {sorted(set(m1.ground) & set(m2.ground))}"
         )
+    _within(len(m1.ground) + len(m2.ground))
     ground = tuple(sorted(m1.ground + m2.ground))
     index = {e: i for i, e in enumerate(ground)}
     right = _moved(m2, index)
@@ -940,14 +946,13 @@ def _decide_transversal(m: Matroid) -> _Transversal:
     representatives in it are its bases.
 
     Those r-subsets are built all at once, set by set, on the table of
-    all 2^n subsets (``_transversals``; n <= TABLE_BOUND, else
-    ``GroundTooLarge``) and compared with the bases.  A disagreement is
-    named by the first r-subset of the non-loops, in combination order,
-    on which they differ, and the witness counts the r-subsets up to it
-    as matched; agreement counts them all.
+    all 2^n subsets (``_transversals``; n <= TABLE_BOUND, as for every
+    matroid) and compared with the bases.  A disagreement is named by the
+    first r-subset of the non-loops, in combination order, on which they
+    differ, and the witness counts the r-subsets up to it as matched;
+    agreement counts them all.
     """
-    n = _table_ground(m, "transversality")
-    r, g = m.rank, m.ground
+    n, r, g = len(m.ground), m.rank, m.ground
 
     def show(mask: int) -> str:
         return "{" + " ".join(str(g[i]) for i in _bits(mask)) + "}"
@@ -997,9 +1002,10 @@ def transversal_presentation(
 
     Decided from the cyclic flats by ``_decide_transversal``, which
     checks the only candidate presentation against the bases on a table
-    of all subsets, so ``m`` has at most ``TABLE_BOUND`` elements; returns
-    (presentation or None, number of cyclic flats examined).  The full
-    verdict, with its witness text, is kept as ``m._transversal``.
+    of all 2^n subsets (n <= ``TABLE_BOUND``, the limit of every
+    matroid); returns (presentation or None, number of cyclic flats
+    examined).  The full verdict, with its witness text, is kept as
+    ``m._transversal``.
     """
     t = m._transversal
     return t.presentation, t.flats
@@ -1046,13 +1052,13 @@ def _circuits(m: Matroid) -> tuple[int, ...]:
     read them from ``m._circuit_masks``, which keeps them.
 
     The circuits are the minimal dependent sets.  On the table of all
-    2^n subsets (n <= TABLE_BOUND, else ``GroundTooLarge``), the
+    2^n subsets (n <= TABLE_BOUND, as for every matroid), the
     dependent sets are those outside the downward closure of the bases,
     and the non-minimal ones are X + i for a dependent X lacking i: one
     shift per element marks them all, and the rest are read off the
     table's bytes.
     """
-    n = _table_ground(m, "circuits")
+    n = len(m.ground)
     dep = (1 << (1 << n)) - 1 & ~_independent(m._masks, n)
     above = 0  # the dependent sets with a dependent set one element smaller
     for i in range(n):

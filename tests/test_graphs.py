@@ -481,7 +481,7 @@ def test_whitney_block_decomposition():
         cm = G.cycle_matroid(g)
         parts = []
         for b in G.blocks(g):
-            bm = G.cycle_matroid(b.graph)
+            bm = G.cycle_matroid(G.Multigraph(len(b.vertices), b.edges))
             parts.append(M.relabel(bm, dict(enumerate(b.edge_indices))))
         total = parts[0]
         for p in parts[1:]:
@@ -520,8 +520,9 @@ def test_cycle_matroid_loops_parallels():
 
 def test_cycle_matroid_bound():
     g = G.Multigraph(2, tuple((0, 1) for _ in range(13)))
-    with pytest.raises(M.TooManyBases):
+    with pytest.raises(M.GroundTooLarge, match="13 elements exceed the bound 12"):
         G.cycle_matroid(g)
+    assert G.cycle_matroid(g, bound=13).rank == 1
 
 
 # ---------------------------------------------------------------------------

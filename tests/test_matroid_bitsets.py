@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dualities import graphs as G
 from dualities import matroids as M
 
 from test_matroid_core import COLOOP, LOOP, random_family, vector_matroid
@@ -255,12 +256,42 @@ def test_circuits_at_twenty_elements_match_reference(bases):
     assert M._circuits(m) == ref_circuits(m)
 
 
-def test_circuits_and_transversality_refuse_a_ground_above_the_table():
-    m = M.Matroid(range(M.TABLE_BOUND + 1), [range(M.TABLE_BOUND + 1)])
+def unread():
+    """Bases that fail the test if anything reads them."""
+    raise AssertionError("the bases were read before the ground was checked")
+    yield
+
+
+def test_circuits_and_transversality_refuse_a_ground_above_the_table(monkeypatch):
+    """No matroid reaches circuits or transversality with a ground beyond
+    their table: every producer refuses more than ``TABLE_BOUND``
+    elements before it reads or builds a basis."""
+    n = M.TABLE_BOUND + 1
+    with pytest.raises(M.GroundTooLarge, match=f"{n} elements exceed the bound {n - 1}"):
+        M.Matroid(range(n), unread())
     with pytest.raises(M.GroundTooLarge):
-        M._circuits(m)
+        M._from_masks(tuple(range(n)), unread())
     with pytest.raises(M.GroundTooLarge):
-        M._decide_transversal(m)
+        M.make_matroid(range(n), unread(), bound=n)
+    with pytest.raises(M.GroundTooLarge):
+        M.parse_matroid("ground: " + " ".join(map(str, range(n))) + "\nbasis: 0\n", bound=n)
+    edges = tuple((0, 1) for _ in range(n))
+    with pytest.raises(M.GroundTooLarge):
+        G.cycle_matroid(G.Multigraph(2, edges), bound=n)
+    u = M.named_matroid("uniform", (6, 12))
+    shifted = M.relabel(u, {e: e + 12 for e in u.ground})
+    monkeypatch.setattr(M, "_moved", lambda *a: pytest.fail("direct_sum moved bases"))
+    with pytest.raises(M.GroundTooLarge):
+        M.direct_sum(u, shifted)
+    assert len(G.cycle_matroid(G.Multigraph(2, edges[:-1]), bound=n).bases) == n - 1
+
+
+def test_direct_sum_checks_disjointness_before_size():
+    """A sum of U(6,12) with itself would have 24 elements, but its
+    shared ground is reported first."""
+    u = M.named_matroid("uniform", (6, 12))
+    with pytest.raises(M.GroundNotDisjoint):
+        M.direct_sum(u, u)
 
 
 # ---------------------------------------------------------------------------

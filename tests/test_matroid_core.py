@@ -83,7 +83,7 @@ def ref_cycle_matroid(g, bound=M.GROUND_BOUND):
     """Spanning forests by testing every edge subset of rank size."""
     ne = len(g.edges)
     if ne > bound:
-        raise M.TooManyBases(f"{ne} edges exceed the matroid ground bound {bound}")
+        raise M.GroundTooLarge(f"{ne} elements exceed the bound {bound}")
     r = G.graph_invariants(g).rank
     bases = []
     for combo in itertools.combinations(range(ne), r):
@@ -548,8 +548,22 @@ def test_incidence_and_cooccurrence_match_the_bases(seed, n):
 def test_cycle_matroid_matches_reference(seed):
     """Multigraphs with loops, parallel edges, isolated vertices, several
     components and no edges at all."""
-    g = random_multigraph(random.Random(seed), max_vertices=7, max_edges=10)
+    g = random_multigraph(random.Random(seed), max_vertices=7, max_edges=M.GROUND_BOUND)
     got, want = G.cycle_matroid(g), ref_cycle_matroid(g)
+    assert (got.ground, got.bases) == (want.ground, want.bases)
+    assert stored_masks_consistent(got)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_cycle_matroid_matches_reference_on_13_to_20_edges(seed):
+    """Seeded multigraphs above the default ground bound, up to the limit
+    of every matroid; rank at most 7 keeps the reference's subset scan
+    small."""
+    rng = random.Random(seed)
+    nv = rng.randint(5, 8)
+    ne = 13 + seed * 7 % 8  # every count from 13 to 20 occurs
+    g = G.Multigraph(nv, tuple((rng.randrange(nv), rng.randrange(nv)) for _ in range(ne)))
+    got, want = G.cycle_matroid(g, bound=20), ref_cycle_matroid(g, bound=20)
     assert (got.ground, got.bases) == (want.ground, want.bases)
     assert stored_masks_consistent(got)
 

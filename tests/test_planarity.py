@@ -43,7 +43,7 @@ def whitney_block_faces(blk):
     A traversal of faces that share an edge orients them so every edge is
     walked once in each direction."""
     edges = blk.edges
-    cm = G.cycle_matroid(blk.graph, bound=len(edges))
+    cm = G.cycle_matroid(G.Multigraph(len(blk.vertices), edges), bound=len(edges))
     dual_edges = M._realization_witness(cm.dual())
     if dual_edges is None:
         return None
@@ -117,7 +117,7 @@ def ref_block_faces(blk):
     ``G._block_faces``, with a set of faces at each vertex and every
     fragment listed before one is chosen."""
     edges = blk.edges
-    incident = incident_darts(blk.graph)
+    incident = incident_darts(G.Multigraph(len(blk.vertices), edges))
 
     def head(d):
         return edges[d[0]][1 - d[1]]
