@@ -22,17 +22,23 @@ the coefficient of e_a, and the Gram determinant of unit vectors is 1 or
 0.  These table facts are cached properties of the algebra or case
 object, computed on the first report that needs them, so only the
 reports' seeded random samples run on every call, on the dense integer
-kernels; the witnesses are converted back to ``Fraction``.  The samples
-are drawn by ``_randints``, which makes the ``getrandbits`` calls of
-``Random.randint`` without its call layers.
+kernels; the witnesses are converted back to ``Fraction``.  A cross
+report resolves its case's kernel once (``_case_kernel``, cached per tag
+and dimension, never on the case object) and calls it directly in its
+loops.  The samples are drawn by ``_randints`` and the argument indices
+by ``_randbelow``, which make the ``getrandbits`` calls of
+``Random.randint``, ``randrange`` and ``sample`` without their call
+layers, so a seed gives the same draws.
 
-The two dense kernels are straight-line code that ``_compiled`` builds on
+The dense kernels are straight-line code that ``_compiled`` builds on
 first use, never at import: an algebra's product (``_mul``) is one signed
 sum of x_i y_j per output index, and the maximal minors (``_minors``) are
 one local per column set, level by level, each expanded along the newest
-row over the sub-minors one level down.  The chirotope reads its signs
-off the minors, and its support matroid goes from the nonzero minors'
-column masks to the mask-level validation of ``make_matroid``.  ``_det``
+row over the sub-minors one level down (``_laplace_body``).  The epsilon
+cross product runs the same expansion and returns the signed cofactors
+directly (``_epsilon_kernel``).  The chirotope reads its signs off the
+minors, and its support matroid goes from the nonzero minors' column
+masks to the mask-level validation of ``make_matroid``.  ``_det``
 (fraction-free Bareiss elimination) serves ``det_rational`` and the Gram
 determinants.
 
@@ -154,6 +160,18 @@ def _randints(rng: random.Random, lo: int, hi: int, count: int) -> list[int]:
             v = bits(k)
         out.append(lo + v)
     return out
+
+
+def _randbelow(rng: random.Random, n: int) -> int:
+    """``rng.randrange(n)`` for n >= 1 without its call layers: the
+    ``getrandbits(k)`` draws of ``random.Random._randbelow``, with k the bit
+    length of n, each redrawn while it is at least n, so the value and the
+    generator's state after the draw are the same."""
+    k = n.bit_length()
+    v = rng.getrandbits(k)
+    while v >= n:
+        v = rng.getrandbits(k)
+    return v
 
 
 def _compiled(source: str, name: str):
@@ -693,12 +711,12 @@ def cross_case(ident: str) -> CrossProductCase:
     raise UnknownCase(f"unknown cross-product case {ident!r}")
 
 
-@lru_cache(maxsize=None)
-def _minor_kernel(r: int, n: int):
-    """``minors(rows)`` for r rows of n integers, generated once per shape:
-    row k's entries are the locals a<k>_<c>, and each k-minor (k >= 2) is a
-    local, the Laplace expansion along row k - 1.  Returns the r-minors in
-    combination order, ``[1]`` for r = 0 and ``[]`` for r > n."""
+def _laplace_body(r: int, n: int) -> tuple[str, dict[tuple[int, ...], str]]:
+    """The body of a kernel ``f(rows)`` over r rows of n integers, up to its
+    return line, and the local that holds each r-minor, by column set in
+    combination order: row k's entries are the locals a<k>_<c>, and each
+    k-minor (k >= 2) is a local, the Laplace expansion along row k - 1.
+    The r-minor is ``1`` for r = 0, and there is none for r > n."""
     rows = ", ".join("[" + ", ".join(f"a{k}_{c}" for c in range(n)) + "]" for k in range(r))
     lines = [f"[{rows}] = rows"]
     names = {(c,): f"a0_{c}" for c in range(n)} if r else {(): "1"}
@@ -712,8 +730,16 @@ def _minor_kernel(r: int, n: int):
             grown[cols] = f"m{k}_{i}"
             lines.append(f"m{k}_{i} = {terms.lstrip('+ ')}")
         names = grown
-    lines.append(f"return [{', '.join(names.values())}]")
-    return _compiled("def minors(rows):\n" + "".join(f" {line}\n" for line in lines), "minors")
+    return "".join(f" {line}\n" for line in lines), names
+
+
+@lru_cache(maxsize=None)
+def _minor_kernel(r: int, n: int):
+    """``minors(rows)`` for r rows of n integers, generated once per shape:
+    the r-minors of ``_laplace_body`` in combination order, ``[1]`` for
+    r = 0 and ``[]`` for r > n."""
+    body, names = _laplace_body(r, n)
+    return _compiled(f"def minors(rows):\n{body} return [{', '.join(names.values())}]\n", "minors")
 
 
 def _minors(rows: Sequence[Sequence[int]], n: int) -> list[int]:
@@ -722,12 +748,18 @@ def _minors(rows: Sequence[Sequence[int]], n: int) -> list[int]:
     return _minor_kernel(len(rows), n)(rows)
 
 
-def _epsilon_cross(vectors: Sequence[Sequence[int]], n: int) -> list[int]:
-    """Component j is the determinant of the n-1 arguments stacked over the
-    j-th unit row, i.e. the epsilon contraction with the result index last:
-    the cofactor (-1)^(n-1+j) times the maximal minor of the arguments
-    without column j, which is minor n-1-j in combination order."""
-    return [-m if (n - 1 + j) & 1 else m for j, m in enumerate(reversed(_minors(vectors, n)))]
+def _epsilon_kernel(n: int):
+    """``cross(rows)`` for the n - 1 arguments of the epsilon product in
+    dimension n: component j is the determinant of the arguments stacked
+    over the j-th unit row, i.e. the epsilon contraction with the result
+    index last, returned as the signed cofactor (-1)^(n-1+j) times the
+    maximal minor of the arguments without column j."""
+    body, names = _laplace_body(n - 1, n)
+    cofactors = ", ".join(
+        f"{'-' if (n - 1 + j) & 1 else ''}{names[tuple(c for c in range(n) if c != j)]}"
+        for j in range(n)
+    )
+    return _compiled(f"def cross(rows):\n{body} return [{cofactors}]\n", "cross")
 
 
 def _rotate(v: Sequence) -> list:
@@ -746,22 +778,38 @@ def _halve(left: Sequence[int], right: Sequence[int]) -> list:
     ]
 
 
-def _cross(case: CrossProductCase, vs: Sequence[Sequence[int]]) -> list:
-    """The integer kernel of ``cross_product``.  triple8 halves exactly and
-    keeps a ``Fraction`` for any odd component.  Never mutates ``vs``, so
-    callers may share argument vectors between calls."""
-    if case.tag in ("three", "epsilon"):
-        return _epsilon_cross(vs, case.n)
-    if case.tag == "complex_structure":
-        return _rotate(vs[0])
+@lru_cache(maxsize=None)
+def _case_kernel(tag: str, n: int):
+    """The integer kernel ``cross(vs)`` of the cross product (tag, n),
+    resolved once per (tag, n): the signed epsilon kernel for three and
+    epsilon, the rotation J for complex_structure, and closures over the
+    Fano octonion product for seven and triple8.  triple8 halves exactly
+    and keeps a ``Fraction`` for any odd component.  No kernel mutates
+    ``vs``, so callers may share argument vectors between calls.  Kept
+    here rather than on the case object, which stays picklable and holds
+    only its table facts."""
+    if tag in ("three", "epsilon"):
+        return _epsilon_kernel(n)
+    if tag == "complex_structure":
+        return lambda vs: _rotate(vs[0])
     mul = fano_octonion_algebra()._mul
-    if case.tag == "seven":
-        return mul([0, *vs[0]], [0, *vs[1]])[1:]
-    if case.tag == "triple8":
-        a, b, c = vs
-        b_conj = [b[0]] + [-t for t in b[1:]]
-        return _halve(mul(a, mul(b_conj, c)), mul(c, mul(b_conj, a)))
-    raise UnknownCase(case.tag)
+    if tag == "seven":
+        return lambda vs: mul([0, *vs[0]], [0, *vs[1]])[1:]
+    if tag == "triple8":
+
+        def triple8(vs):
+            a, b, c = vs
+            b_conj = [b[0]] + [-t for t in b[1:]]
+            return _halve(mul(a, mul(b_conj, c)), mul(c, mul(b_conj, a)))
+
+        return triple8
+    raise UnknownCase(tag)
+
+
+def _cross(case: CrossProductCase, vs: Sequence[Sequence[int]]) -> list:
+    """The integer kernel of ``cross_product``: ``_case_kernel`` of the
+    case, applied to ``vs``."""
+    return _case_kernel(case.tag, case.n)(vs)
 
 
 def cross_product(case: CrossProductCase, vectors: Sequence[Sequence]) -> Element:
@@ -856,14 +904,13 @@ def cross_axioms_report(
     them) plus seeded random tuples.  The basis tuples' verdict is read
     off the tables once per case object (``CrossProductCase._basis_verdict``),
     the first time a report needs it; a later report on the same object
-    runs only the random tuples, drawn through ``_randints``, on the dense
-    kernel."""
+    runs only the random tuples, drawn through ``_randints`` and
+    ``_randbelow``, on the case's dense kernel, which the report resolves
+    once (``_case_kernel``) before its loops."""
     _check_count(trials, "trials")
     rng = random.Random(seed)
     n, r = case.n, case.r
-
-    def cross(args):
-        return _cross(case, args)
+    cross = _case_kernel(case.tag, n)
 
     def rand_vecs(count):
         drawn = _randints(rng, -4, 4, count * n)
@@ -882,7 +929,7 @@ def cross_axioms_report(
 
     multi = True
     for _ in range(max(trials, 1)):
-        slot = rng.randrange(r)
+        slot = _randbelow(rng, r)
         *args, u, v = rand_vecs(r + 2)
         a, b = _randints(rng, -3, 3, 2)
         combo = [a * ui + b * vi for ui, vi in zip(u, v)]
@@ -902,7 +949,10 @@ def cross_axioms_report(
     if r >= 2:
         for _ in range(max(trials, 1)):
             args = rand_vecs(r)
-            i, j = rng.sample(range(r), 2)
+            # rng.sample(range(r), 2): CPython's pool method for two of r
+            i, j = _randbelow(rng, r), _randbelow(rng, r - 1)
+            if j == i:
+                j = r - 1
             swapped = list(args)
             swapped[i], swapped[j] = swapped[j], swapped[i]
             if [-c for c in cross(args)] != cross(swapped):

@@ -172,9 +172,7 @@ def ref_cross_axioms_report(case, trials=200, seed=0):
     determinants, and a second pass over the repeated-argument tuples."""
     rng = random.Random(seed)
     n, r = case.n, case.r
-
-    def cross(args):
-        return A._cross(case, args)
+    cross = A._case_kernel(case.tag, n)
 
     def rand_vec():
         return [rng.randint(-4, 4) for _ in range(n)]
@@ -695,6 +693,7 @@ def test_each_kernel_is_generated_once():
     assert A._minors([[7, 8, 9], [1, 0, 2]], 3) == minors_by_det([[7, 8, 9], [1, 0, 2]], 3)
     assert A._minor_kernel.cache_info().misses == misses
     assert A._minor_kernel(2, 3) is A._minor_kernel(2, 3)
+    assert A._case_kernel("three", 3) is A._case_kernel("three", 3)
 
 
 def test_algebra_pickles_after_a_product():
@@ -710,6 +709,13 @@ def test_algebra_pickles_after_a_product():
         assert copy == obj
         same_report(report(copy, 0, 3), first)
         same_report(report(obj, 0, 3), first)
+    # the resolved kernel stays off the case: only the fields and the basis verdict
+    case = A.cross_case("three")
+    first = A.cross_axioms_report(case, 8, 5)
+    assert set(vars(case)) == {"tag", "n", "r", "_basis_verdict"}
+    copy = pickle.loads(pickle.dumps(case))
+    assert copy == case
+    same_report(A.cross_axioms_report(copy, 8, 5), first)
 
 
 DIVISION_FACTS = ("_basis_alternative_witness", "_family_alternative_witness", "_zero_divisor")
@@ -851,6 +857,24 @@ def test_randints_draws_what_randint_draws(lo, hi):
         want = [want_rng.randint(lo, hi) for _ in range(count)]
         assert got == want, seed
         assert rng.random() == want_rng.random(), seed
+
+
+def test_index_draws_are_what_randrange_and_sample_draw():
+    """``_randbelow`` for ``randrange(r)``, and two of them with the pool
+    swap for ``sample(range(r), 2)``, as ``cross_axioms_report`` draws."""
+    for r in range(1, 9):
+        for seed in range(500):
+            rng, want_rng = random.Random(seed), random.Random(seed)
+            assert A._randbelow(rng, r) == want_rng.randrange(r), (r, seed)
+            assert rng.getstate() == want_rng.getstate(), (r, seed)
+            if r < 2:
+                continue
+            rng, want_rng = random.Random(seed), random.Random(seed)
+            i, j = A._randbelow(rng, r), A._randbelow(rng, r - 1)
+            if j == i:
+                j = r - 1
+            assert [i, j] == want_rng.sample(range(r), 2), (r, seed)
+            assert rng.getstate() == want_rng.getstate(), (r, seed)
 
 
 def test_report_count_bounds_accepted():
@@ -1263,17 +1287,28 @@ def is_unit(v):
     return sorted(v) == [0] * (len(v) - 1) + [1]
 
 
+def break_kernels(mp, broken):
+    """Make ``_case_kernel``, the one seam of every dense product, return
+    ``broken(x, vs)`` for the product x = cross(vs) of the real kernel."""
+    real_kernel = A._case_kernel
+
+    def case_kernel(tag, n):
+        kernel = real_kernel(tag, n)
+        return lambda vs: broken(list(kernel(vs)), vs)
+
+    mp.setattr(A, "_case_kernel", case_kernel)
+
+
 def break_products(mp, breaks):
     """Add d e_m to the product of each basis index tuple in ``breaks``
     (tuple -> (m, d)) wherever a basis product comes from: the library's
-    table terms (``_basis_terms``) and ``_cross`` on unit vectors, which
-    the dense reference calls.  Any argument list of unit vectors counts
-    in ``_cross``, random ones included, so the library and the reference
-    see one product."""
-    real_cross, real_terms = A._cross, A._basis_terms
+    table terms (``_basis_terms``) and the dense kernels on unit vectors,
+    which the reference runs on every basis tuple.  Any argument list of
+    unit vectors counts in the kernels, random ones included, so the
+    library and the reference see one product."""
+    real_terms = A._basis_terms
 
-    def cross(case, vs):
-        x = list(real_cross(case, vs))
+    def cross(x, vs):
         if all(map(is_unit, vs)):
             hit = breaks.get(tuple(v.index(1) for v in vs))
             if hit:
@@ -1294,7 +1329,7 @@ def break_products(mp, breaks):
             out.append(terms)
         return scale, out
 
-    mp.setattr(A, "_cross", cross)
+    break_kernels(mp, cross)
     mp.setattr(A, "_basis_terms", basis_terms)
 
 
@@ -1322,27 +1357,25 @@ def test_cross_report_matches_reference_on_broken_products(ident, breaks, failed
     assert rep.witness is not None
 
 
-@pytest.mark.parametrize("ident", ["epsilon:6", "three"])
+@pytest.mark.parametrize("ident", ["epsilon:6", "three", "epsilon:3", "epsilon:4"])
 def test_cross_report_matches_reference_on_sampled_failures(ident):
-    """``_cross`` wrong only off the unit vectors, so every basis tuple
+    """The kernel wrong only off the unit vectors, so every basis tuple
     passes and the random samples decide: a term quadratic in the first
     argument, or one that keeps its sign when two arguments swap.  epsilon:6
     has 6^5 > 5000 basis tuples, so none are checked at all."""
     case = A.cross_case(ident)
-    real_cross = A._cross
     terms = [lambda vs: vs[0][0] ** 2, lambda vs: vs[0][0] * vs[1][0]]
     flags = ("orthogonality_ok", "norm_identity_ok", "multilinearity_ok", "alternating_ok")
     failed = set()
     for term in terms:
 
-        def cross(case, vs, term=term):
-            x = list(real_cross(case, vs))
+        def cross(x, vs, term=term):
             if not all(map(is_unit, vs)):
                 x[0] += term(vs)
             return x
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(A, "_cross", cross)
+            break_kernels(mp, cross)
             for seed in range(3):
                 rep = A.cross_axioms_report(case, trials=20, seed=seed)
                 same_report(rep, ref_cross_axioms_report(case, trials=20, seed=seed))
