@@ -59,7 +59,7 @@ from functools import cached_property, lru_cache
 from math import comb, lcm, prod
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .formats import split_ident
+from .formats import PARAM_MAX, split_ident
 
 Element = tuple[Fraction, ...]
 
@@ -237,21 +237,6 @@ class HypercomplexAlgebra:
         if len(x) != self.dim:
             raise DimMismatch(f"need {self.dim} coefficients, got {len(x)}")
         return x
-
-    @cached_property
-    def _triple_terms(self) -> tuple[tuple[int, int, int, int], ...]:
-        """Entry (p * dim + q) * dim + r is (s, k, t, m) with
-        e_p (conj(e_q) e_r) = s e_k and e_r (conj(e_q) e_p) = t e_m, the two
-        halves of the triple8 cross product on basis vectors; built on
-        first use, like ``_mul``."""
-        table = self.table
-        out = []
-        for p, q, r in itertools.product(range(self.dim), repeat=3):
-            conj = 1 if q == 0 else -1
-            (u, a), (v, b) = table[q][r], table[q][p]
-            (s, k), (t, m) = table[p][a], table[r][b]
-            out.append((conj * u * s, k, conj * v * t, m))
-        return tuple(out)
 
     # The division report's table facts, each computed the first time a
     # report reads it, so later reports run only their seeded samples.
@@ -640,70 +625,65 @@ def _shown(vectors) -> tuple[Element, ...]:
     return tuple(_element(v) for v in vectors)
 
 
+# The cases of one fixed shape: tag -> (n, r).
+_FIXED_SHAPES = {"three": (3, 2), "seven": (7, 2), "triple8": (8, 3)}
+
+
 @dataclass(frozen=True)
 class CrossProductCase:
-    """One admissible (r, n) pair: r argument vectors in dimension n."""
+    """One admissible (r, n) pair: r argument vectors in dimension n, of a
+    fixed shape (``_FIXED_SHAPES``), epsilon (r = n - 1, 2 <= n <= 8) or
+    complex_structure, the rotation J (r = 1, even n in 2..PARAM_MAX)."""
 
     tag: str
     n: int
     r: int
 
     def __post_init__(self):
-        ok = (
-            (self.tag == "three" and (self.r, self.n) == (2, 3))
-            or (self.tag == "seven" and (self.r, self.n) == (2, 7))
-            or (self.tag == "epsilon" and self.r == self.n - 1 and 2 <= self.n <= 8)
-            or (
-                self.tag == "complex_structure"
-                and self.r == 1
-                and self.n % 2 == 0
-                and self.n >= 2
-            )
-            or (self.tag == "triple8" and (self.r, self.n) == (3, 8))
+        tag, n, r = self.tag, self.n, self.r
+        ok = isinstance(tag, str) and type(n) is type(r) is int and (
+            _FIXED_SHAPES.get(tag) == (n, r)
+            or (tag == "epsilon" and r == n - 1 and 2 <= n <= 8)
+            or (tag == "complex_structure" and r == 1 and n % 2 == 0 and 2 <= n <= PARAM_MAX)
         )
         if not ok:
-            raise UnknownCase(f"no admissible case for tag={self.tag} r={self.r} n={self.n}")
+            raise UnknownCase(f"no admissible case for tag={tag} r={r} n={n}")
 
     @cached_property
     def _basis_verdict(self) -> tuple[bool, bool, Optional[str], int, Optional[tuple[int, ...]]]:
         """What the basis tuples show, computed on the first report that
         needs it: orthogonality, the norm identity, the first witness text
         among those two, the number of tuples, and the first tuple that
-        repeats an index yet has a nonzero product.  There are no tuples
-        when n^r > 5000.  The products are read off the tables as signed
-        index terms (``_basis_terms``): x . e_a is the coefficient of e_a,
-        and the Gram determinant of unit vectors is 1 when their indices
-        are distinct, else 0."""
+        repeats an index yet has a nonzero product, in one pass.  There are
+        no tuples when n^r > 5000.  The products are read off the tables as
+        integer index terms (``_basis_terms``): x . e_a is the coefficient
+        of e_a, and the Gram determinant of unit vectors is 1 when their
+        indices are distinct, else 0."""
         n, r = self.n, self.r
         if n**r > 5000:
             return True, True, None, 0, None
-        combos = list(itertools.product(range(n), repeat=r))
-        scale, basis = _basis_terms(self)
         orth = norm = True
-        witness = None
-        scale_sq = scale * scale
-        sizes = list(map(len, map(set, combos)))
-        for combo, size, terms in zip(combos, sizes, basis):
+        witness = repeat = None
+        for combo, terms in zip(itertools.product(range(n), repeat=r), _basis_terms(self)):
+            gram = 1 if len(set(combo)) == r else 0
+            if terms and not gram and repeat is None:
+                repeat = combo
             norm_sq = 0
             for k, c in terms:
                 norm_sq += c * c
                 if orth and k in combo:
                     orth, witness = False, f"orthogonality at {_shown(_unit(i, n) for i in combo)}"
-            if norm and norm_sq != (scale_sq if size == r else 0):
+            if norm and norm_sq != gram:
                 norm, witness = False, witness or f"norm at {_shown(_unit(i, n) for i in combo)}"
-        repeat = next(
-            (c for c, size, terms in zip(combos, sizes, basis) if size < r and terms), None
-        )
-        return orth, norm, witness, len(combos), repeat
+        return orth, norm, witness, n**r, repeat
 
 
 def cross_case(ident: str) -> CrossProductCase:
     """Parse ``three``, ``seven``, ``epsilon:<n>`` (2 <= n <= 8), ``j:<n>``
-    (even n >= 2) and ``triple8``."""
+    (even n in 2..PARAM_MAX) and ``triple8``."""
     name, params = split_ident(ident, UnknownCase)
-    fixed = {"three": (3, 2), "seven": (7, 2), "triple8": (8, 3)}
-    if name in fixed and not params:
-        return CrossProductCase(name, *fixed[name])
+    if name in _FIXED_SHAPES and not params:
+        return CrossProductCase(name, *_FIXED_SHAPES[name])
     if name == "epsilon" and len(params) == 1:
         return CrossProductCase("epsilon", params[0], params[0] - 1)
     if name == "j" and len(params) == 1:
@@ -806,14 +786,9 @@ def _case_kernel(tag: str, n: int):
     raise UnknownCase(tag)
 
 
-def _cross(case: CrossProductCase, vs: Sequence[Sequence[int]]) -> list:
-    """The integer kernel of ``cross_product``: ``_case_kernel`` of the
-    case, applied to ``vs``."""
-    return _case_kernel(case.tag, case.n)(vs)
-
-
 def cross_product(case: CrossProductCase, vectors: Sequence[Sequence]) -> Element:
-    """Evaluate one generalized cross product exactly.
+    """Evaluate one generalized cross product exactly: the integer kernel
+    ``_case_kernel`` of the case on the cleared arguments.
 
     three / epsilon: determinant-expansion product of n-1 vectors;
     seven: imaginary part of the octonion product of pure-imaginary
@@ -829,21 +804,23 @@ def cross_product(case: CrossProductCase, vectors: Sequence[Sequence]) -> Elemen
     if case.tag == "complex_structure":  # no arithmetic: stays on its inputs
         return tuple(_rotate(as_element(vs[0])))
     cleared = [_clear(v) for v in vs]
-    return _element(_cross(case, [m for m, _ in cleared]), prod(d for _, d in cleared))
+    cross = _case_kernel(case.tag, case.n)
+    return _element(cross([m for m, _ in cleared]), prod(d for _, d in cleared))
 
 
-def _basis_terms(case: CrossProductCase) -> tuple[int, list[tuple[tuple[int, int], ...]]]:
-    """A scale and the product of every basis tuple (e_c1, ..., e_cr), in
-    ``itertools.product`` order over c, each as its nonzero terms
+def _basis_terms(case: CrossProductCase) -> list[tuple[tuple[int, int], ...]]:
+    """The product of every basis tuple (e_c1, ..., e_cr), in
+    ``itertools.product`` order over c, as its nonzero integer terms
     (index, coefficient) on distinct indices: the product is the sum of
-    coefficient / scale * e_index.  The terms are read off the tables,
-    with no vectors:
+    coefficient * e_index.  The terms are read off the tables, with no
+    vectors:
 
     three / epsilon: eps(c, j) e_j for the one index j that c misses, and
     nothing when c repeats an index;
     complex_structure: J e_i is e_(i+1) for even i and -e_(i-1) for odd i;
     seven: Im(e_(a+1) e_(b+1)) from the Fano octonion table;
-    triple8: s e_k - t e_m from ``_triple_terms``, at scale 2."""
+    triple8: (s - t) / 2 e_k for the table's halves s e_k and t e_k, which
+    is s e_k when s != t and nothing when s = t."""
     n, r = case.n, case.r
     if case.tag in ("three", "epsilon"):
         # itertools.permutations lists the permutations of range(n) in
@@ -856,17 +833,23 @@ def _basis_terms(case: CrossProductCase) -> tuple[int, list[tuple[tuple[int, int
         terms = {
             p[:-1]: ((p[-1], s),) for p, s in zip(itertools.permutations(range(n)), signs)
         }
-        return 1, [terms.get(c, ()) for c in itertools.product(range(n), repeat=r)]
+        return [terms.get(c, ()) for c in itertools.product(range(n), repeat=r)]
     if case.tag == "complex_structure":
-        return 1, [((i + 1, 1),) if i % 2 == 0 else ((i - 1, -1),) for i in range(n)]
-    octonions = fano_octonion_algebra()
+        return [((i + 1, 1),) if i % 2 == 0 else ((i - 1, -1),) for i in range(n)]
+    table = fano_octonion_algebra().table
     if case.tag == "seven":
-        return 1, [((k - 1, s),) if k else () for row in octonions.table[1:] for s, k in row[1:]]
+        return [((k - 1, s),) if k else () for row in table[1:] for s, k in row[1:]]
     if case.tag == "triple8":
-        # k = m on every triple: under a relabelling the Fano lines are the
-        # triples {a, b, a ^ b} of Z_2^3, so a product of three basis units
-        # is, up to sign, one unit however it is ordered and bracketed
-        return 2, [((k, s - t),) if s != t else () for s, k, t, _ in octonions._triple_terms]
+        # e_p (conj(e_q) e_x) and e_x (conj(e_q) e_p) are +-e_k for one k:
+        # under a relabelling the Fano lines are the triples {a, b, a ^ b}
+        # of Z_2^3, so three basis units multiply to one unit up to sign
+        out = []
+        for p, q, x in itertools.product(range(8), repeat=3):
+            c = 1 if q == 0 else -1  # conj(e_q) = c e_q
+            (u, a), (v, b) = table[q][x], table[q][p]
+            (s, k), (t, _) = table[p][a], table[x][b]
+            out.append(((k, c * u * s),) if u * s != v * t else ())
+        return out
     raise UnknownCase(case.tag)
 
 

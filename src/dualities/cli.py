@@ -37,16 +37,19 @@ def _read_source(value: str) -> str:
         raise InputError(f"cannot read {value!r}: {exc}") from exc
 
 
-# Source kind -> (parse file text under a ground bound, build a named
-# object).  The library functions are looked up when called, so a function
-# replaced on its module is the one that runs.
+# Source kind -> (parse file text, build a named object), each under a
+# ground bound.  The library functions are looked up when called, so a
+# function replaced on its module is the one that runs.
 _LOADERS = {
-    "matroid": (lambda t, b: matroids.parse_matroid(t, bound=b), lambda v: matroids.parse_named(v)),
-    "graph": (lambda t, b: graphs.parse_graph(t), lambda v: graphs.named_graph(v)),
-    "embedding": (lambda t, b: graphs.parse_embedding(t), lambda v: graphs.named_embedding(v)),
+    "matroid": (
+        lambda t, b: matroids.parse_matroid(t, bound=b),
+        lambda v, b: matroids.parse_named(v, bound=b),
+    ),
+    "graph": (lambda t, b: graphs.parse_graph(t), lambda v, b: graphs.named_graph(v)),
+    "embedding": (lambda t, b: graphs.parse_embedding(t), lambda v, b: graphs.named_embedding(v)),
     "complex": (
         lambda t, b: complexes.parse_complex(t),
-        lambda v: complexes.named_complex(*split_ident(v, complexes.BadParams)),
+        lambda v, b: complexes.named_complex(*split_ident(v, complexes.BadParams)),
     ),
 }
 
@@ -57,7 +60,7 @@ def _load(kind: str, value: str, bound: int = matroids.GROUND_BOUND):
     parse, named = _LOADERS[kind]
     if value == "-" or os.path.exists(value) or "." in value or os.sep in value:
         return parse(_read_source(value), bound)
-    return named(value)
+    return named(value, bound)
 
 
 def _parse_elements(text: str) -> tuple[int, ...]:
@@ -86,10 +89,7 @@ def _matroid_result(m: matroids.Matroid):
 def _matroid(args, value: str) -> matroids.Matroid:
     """A matroid source whose ground, named or read from a file, is within
     ``--bound``."""
-    bound = args.bound or matroids.GROUND_BOUND
-    m = _load("matroid", value, bound)
-    matroids._ground(m.ground, bound)
-    return m
+    return _load("matroid", value, args.bound or matroids.GROUND_BOUND)
 
 
 def _validate(args):

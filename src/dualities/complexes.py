@@ -220,14 +220,9 @@ def is_closed_surface(k: SimplicialComplex) -> bool:
             return False
     if any(c != 2 for c in edge_count.values()):
         return False
+    # each link vertex w of v has degree 2, the count of triangles on the
+    # edge vw, so the link is a union of cycles: it must be connected
     for link_edges in links.values():
-        deg: dict[int, int] = {}
-        for a, b in link_edges:
-            deg[a] = deg.get(a, 0) + 1
-            deg[b] = deg.get(b, 0) + 1
-        if any(d != 2 for d in deg.values()):
-            return False
-        # connectivity of the link cycle
         adj: dict[int, list[int]] = {}
         for a, b in link_edges:
             adj.setdefault(a, []).append(b)

@@ -148,18 +148,19 @@ class Matroid:
 
     ``Matroid(ground, bases)`` takes the bases as element sets and turns
     them into masks once; a ground of more than ``TABLE_BOUND`` elements
-    raises ``GroundTooLarge`` before any basis is read, and an element
-    outside the ground ``ElementNotInGround``.  Instances are immutable,
-    and equality and hashing compare the ground tuple and the masks.  ``bases``, the
-    element sets in canonical order, is derived on first read.
+    raises ``GroundTooLarge`` before any basis is read, repeated or
+    non-integer labels ``MatroidError``, and an element outside the ground
+    ``ElementNotInGround``; the ground keeps its order.  Instances are
+    immutable, and equality and hashing compare the ground tuple and the
+    masks.  ``bases``, the element sets in canonical order, is derived on
+    first read.
     """
 
     ground: tuple[int, ...]
     _masks: tuple[int, ...]  # bit i of a mask stands for ground[i]
 
     def __init__(self, ground: Iterable[int], bases: Iterable[Iterable[int]]):
-        object.__setattr__(self, "ground", tuple(ground))
-        _within(len(self.ground))
+        object.__setattr__(self, "ground", _labels(ground))
         object.__setattr__(self, "_masks", tuple(sorted({self._mask(b) for b in bases})))
 
     def __repr__(self):
@@ -358,10 +359,15 @@ def make_matroid(
 
 
 def _ground(ground: Iterable[int], bound: int = GROUND_BOUND) -> tuple[int, ...]:
-    """The ground labels, sorted, once they are distinct integers and at
-    most ``bound`` of them, and at most ``TABLE_BOUND`` whatever the
-    bound."""
-    g = tuple(sorted(ground))
+    """The ground labels, sorted, once they pass ``_labels``."""
+    return tuple(sorted(_labels(ground, bound)))
+
+
+def _labels(ground: Iterable[int], bound: int = TABLE_BOUND) -> tuple[int, ...]:
+    """The ground labels, in their order, once they are distinct integers
+    and at most ``bound`` of them, and at most ``TABLE_BOUND`` whatever
+    the bound."""
+    g = tuple(ground)
     if len(set(g)) != len(g):
         raise MatroidError("ground labels must be distinct")
     if any(not isinstance(e, int) for e in g):
@@ -753,18 +759,19 @@ FANO_LINES = (
 def named_matroid(name: str, params: tuple[int, ...] = ()) -> Matroid:
     """Canonical instances addressable by identifier.
 
-    Supported: ``uniform`` (rank, size), ``fano``, ``fano_dual``,
-    ``mk4``, ``mk5``, ``mk33`` (cycle matroids of K4, K5, K3,3).
+    Supported: ``uniform`` (rank, size), with size at most ``TABLE_BOUND``,
+    ``fano``, ``fano_dual``, ``mk4``, ``mk5``, ``mk33`` (cycle matroids of
+    K4, K5, K3,3).
     """
     name = name.lower()
     if name == "uniform":
         if len(params) != 2:
             raise BadParams("uniform needs (rank, size)")
         r, n = params
-        if not (0 <= r <= n <= GROUND_BOUND):
-            raise BadParams(f"need 0 <= rank <= size <= {GROUND_BOUND}")
+        if not (0 <= r <= n <= TABLE_BOUND):
+            raise BadParams(f"need 0 <= rank <= size <= {TABLE_BOUND}")
         ground = tuple(range(1, n + 1))
-        return make_matroid(ground, itertools.combinations(ground, r))
+        return make_matroid(ground, itertools.combinations(ground, r), bound=TABLE_BOUND)
     if params:
         raise BadParams(f"{name} takes no parameters")
     if name == "fano":
@@ -784,9 +791,16 @@ def named_matroid(name: str, params: tuple[int, ...] = ()) -> Matroid:
     raise UnknownName(f"unknown matroid name {name!r}")
 
 
-def parse_named(ident: str) -> Matroid:
-    """Parse identifiers like ``fano`` or ``uniform:2,4``."""
-    return named_matroid(*split_ident(ident, BadParams))
+def parse_named(ident: str, bound: int = GROUND_BOUND) -> Matroid:
+    """Parse identifiers like ``fano`` or ``uniform:2,4`` into a matroid of
+    at most ``bound`` elements; a larger ``uniform`` size raises
+    ``GroundTooLarge`` before any basis is built."""
+    name, params = split_ident(ident, BadParams)
+    if name == "uniform" and len(params) == 2:
+        _within(params[1], bound)
+    m = named_matroid(name, params)
+    _within(len(m.ground), bound)
+    return m
 
 
 # ---------------------------------------------------------------------------

@@ -252,7 +252,7 @@ def ref_basis_terms(case):
     for combo in itertools.product(range(n), repeat=r):
         j = every - sum(combo)
         out.append(((j, A._perm_sign(combo + (j,))),) if len(set(combo)) == r else ())
-    return 1, out
+    return out
 
 
 def same_report(got, want):
@@ -1181,9 +1181,9 @@ dense8 = st.lists(sparse_rationals, min_size=8, max_size=8)
 
 
 def check_triple8_kernel(vectors):
-    """``cross_product`` and, on the cleared integer arguments, ``_cross``
-    equal the defining formula; ``_cross`` keeps an int for every even
-    half and a ``Fraction`` for every odd one."""
+    """``cross_product`` and, on the cleared integer arguments, the kernel
+    ``_case_kernel`` equal the defining formula; the kernel keeps an int
+    for every even half and a ``Fraction`` for every odd one."""
     case = A.cross_case("triple8")
     want = ref_cross(case, vectors)
     got = A.cross_product(case, vectors)
@@ -1193,7 +1193,7 @@ def check_triple8_kernel(vectors):
         d = math.lcm(*(F(c).denominator for c in v))
         ints.append([int(c * d) for c in v])
     args = [list(v) for v in ints]
-    got = A._cross(case, args)
+    got = A._case_kernel(case.tag, case.n)(args)
     want = ref_cross(case, ints)
     assert got == list(want)
     assert [type(c) for c in got] == [int if c.denominator == 1 else F for c in want]
@@ -1228,21 +1228,21 @@ BASIS_IDENTS = (
 @pytest.mark.parametrize("ident", BASIS_IDENTS)
 def test_basis_terms_are_the_scaled_dense_products(ident):
     """Every case with at most 5000 basis tuples: the table terms are
-    distinct nonzero int terms, and scale times ``_cross`` on the unit
+    distinct nonzero int terms, and the kernel's product of the unit
     tuple, value for value."""
     case = A.cross_case(ident)
     n, r = case.n, case.r
     assert n**r <= 5000
-    scale, basis = A._basis_terms(case)
-    assert type(scale) is int and scale > 0
+    basis = A._basis_terms(case)
+    cross = A._case_kernel(case.tag, n)
     combos = list(itertools.product(range(n), repeat=r))
     assert len(basis) == len(combos)
     for combo, terms in zip(combos, basis):
-        x = A._cross(case, [A._unit(i, n) for i in combo])
+        x = cross([A._unit(i, n) for i in combo])
         coeffs = dict(terms)
         assert len(coeffs) == len(terms), (combo, terms)
         assert all(type(c) is int and c for c in coeffs.values()), (combo, terms)
-        assert [coeffs.get(i, 0) for i in range(n)] == [scale * c for c in x], combo
+        assert [coeffs.get(i, 0) for i in range(n)] == x, combo
 
 
 @pytest.mark.parametrize("ident", ["three"] + [f"epsilon:{n}" for n in range(2, 9)])
@@ -1317,17 +1317,17 @@ def break_products(mp, breaks):
         return x
 
     def basis_terms(case):
-        scale, basis = real_terms(case)
+        basis = real_terms(case)
         combos = itertools.product(range(case.n), repeat=case.r)
         out = []
         for combo, terms in zip(combos, basis):
             if combo in breaks:
                 m, d = breaks[combo]
                 x = dict(terms)
-                x[m] = x.get(m, 0) + d * scale
+                x[m] = x.get(m, 0) + d
                 terms = tuple((k, c) for k, c in x.items() if c)
             out.append(terms)
-        return scale, out
+        return out
 
     break_kernels(mp, cross)
     mp.setattr(A, "_basis_terms", basis_terms)
@@ -1485,6 +1485,18 @@ def test_chirotope_support_u24():
     assert ch.support_matroid() == M.named_matroid("uniform", (2, 4))
 
 
+def test_chirotope_needs_a_point():
+    with pytest.raises(A.BadDims):
+        A.chirotope_of_configuration([])
+
+
+def test_chirotope_sign_outside_its_range():
+    ch = A.chirotope_of_configuration([[1, 0], [0, 1], [1, 1]])
+    for indices in ((1, 4), (0, 2), (1, 2, 3)):
+        with pytest.raises(A.IndexOutOfRange):
+            ch.sign(indices)
+
+
 def test_chirotope_rank_deficient():
     with pytest.raises(A.RankDeficient):
         A.chirotope_of_configuration([[1, 1], [2, 2], [3, 3]])
@@ -1508,3 +1520,20 @@ def test_cross_case_bounds():
     for ident in ("epsilon:9", "epsilon:1", "epsilon:x", "j:-2", "j:", "three:1"):
         with pytest.raises(A.UnknownCase):
             A.cross_case(ident)
+
+
+def test_complex_structure_case_is_bounded():
+    """A directly built J case takes the even n that ``cross_case`` does."""
+    assert A.CrossProductCase("complex_structure", PARAM_MAX, 1).n == 64
+    for n in (PARAM_MAX + 2, 7):
+        with pytest.raises(A.UnknownCase) as info:
+            A.CrossProductCase("complex_structure", n, 1)
+        assert str(info.value) == f"no admissible case for tag=complex_structure r=1 n={n}"
+
+
+@pytest.mark.parametrize(
+    "fields", [(["three"], 3, 2), ("three", 3.0, 2), ("complex_structure", 4.0, 1), ("complex_structure", 2, True)]
+)
+def test_case_fields_are_a_str_and_ints(fields):
+    with pytest.raises(A.UnknownCase):
+        A.CrossProductCase(*fields)

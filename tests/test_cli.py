@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualities import algebras, graphs
+from dualities import algebras, graphs, matroids
 from dualities.cli import COMMANDS, build_parser, main
 
 # Exact stdout and exit code of every argv in test_json_mode_is_stable and
@@ -409,6 +409,23 @@ def test_validate_missing_path_exit_2(capsys, tmp_path):
         ("graph", "euler", 'FILE:{"vertices": 2, "edges": [[0, 1]], "rotation": [[0], [[0, 1]]]}'),
         ("complex", "betti", 'FILE:{"maximal": [["a"]]}'),
         ("complex", "betti", 'FILE:{"maximal": [1, 2]}'),
+        ("algebra", "table", "--algebra", "x"),
+        ("graph", "euler", "k5"),
+        ("graph", "invariants", "nosuch"),
+        ("complex", "chi", "sphere"),
+        ("complex", "chi", "genus"),
+        ("matroid", "validate", "uniform:3"),
+        ("graph", "invariants", 'FILE:{"vertices": -1, "edges": []}'),
+        ("graph", "euler", 'FILE:{"vertices": 2, "edges": [[0, 1]], "rotation": [[[0, 0, 1]], [[0, 1]]]}'),
+        ("graph", "euler", "FILE:v: 2\ne: 0 1\nrot 0: 0\nrot 1: -1\n"),
+        # a missing edge, then a dart left out
+        ("graph", "euler", "FILE:v: 2\ne: 0 1\nrot 0: 2\nrot 1: -1\n"),
+        ("graph", "euler", "FILE:v: 3\ne: 0 1\ne: 1 2\nrot 0: 1\nrot 1: -1\nrot 2: -2\n"),
+        ("matroid", "validate", 'FILE:{"ground": [1, 2], "bases": [[1'),
+        ("algebra", "chirotope", "--", *(f"{i},1" for i in range(11))),
+        ("algebra", "chirotope", "--", *(",".join("1" if i == j else "0" for j in range(5)) for i in range(5))),
+        # a tetrahedron's boundary with a dangling edge
+        ("complex", "index-sum", "FILE:s: 0 1 2\ns: 0 2 3\ns: 0 1 3\ns: 1 2 3\ns: 3 4\n"),
     ],
     ids=" ".join,
 )
@@ -421,6 +438,7 @@ def test_malformed_input_exit_2(capsys, tmp_path, argv):
             argv[i] = str(path)
     code, out, err = run(capsys, *argv[:2], "--json", *argv[2:])
     assert code == 2 and out == "" and err.startswith("error: ")
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("source", ["v: 3000000\n", '{"vertices": 3000000, "edges": []}'])
@@ -497,20 +515,43 @@ def test_planar_default_bound_decides_the_solids(capsys):
         ("matroid", "validate", "uniform:3,12"),
         ("matroid", "dual", "uniform:3,12"),
         ("matroid", "isomorphic", "uniform:1,2", "uniform:3,12"),
+        ("matroid", "validate", "uniform:3,14"),
     ],
     ids=" ".join,
 )
 def test_ground_over_bound_exit_2(capsys, tmp_path, argv):
     """A hit --bound is an input error for a file (6 elements) or a named
-    source (12), and for the target as well as the source; it never
+    source (12 or 14), and for the target as well as the source; it never
     reads as an invalid matroid."""
     path = tmp_path / "six.txt"
     path.write_text("ground: 1 2 3 4 5 6\nbasis: 1 2\n")
-    count = 6 if "FILE" in argv else 12
+    count = 6 if "FILE" in argv else int(argv[-1].split(",")[1])
     argv = [str(path) if a == "FILE" else a for a in argv]
     code, out, err = run(capsys, *argv, "--bound", "5")
     assert (code, out) == (2, "")
     assert err.splitlines() == [f"error: GroundTooLarge: {count} elements exceed the bound 5"]
+
+
+def test_bound_lifts_the_named_uniform_size(capsys):
+    """``uniform`` takes sizes above the default bound of 12 under --bound."""
+    code, data = run_json(capsys, "matroid", "validate", "uniform:3,14", "--bound", "14")
+    assert code == 0 and data["valid"] and len(data["ground"]) == 14
+
+
+@pytest.mark.parametrize(
+    "argv, limit",
+    [(("uniform:3,14",), 12), (("uniform:10,20",), 12), (("uniform:10,20", "--bound", "19"), 19)],
+)
+def test_refused_named_source_builds_nothing(capsys, monkeypatch, argv, limit):
+    def build(*args):
+        raise AssertionError(f"built {args}")
+
+    monkeypatch.setattr(matroids, "named_matroid", build)
+    monkeypatch.setattr(matroids, "make_matroid", build)
+    code, out, err = run(capsys, "matroid", "validate", *argv)
+    size = argv[0].split(",")[1]
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"error: GroundTooLarge: {size} elements exceed the bound {limit}"]
 
 
 def test_zero_divisors_reads_only_the_pair_scan(capsys, monkeypatch):

@@ -244,6 +244,12 @@ def test_duality_report_triangle():
     assert (rep.rank, rep.nullity, rep.rank_dual, rep.nullity_dual) == (2, 1, 1, 2)
 
 
+def test_duality_report_rejects_a_disconnected_embedding():
+    emb = disjoint_union_embeddings([G.named_embedding("triangle")] * 2)
+    with pytest.raises(G.NonCellular):
+        G.rank_nullity_duality_report(emb)
+
+
 def test_duality_report_rejects_torus():
     with pytest.raises(G.NonPlanarEmbedding):
         G.rank_nullity_duality_report(G.named_embedding("torus"))

@@ -385,6 +385,21 @@ def test_duals_keep_consistent_masks(seed, n):
     assert d.bases == canonical_bases(set(m.ground) - b for b in m.bases)
 
 
+def test_matroid_rejects_repeated_labels():
+    with pytest.raises(M.MatroidError, match="distinct"):
+        M.Matroid((1, 1), [[1]])
+
+
+def test_matroid_rejects_non_integer_labels():
+    with pytest.raises(M.MatroidError, match="integers"):
+        M.Matroid(("x", 1), [[1]])
+
+
+def test_matroid_keeps_its_ground_order():
+    m = M.Matroid((2, 1), [[1]])
+    assert m.ground == (2, 1) and m.bases == (frozenset({1}),)
+
+
 @PROPERTY
 @given(seeds, st.integers(0, 18))
 def test_masks_become_canonical_bases_on_any_ground(seed, n):
