@@ -650,24 +650,26 @@ class CrossProductCase:
             raise UnknownCase(f"no admissible case for tag={tag} r={r} n={n}")
 
     @cached_property
-    def _basis_verdict(self) -> tuple[bool, bool, Optional[str], int, Optional[tuple[int, ...]]]:
+    def _basis_verdict(self) -> tuple[bool, bool, Optional[str], int, bool]:
         """What the basis tuples show, computed on the first report that
         needs it: orthogonality, the norm identity, the first witness text
-        among those two, the number of tuples, and the first tuple that
-        repeats an index yet has a nonzero product, in one pass.  There are
-        no tuples when n^r > 5000.  The products are read off the tables as
+        among those two, the number of tuples, and whether a tuple that
+        repeats an index has a nonzero product, in one pass.  Such a tuple
+        also breaks the norm identity (its Gram determinant is 0), so the
+        witness text is already set when it is found.  There are no tuples
+        when n^r > 5000.  The products are read off the tables as
         integer index terms (``_basis_terms``): x . e_a is the coefficient
         of e_a, and the Gram determinant of unit vectors is 1 when their
         indices are distinct, else 0."""
         n, r = self.n, self.r
         if n**r > 5000:
-            return True, True, None, 0, None
+            return True, True, None, 0, False
         orth = norm = True
-        witness = repeat = None
+        witness, repeat = None, False
         for combo, terms in zip(itertools.product(range(n), repeat=r), _basis_terms(self)):
             gram = 1 if len(set(combo)) == r else 0
-            if terms and not gram and repeat is None:
-                repeat = combo
+            if terms and not gram:
+                repeat = True
             norm_sq = 0
             for k, c in terms:
                 norm_sq += c * c
@@ -941,8 +943,8 @@ def cross_axioms_report(
             if [-c for c in cross(args)] != cross(swapped):
                 alt, witness = False, witness or f"alternation at swap {(i, j)}"
                 break
-        if repeat is not None:
-            alt, witness = False, witness or f"repeat args {repeat} gave nonzero"
+        if repeat:
+            alt = False
 
     return CrossAxiomsReport(case.tag, n, r, orth, norm, multi, alt, tuples, trials, seed, witness)
 

@@ -475,11 +475,18 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.json:
-        print(json.dumps(to_json(report), sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
+    try:
+        if args.json:
+            print(json.dumps(to_json(report), sort_keys=True))
+        else:
+            for line in lines:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe: point stdout at the null device so
+        # that the flush at exit cannot fail again (Python's signal docs,
+        # "Note on SIGPIPE"); the verdict still sets the exit code
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0 if ok else 1
 
 

@@ -20,8 +20,9 @@ realizations are built directly from the circuits of a binary side; they
 decide graphic and cographic, and an excluded-minor search runs only to
 witness a side that has none.  Transversality is decided from the
 lattice of cyclic flats, which fixes the only candidate presentation.
-Circuits and the check of that presentation are computed for every
-subset at once, on bitsets over all 2^n subsets (``TABLE_BOUND``).
+Circuits, cyclic flats and the check of that presentation are computed
+for every subset at once, on bitsets over all 2^n subsets (``TABLE_BOUND``),
+the flats on the rank table that each matroid keeps (``Matroid._levels``).
 """
 
 from __future__ import annotations
@@ -252,6 +253,22 @@ class Matroid:
         return _circuits(self)
 
     @cached_property
+    def _levels(self) -> tuple[int, ...]:
+        """The rank table, built on first read: entry k - 1 is the family
+        L_k of the subsets X with r(X) >= k, for k = 1..rank, as a bitset
+        over the 2^n subsets: the k-element independent sets and every
+        set above them, one shift per element."""
+        n = len(self.ground)
+        indep, by_size = _independent(self._masks, n), _by_size(n)
+        levels = []
+        for k in range(1, self.rank + 1):
+            level = indep & by_size[k]
+            for i in range(n):
+                level |= (level & _lacking(i, n)) << (1 << i)
+            levels.append(level)
+        return tuple(levels)
+
+    @cached_property
     def _transversal(self) -> "_Transversal":
         return _decide_transversal(self)
 
@@ -386,7 +403,8 @@ def _validated(m: Matroid) -> Matroid:
     (every matroid has n <= TABLE_BOUND elements), in ``_rank_axioms_hold``
     when that is cheaper: 2-8 ns per unit of n * 2^n at n >= 12, hence the
     weight 100 (CPython 3.11, x86-64); the check then only names a
-    rejection's witness.
+    rejection's witness.  An accepted matroid keeps that table for its
+    cyclic flats.
     """
     masks, n = m._masks, len(m.ground)
     if not masks:
@@ -394,7 +412,7 @@ def _validated(m: Matroid) -> Matroid:
     r = m.rank
     equal = all(b.bit_count() == r for b in masks)
     if equal and len(masks) * r * (n - r) * 100 >= n << n:
-        if _rank_axioms_hold(masks, n, r):
+        if _rank_axioms_hold(m):
             return m
         _check_family(m)
         raise MatroidError("the rank table rejects a family the exchange check accepts")
@@ -487,33 +505,36 @@ def _members_of(family: int) -> list[int]:
     return [k << 3 | j for k in itertools.compress(range(len(data)), data) for j in _BYTE_BITS[data[k]]]
 
 
-def _rank_axioms_hold(masks: tuple[int, ...], n: int, r: int) -> bool:
-    """Whether an equal-size family of r-element masks over n elements is
-    the basis family of a matroid, decided on the rank table.
+def _spans(m: Matroid) -> list[int]:
+    """Entry i is the family of the subsets X lacking element i with
+    r(X + i) = r(X).  Adding i raises the rank by at most one, so it
+    does so exactly when the ranks of X and X + i differ in parity: one
+    shift of the XOR of the levels, the subsets of odd rank."""
+    n, odd = len(m.ground), 0
+    for level in m._levels:
+        odd ^= level
+    lacking = [_lacking(i, n) for i in range(n)]
+    return [lack ^ (odd >> (1 << i) ^ odd) & lack for i, lack in enumerate(lacking)]
+
+
+def _rank_axioms_hold(m: Matroid) -> bool:
+    """Whether the equal-size masks of ``m`` are the basis family of a
+    matroid, decided on its rank table (``Matroid._levels``).
 
     The independent sets are the downward closure of the family, and
     r(X) is the size of the largest one inside X, which is monotone with
     unit increase.  Such a function is a matroid rank exactly when it is
     locally submodular: r(X+a) = r(X+b) = r(X) forces r(X+a+b) = r(X)
     (Oxley, Matroid Theory, 1.3); the family is then the matroid's
-    bases.  The table is kept as bitsets over the 2^n subsets, one per
-    rank level, so each step handles every subset at once.
+    bases.  On the families of ``_spans``, each pair (a, b) is checked for
+    every X at once.
     """
-    lacking = [_lacking(i, n) for i in range(n)]
-    indep = _independent(masks, n)
-    by_size = _by_size(n)
-    spans = [~0] * n  # spans[i]: the X lacking i with r(X + i) = r(X)
-    for k in range(1, r + 1):
-        level = indep & by_size[k]  # then the X with r(X) >= k
-        for i in range(n):
-            level |= (level & lacking[i]) << (1 << i)
-        for i in range(n):
-            spans[i] &= ~(level >> (1 << i) & ~level)
-    spans = [s & lack for s, lack in zip(spans, lacking)]
-    return not any(
-        spans[a] & spans[b] & ~(spans[b] >> (1 << a))
-        for a, b in itertools.combinations(range(n), 2)
-    )
+    spans = _spans(m)
+    for a, b in itertools.combinations(range(len(m.ground)), 2):
+        both = spans[a] & spans[b]
+        if both & spans[b] >> (1 << a) != both:
+            return False
+    return True
 
 
 def _moved(m: Matroid, place: dict[int, int]) -> list[int]:
@@ -873,46 +894,19 @@ class _Transversal(NamedTuple):
 
 def _cyclic_flats(m: Matroid) -> dict[int, int]:
     """Every cyclic flat of ``m`` (a closed union of circuits) as a
-    position mask, mapped to its rank.
+    position mask, in increasing mask order, mapped to its rank.
 
-    They are the closure of the empty set, the closures of the circuits,
-    and the closures of the unions of those, the joins of the lattice of
-    cyclic flats.  The closure of X is X plus every element that lies in
-    no basis meeting X in r(X) elements: one pass over the bases gives
-    both the closure and the rank, and each is memoised.
+    X is a flat when every e outside X raises its rank, and cyclic when
+    every e inside X is spanned by X - e (Oxley, Matroid Theory, 1.4 and
+    2.1); on the families of ``_spans`` both hold for every X at once.  A
+    flat's rank is the number of levels that hold it, read off their bytes.
     """
-    full, masks = m.full_mask, m._masks
-    memo: dict[int, tuple[int, int]] = {}
-
-    def closure(x: int) -> tuple[int, int]:
-        hit = memo.get(x)
-        if hit is None:
-            best, union = -1, 0
-            for b in masks:
-                k = (b & x).bit_count()
-                if k > best:
-                    best, union = k, b
-                elif k == best:
-                    union |= b
-            hit = memo[x] = (x | full & ~union, best)
-        return hit
-
-    atoms: dict[int, int] = {}
-    for c in m._circuit_masks:
-        # a flat holding C with rank r(C) = |C| - 1 is the closure of C
-        if not any(rank == c.bit_count() - 1 and not c & ~f for f, rank in atoms.items()):
-            f, rank = closure(c)
-            atoms[f] = rank
-    flats = dict([closure(0), *atoms.items()])
-    todo = list(flats)
-    while todo:  # every join of k atoms is the join of one atom with a join of k - 1
-        f = todo.pop()
-        for a in atoms:
-            j, rank = closure(f | a)
-            if j not in flats:
-                flats[j] = rank
-                todo.append(j)
-    return flats
+    n = len(m.ground)
+    found = (1 << (1 << n)) - 1
+    for i, s in enumerate(_spans(m)):
+        found &= (_lacking(i, n) ^ s) | s << (1 << i)
+    levels = [level.to_bytes(max(1, (1 << n) >> 3), "little") for level in m._levels]
+    return {f: sum(level[f >> 3] >> (f & 7) & 1 for level in levels) for f in _members_of(found)}
 
 
 def _transversals(sets: list[int], n: int) -> int:
@@ -959,10 +953,12 @@ def _decide_transversal(m: Matroid) -> _Transversal:
     transversal exactly when the r-subsets with a system of distinct
     representatives in it are its bases.
 
-    Those r-subsets are built all at once, set by set, on the table of
-    all 2^n subsets (``_transversals``; n <= TABLE_BOUND, as for every
-    matroid) and compared with the bases.  A disagreement is named by the
-    first r-subset of the non-loops, in combination order, on which they
+    The flats are visited by decreasing size and then increasing mask, so
+    a negative beta names the first such flat in that order.  Those
+    r-subsets are built all at once, set by set, on the table of all 2^n
+    subsets (``_transversals``; n <= TABLE_BOUND, as for every matroid)
+    and compared with the bases.  A disagreement is named by the first
+    r-subset of the non-loops, in combination order, on which they
     differ, and the witness counts the r-subsets up to it as matched;
     agreement counts them all.
     """
@@ -1014,12 +1010,12 @@ def transversal_presentation(
     """The maximal presentation of ``m``: r subsets whose partial
     transversals are its independent sets, or None if it has none.
 
-    Decided from the cyclic flats by ``_decide_transversal``, which
-    checks the only candidate presentation against the bases on a table
-    of all 2^n subsets (n <= ``TABLE_BOUND``, the limit of every
-    matroid); returns (presentation or None, number of cyclic flats
-    examined).  The full verdict, with its witness text, is kept as
-    ``m._transversal``.
+    Decided by ``_decide_transversal`` from the cyclic flats, read off
+    the rank table that validation built or that is built on first need,
+    by checking the only candidate presentation against the bases on a
+    table of all 2^n subsets (n <= ``TABLE_BOUND``); returns (presentation
+    or None, number of cyclic flats examined).  The full verdict, with
+    its witness text, is kept as ``m._transversal``.
     """
     t = m._transversal
     return t.presentation, t.flats

@@ -315,6 +315,32 @@ def test_python_dash_m_matches_main(capsys, argv):
     assert (proc.returncode, proc.stdout) == (code, out), proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv, code, read",
+    [
+        (["matroid", "classify", "uniform:2,14", "--bound", "14", "--json"], 0, 0),
+        # 377 KB, more than a 64 KB pipe holds: the reader takes 100 bytes
+        (["matroid", "dual", "uniform:7,16", "--bound", "16", "--json"], 0, 100),
+        (["matroid", "validate", "bad.txt", "--json"], 1, 0),
+    ],
+)
+def test_closed_stdout_keeps_the_exit_code(tmp_path, argv, code, read):
+    """A reader that closes the pipe early, as ``| head -c 100`` does,
+    gets no traceback, and the exit code is still the verdict's."""
+    (tmp_path / "bad.txt").write_text("ground: 1\nbasis: 2\n")
+    argv = [str(tmp_path / a) if a == "bad.txt" else a for a in argv]
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dualities", *argv],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert len(proc.stdout.read(read)) == read
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (code, b"")
+
+
 def test_bad_named_source_exit_2(capsys):
     code, _, err = run(capsys, "matroid", "dual", "nonesuch")
     assert code == 2 and "UnknownName" in err

@@ -2,10 +2,12 @@
 
 ``ref_circuits`` is the basis scan (each circuit is the fundamental
 circuit of one of its elements in a basis holding the rest),
-``ref_decide_transversal`` checks the candidate presentation by one
-bipartite matching per r-subset, and ``ref_is_isomorphic`` backtracks
-pruned by colors and pair counts only.  The library must agree with
-them exactly: the same circuit tuples, the same ``_Transversal`` triples
+``ref_cyclic_flats`` joins the closures of the circuits, each closure
+one pass over the bases, ``ref_decide_transversal`` checks the candidate
+presentation by one bipartite matching per r-subset, and
+``ref_is_isomorphic`` backtracks pruned by colors and pair counts only.
+The library must agree with them exactly: the same circuit tuples, the
+same cyclic flats with their ranks, the same ``_Transversal`` triples
 (presentation, cyclic flats, witness text) and the same (verdict,
 bijection) pairs.
 """
@@ -18,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dualities import gf2
 from dualities import graphs as G
 from dualities import matroids as M
 
@@ -44,6 +47,47 @@ def ref_circuits(m):
             if not b & e:
                 found.add(e | sum(f for f in inside if b ^ f | e in bases))
     return tuple(sorted(found, key=lambda c: (c.bit_count(), c)))
+
+
+def ref_cyclic_flats(m):
+    """Every cyclic flat as a position mask mapped to its rank: the
+    closure of the empty set, the closures of the circuits, and the
+    closures of the unions of those, the joins of the lattice of cyclic
+    flats.  The closure of X is X plus every element that lies in no
+    basis meeting X in r(X) elements: one pass over the bases gives both
+    the closure and the rank, and each is memoised."""
+    full, masks = m.full_mask, m._masks
+    memo = {}
+
+    def closure(x):
+        hit = memo.get(x)
+        if hit is None:
+            best, union = -1, 0
+            for b in masks:
+                k = (b & x).bit_count()
+                if k > best:
+                    best, union = k, b
+                elif k == best:
+                    union |= b
+            hit = memo[x] = (x | full & ~union, best)
+        return hit
+
+    atoms = {}
+    for c in M._circuits(m):
+        # a flat holding C with rank r(C) = |C| - 1 is the closure of C
+        if not any(rank == c.bit_count() - 1 and not c & ~f for f, rank in atoms.items()):
+            f, rank = closure(c)
+            atoms[f] = rank
+    flats = dict([closure(0), *atoms.items()])
+    todo = list(flats)
+    while todo:  # every join of k atoms is the join of one atom with a join of k - 1
+        f = todo.pop()
+        for a in atoms:
+            j, rank = closure(f | a)
+            if j not in flats:
+                flats[j] = rank
+                todo.append(j)
+    return flats
 
 
 def ref_has_transversal(elems, sets):
@@ -292,6 +336,84 @@ def test_direct_sum_checks_disjointness_before_size():
     u = M.named_matroid("uniform", (6, 12))
     with pytest.raises(M.GroundNotDisjoint):
         M.direct_sum(u, u)
+
+
+# ---------------------------------------------------------------------------
+# cyclic flats on the rank table
+
+
+@PROPERTY
+@given(seeds, st.integers(0, 12))
+def test_cyclic_flats_match_reference(seed, n):
+    m = random_kernel_matroid(random.Random(seed), n)
+    assert M._cyclic_flats(plain(m)) == ref_cyclic_flats(m)
+
+
+def test_cyclic_flats_of_every_small_matroid_match_reference():
+    """Every equal-size family on at most five elements that validates:
+    the 1 + 2 + 5 + 16 + 68 + 406 labelled matroids, validated by the
+    rank table wherever 0 < r < n."""
+    count = 0
+    for n in range(6):
+        for r in range(n + 1):
+            subsets = list(itertools.combinations(range(n), r))
+            for pick in range(1, 1 << len(subsets)):
+                fam = [b for k, b in enumerate(subsets) if pick >> k & 1]
+                try:
+                    m = M.make_matroid(range(n), fam)
+                except M.MatroidError:
+                    continue
+                count += 1
+                assert M._cyclic_flats(m) == ref_cyclic_flats(m)
+    assert count == 498
+
+
+def test_cyclic_flats_of_rank_zero_and_empty_ground():
+    empty = M.Matroid((), (frozenset(),))
+    assert M._cyclic_flats(empty) == ref_cyclic_flats(empty) == {0: 0}
+    loops = M.make_matroid([1, 2, 3], [[]])
+    assert M._cyclic_flats(loops) == ref_cyclic_flats(loops) == {0b111: 0}
+    assert M._cyclic_flats(LOOP) == {1: 0}
+    assert M._cyclic_flats(COLOOP) == {0: 0}
+
+
+def binary_sixteen():
+    """The column matroid over GF(2) of the unit vectors e1..e8 and eight
+    more columns, two of them parallel to others: rank 8, 1,648 bases."""
+    cols = [1 << i for i in range(8)] + [
+        0b1, 0b10011001, 0b111101, 0b10011101, 0b1111001, 0b1010001, 0b111101, 0b11011101
+    ]
+    ground = range(1, 17)
+    bases = [b for b in itertools.combinations(ground, 8) if gf2.rank_of_rows(cols[i - 1] for i in b) == 8]
+    return M.make_matroid(ground, bases, bound=16)
+
+
+def test_cyclic_flats_of_a_sixteen_element_binary_matroid():
+    # flats of one size are visited in increasing mask order, so the
+    # negative beta named is the first of its size in that order
+    m = binary_sixteen()
+    assert len(m.bases) == 1648
+    flats = M._cyclic_flats(m)
+    assert flats == ref_cyclic_flats(m)
+    assert list(flats) == sorted(flats)
+    got = M._decide_transversal(m)
+    assert got == ref_decide_transversal(m)
+    assert got.witness == (
+        "no presentation (cyclic-flat search: 77 cyclic flats, 0 r-subsets matched): cyclic flat "
+        "{1 4 5 7 8 9 10 14} has r(M) - r(F) = 3 < 4 = the sum of beta(G) over the cyclic flats G above it"
+    )
+
+
+def test_minor_search_and_isomorphism_build_no_rank_table(monkeypatch):
+    """The candidates of ``has_minor`` and both sides of ``is_isomorphic``
+    never build the 2^n-subset levels."""
+    hosts = [M.parse_named(name) for name in ("mk5", "mk33", "fano", "uniform:6,12")] + [binary_sixteen()]
+    targets = [M.parse_named(name) for name in ("uniform:2,4", "fano", "mk4")]
+    monkeypatch.setattr(M.Matroid, "_levels", property(lambda m: pytest.fail("the rank table was built")))
+    for host in hosts:
+        for target in targets:
+            M.has_minor(host, target)
+        assert M.is_isomorphic(host, relabelled(host, random.Random(1)))[0]
 
 
 # ---------------------------------------------------------------------------
