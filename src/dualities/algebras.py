@@ -36,11 +36,15 @@ sum of x_i y_j per output index, and the maximal minors (``_minors``) are
 one local per column set, level by level, each expanded along the newest
 row over the sub-minors one level down (``_laplace_body``).  The epsilon
 cross product runs the same expansion and returns the signed cofactors
-directly (``_epsilon_kernel``).  The chirotope reads its signs off the
+directly (``_epsilon_kernel``), and J is one generated rotation per
+dimension (``_rotation_kernel``).  The chirotope reads its signs off the
 minors, and its support matroid goes from the nonzero minors' column
-masks to the mask-level validation of ``make_matroid``.  ``_det``
-(fraction-free Bareiss elimination) serves ``det_rational`` and the Gram
-determinants.
+masks to the mask-level validation of ``make_matroid``.  Each random
+trial of a cross report runs generated code of its shape only: the
+orthogonality and norm checks of a sample are one ``_gram_kernel`` call,
+whose Gram determinant is the same expansion over the Gram entries, and
+the multilinearity combinations are ``_lin_kernel`` calls.  ``_det``
+(fraction-free Bareiss elimination) serves ``det_rational`` alone.
 
 Two octonion presentations are provided: the doubling construction
 applied three times, and a table read off the seven cyclic triples of
@@ -143,6 +147,13 @@ TRIALS_MAX = 5000
 def _check_count(count, what: str) -> None:
     if not (isinstance(count, int) and not isinstance(count, bool) and 0 <= count <= TRIALS_MAX):
         raise AlgebraError(f"{what} must be an int in 0..{TRIALS_MAX}, got {count!r}")
+
+
+def _check_seed(seed) -> None:
+    """A report echoes its seed, so it must be one that reproduces the
+    draws: an ``int`` (not ``bool``); ``None`` would draw from the OS."""
+    if not (isinstance(seed, int) and not isinstance(seed, bool)):
+        raise AlgebraError(f"seed must be an int, got {seed!r}")
 
 
 def _randints(rng: random.Random, lo: int, hi: int, count: int) -> list[int]:
@@ -497,6 +508,7 @@ def division_algebra_report(
     read only when no basis pair or sample has already broken
     alternativity."""
     _check_count(sample_count, "sample_count")
+    _check_seed(seed)
     rng = random.Random(seed)
     dim, mul = alg.dim, alg._mul
 
@@ -693,20 +705,27 @@ def cross_case(ident: str) -> CrossProductCase:
     raise UnknownCase(f"unknown cross-product case {ident!r}")
 
 
-def _laplace_body(r: int, n: int) -> tuple[str, dict[tuple[int, ...], str]]:
-    """The body of a kernel ``f(rows)`` over r rows of n integers, up to its
-    return line, and the local that holds each r-minor, by column set in
-    combination order: row k's entries are the locals a<k>_<c>, and each
-    k-minor (k >= 2) is a local, the Laplace expansion along row k - 1.
-    The r-minor is ``1`` for r = 0, and there is none for r > n."""
-    rows = ", ".join("[" + ", ".join(f"a{k}_{c}" for c in range(n)) + "]" for k in range(r))
-    lines = [f"[{rows}] = rows"]
-    names = {(c,): f"a0_{c}" for c in range(n)} if r else {(): "1"}
+def _unpack(source: str, r: int, n: int, entry: str = "a") -> str:
+    """The kernel line that binds the r rows of n entries of ``source`` to
+    the locals <entry><k>_<c>."""
+    rows = ", ".join("[" + ", ".join(f"{entry}{k}_{c}" for c in range(n)) + "]" for k in range(r))
+    return f" [{rows}] = {source}\n"
+
+
+def _laplace_body(r: int, n: int, entry: str = "a") -> tuple[str, dict[tuple[int, ...], str]]:
+    """The lines of a kernel that expand the minors of r rows of n entries,
+    and the local that holds each r-minor, by column set in combination
+    order: row k's entries are the locals <entry><k>_<c>, which the caller
+    binds, and each k-minor (k >= 2) is a local, the Laplace expansion
+    along row k - 1.  The r-minor is ``1`` for r = 0, and there is none
+    for r > n."""
+    lines = []
+    names = {(c,): f"{entry}0_{c}" for c in range(n)} if r else {(): "1"}
     for k in range(2, r + 1):
         grown = {}
         for i, cols in enumerate(itertools.combinations(range(n), k)):
             terms = " ".join(
-                f"{'-' if (k - 1 - p) & 1 else '+'} a{k - 1}_{c}*{names[cols[:p] + cols[p + 1 :]]}"
+                f"{'-' if (k - 1 - p) & 1 else '+'} {entry}{k - 1}_{c}*{names[cols[:p] + cols[p + 1 :]]}"
                 for p, c in enumerate(cols)
             )
             grown[cols] = f"m{k}_{i}"
@@ -721,7 +740,9 @@ def _minor_kernel(r: int, n: int):
     the r-minors of ``_laplace_body`` in combination order, ``[1]`` for
     r = 0 and ``[]`` for r > n."""
     body, names = _laplace_body(r, n)
-    return _compiled(f"def minors(rows):\n{body} return [{', '.join(names.values())}]\n", "minors")
+    return _compiled(
+        f"def minors(rows):\n{_unpack('rows', r, n)}{body} return [{', '.join(names.values())}]\n", "minors"
+    )
 
 
 def _minors(rows: Sequence[Sequence[int]], n: int) -> list[int]:
@@ -741,15 +762,50 @@ def _epsilon_kernel(n: int):
         f"{'-' if (n - 1 + j) & 1 else ''}{names[tuple(c for c in range(n) if c != j)]}"
         for j in range(n)
     )
-    return _compiled(f"def cross(rows):\n{body} return [{cofactors}]\n", "cross")
+    return _compiled(f"def cross(rows):\n{_unpack('rows', n - 1, n)}{body} return [{cofactors}]\n", "cross")
 
 
-def _rotate(v: Sequence) -> list:
-    """The block rotation J, (v0, v1, ...) -> (-v1, v0, ...), with J^2 = -I."""
-    out = []
-    for k in range(0, len(v), 2):
-        out += (-v[k + 1], v[k])
-    return out
+def _rotation_kernel(n: int):
+    """``cross(vs)`` for the one argument of J in even dimension n: the
+    block rotation (v0, v1, ...) -> (-v1, v0, ...), with J^2 = -I."""
+    out = ", ".join(f"-a0_{k + 1}, a0_{k}" for k in range(0, n, 2))
+    return _compiled(f"def cross(vs):\n{_unpack('vs', 1, n)} return [{out}]\n", "cross")
+
+
+def _sum_of_products(left: str, right: str, n: int) -> str:
+    """The expression sum of <left><c>*<right><c> over c < n."""
+    return " + ".join(f"{left}{c}*{right}{c}" for c in range(n))
+
+
+@lru_cache(maxsize=None)
+def _gram_kernel(r: int, n: int):
+    """``check(x, rows)`` for a product x of r rows of n entries, generated
+    once per shape: whether x . a_k = 0 for every row a_k, and whether
+    x . x is the Gram determinant of the rows, the ``_laplace_body``
+    expansion over the Gram entries g<i>_<j> = a_i . a_j."""
+    xs = ", ".join(f"x{c}" for c in range(n))
+    gram = "".join(
+        f" g{i}_{j} = {_sum_of_products(f'a{i}_', f'a{j}_', n) if i <= j else f'g{j}_{i}'}\n"
+        for i in range(r)
+        for j in range(r)
+    )
+    body, names = _laplace_body(r, r, "g")
+    orth = " or ".join(f"({_sum_of_products('x', f'a{k}_', n)})" for k in range(r))
+    norm = f"{_sum_of_products('x', 'x', n)} == {names[tuple(range(r))]}"
+    return _compiled(
+        f"def check(x, rows):\n [{xs}] = x\n{_unpack('rows', r, n)}{gram}{body}"
+        f" return not ({orth}), {norm}\n",
+        "check",
+    )
+
+
+@lru_cache(maxsize=None)
+def _lin_kernel(n: int):
+    """``lin(a, u, b, v)``, the vector a u + b v for scalars a, b and
+    vectors u, v of n entries, generated once per n."""
+    us, vs = (", ".join(f"{w}{c}" for c in range(n)) for w in "uv")
+    out = ", ".join(f"a*u{c} + b*v{c}" for c in range(n))
+    return _compiled(f"def lin(a, u, b, v):\n [{us}] = u\n [{vs}] = v\n return [{out}]\n", "lin")
 
 
 def _halve(left: Sequence[int], right: Sequence[int]) -> list:
@@ -763,17 +819,19 @@ def _halve(left: Sequence[int], right: Sequence[int]) -> list:
 @lru_cache(maxsize=None)
 def _case_kernel(tag: str, n: int):
     """The integer kernel ``cross(vs)`` of the cross product (tag, n),
-    resolved once per (tag, n): the signed epsilon kernel for three and
-    epsilon, the rotation J for complex_structure, and closures over the
-    Fano octonion product for seven and triple8.  triple8 halves exactly
-    and keeps a ``Fraction`` for any odd component.  No kernel mutates
+    resolved once per (tag, n): the generated signed epsilon kernel for
+    three and epsilon, the generated rotation J for complex_structure, and
+    closures over the Fano octonion product for seven and triple8.
+    triple8 halves exactly and keeps a ``Fraction`` for any odd
+    component.  The report's other kernels depend only on the shape, so
+    this stays the one per-case seam of its products.  No kernel mutates
     ``vs``, so callers may share argument vectors between calls.  Kept
     here rather than on the case object, which stays picklable and holds
     only its table facts."""
     if tag in ("three", "epsilon"):
         return _epsilon_kernel(n)
     if tag == "complex_structure":
-        return lambda vs: _rotate(vs[0])
+        return _rotation_kernel(n)
     mul = fano_octonion_algebra()._mul
     if tag == "seven":
         return lambda vs: mul([0, *vs[0]], [0, *vs[1]])[1:]
@@ -803,10 +861,10 @@ def cross_product(case: CrossProductCase, vectors: Sequence[Sequence]) -> Elemen
     for v in vs:
         if len(v) != case.n:
             raise DimMismatch(f"vectors must have dimension {case.n}")
-    if case.tag == "complex_structure":  # no arithmetic: stays on its inputs
-        return tuple(_rotate(as_element(vs[0])))
-    cleared = [_clear(v) for v in vs]
     cross = _case_kernel(case.tag, case.n)
+    if case.tag == "complex_structure":  # no arithmetic: J runs on the inputs' values
+        return tuple(cross([as_element(vs[0])]))
+    cleared = [_clear(v) for v in vs]
     return _element(cross([m for m, _ in cleared]), prod(d for _, d in cleared))
 
 
@@ -890,24 +948,33 @@ def cross_axioms_report(
     off the tables once per case object (``CrossProductCase._basis_verdict``),
     the first time a report needs it; a later report on the same object
     runs only the random tuples, drawn through ``_randints`` and
-    ``_randbelow``, on the case's dense kernel, which the report resolves
-    once (``_case_kernel``) before its loops."""
+    ``_randbelow``.  The report resolves its kernels once before its
+    loops: the case's product (``_case_kernel``), and the orthogonality
+    and norm check (``_gram_kernel``) and linear combination
+    (``_lin_kernel``) of its shape.
+
+    ``trials`` random tuples are checked for orthogonality and the norm,
+    but multilinearity and alternation each draw ``max(trials, 1)``, so
+    ``trials=0`` still checks one random tuple of each, and the report
+    echoes ``trials`` as given."""
     _check_count(trials, "trials")
+    _check_seed(seed)
     rng = random.Random(seed)
     n, r = case.n, case.r
-    cross = _case_kernel(case.tag, n)
+    cross, check, lin = _case_kernel(case.tag, n), _gram_kernel(r, n), _lin_kernel(n)
 
     def rand_vecs(count):
         drawn = _randints(rng, -4, 4, count * n)
         return [drawn[i : i + n] for i in range(0, count * n, n)]
 
     orth, norm, witness, tuples, repeat = case._basis_verdict
-    samples = [rand_vecs(r) for _ in range(trials)]
-    for args in samples if orth or norm else ():
-        x = cross(args)
-        if orth and any(_dot(x, a) for a in args):
+    samples, size = _randints(rng, -4, 4, trials * r * n), r * n
+    for start in range(0, trials * size, size) if orth or norm else ():
+        args = [samples[i : i + n] for i in range(start, start + size, n)]
+        orthogonal, normed = check(cross(args), args)
+        if orth and not orthogonal:
             orth, witness = False, f"orthogonality at {_shown(args)}"
-        if norm and _dot(x, x) != _det([[_dot(a, b) for b in args] for a in args]):
+        if norm and not normed:
             norm, witness = False, witness or f"norm at {_shown(args)}"
         if not orth and not norm:
             break
@@ -917,16 +984,9 @@ def cross_axioms_report(
         slot = _randbelow(rng, r)
         *args, u, v = rand_vecs(r + 2)
         a, b = _randints(rng, -3, 3, 2)
-        combo = [a * ui + b * vi for ui, vi in zip(u, v)]
-        args_combo = list(args)
-        args_combo[slot] = combo
-        args_u = list(args)
-        args_u[slot] = u
-        args_v = list(args)
-        args_v[slot] = v
-        lhs = cross(args_combo)
-        rhs = [a * p + b * q for p, q in zip(cross(args_u), cross(args_v))]
-        if lhs != rhs:
+        head, tail = args[:slot], args[slot + 1 :]
+        lhs = cross([*head, lin(a, u, b, v), *tail])
+        if lhs != lin(a, cross([*head, u, *tail]), b, cross([*head, v, *tail])):
             multi, witness = False, witness or f"multilinearity at slot {slot}"
             break
 

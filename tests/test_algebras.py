@@ -381,15 +381,16 @@ def test_no_kernel_is_generated_at_import():
     code = (
         "import dualities\n"
         "from dualities import algebras as A, cli\n"
-        "print(A._minor_kernel.cache_info().currsize, A.cayley_dickson_algebra.cache_info().currsize,"
-        " A.fano_octonion_algebra.cache_info().currsize)\n"
+        "caches = (A._minor_kernel, A._case_kernel, A._gram_kernel, A._lin_kernel,"
+        " A.cayley_dickson_algebra, A.fano_octonion_algebra)\n"
+        "print(*(f.cache_info().currsize for f in caches))\n"
     )
     src = str(Path(A.__file__).parents[1])
     out = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True, text=True, env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}, timeout=60,
     )
-    assert out.stdout.split() == ["0", "0", "0"], out.stderr
+    assert out.stdout.split() == ["0"] * 6, out.stderr
 
 
 def test_table_check_survives_optimize_flag():
@@ -694,6 +695,15 @@ def test_each_kernel_is_generated_once():
     assert A._minor_kernel.cache_info().misses == misses
     assert A._minor_kernel(2, 3) is A._minor_kernel(2, 3)
     assert A._case_kernel("three", 3) is A._case_kernel("three", 3)
+    assert A._case_kernel("complex_structure", 6) is A._case_kernel("complex_structure", 6)
+    assert A._gram_kernel(2, 3) is A._gram_kernel(2, 3)
+    assert A._lin_kernel(3) is A._lin_kernel(3)
+    # a second report of a shape generates nothing
+    kernels = (A._case_kernel, A._gram_kernel, A._lin_kernel)
+    A.cross_axioms_report(A.cross_case("j:6"), 2, 0)
+    misses = [k.cache_info().misses for k in kernels]
+    A.cross_axioms_report(A.cross_case("j:6"), 5, 1)
+    assert [k.cache_info().misses for k in kernels] == misses
 
 
 def test_algebra_pickles_after_a_product():
@@ -846,6 +856,24 @@ def test_report_counts_outside_bounds_raise(count):
         A.division_algebra_report(A.algebra_by_name("o"), sample_count=count)
     with pytest.raises(A.AlgebraError):
         A.cross_axioms_report(A.cross_case("three"), trials=count)
+
+
+@pytest.mark.parametrize("seed", [None, 7.0, "7", True, False])
+def test_report_seeds_must_be_ints(seed):
+    """A report echoes its seed, so one that does not fix the draws (None
+    draws from the OS) is refused rather than echoed."""
+    with pytest.raises(A.AlgebraError, match="seed must be an int"):
+        A.division_algebra_report(A.algebra_by_name("sedenion"), 12, seed)
+    with pytest.raises(A.AlgebraError, match="seed must be an int"):
+        A.cross_axioms_report(A.cross_case("three"), 8, seed)
+
+
+@pytest.mark.parametrize("seed", [-3, 0, 2**70])
+def test_report_seeds_are_any_int(seed):
+    S, case = A.algebra_by_name("sedenion"), A.cross_case("three")
+    assert A.division_algebra_report(S, 2, seed) == A.division_algebra_report(S, 2, seed)
+    assert A.division_algebra_report(S, 2, seed).seed == seed
+    assert A.cross_axioms_report(case, 2, seed).seed == seed
 
 
 @pytest.mark.parametrize("lo, hi", [(-5, 5), (-4, 4), (-3, 3), (0, 0), (0, 7), (0, 8)])
@@ -1249,6 +1277,80 @@ def test_basis_terms_are_the_scaled_dense_products(ident):
 def test_epsilon_basis_terms_match_reference(ident):
     case = A.cross_case(ident)
     assert A._basis_terms(case) == ref_basis_terms(case)
+
+
+# (r, n) of every admitted case: epsilon (three is epsilon:3), seven,
+# triple8 and J
+GRAM_SHAPES = (
+    [(n - 1, n) for n in range(2, 9)]
+    + [(2, 7), (3, 8)]
+    + [(1, n) for n in range(2, PARAM_MAX + 1, 2)]
+)
+SHAPE_TAGS = {(2, 7): "seven", (3, 8): "triple8"}
+
+
+def ref_rotate(v):
+    """The block rotation J, (v0, v1, ...) -> (-v1, v0, ...), with J^2 = -I."""
+    out = []
+    for k in range(0, len(v), 2):
+        out += (-v[k + 1], v[k])
+    return out
+
+
+def ref_gram_check(x, rows):
+    """Orthogonality and the norm identity by dense dots and a Bareiss
+    determinant of the Gram matrix."""
+    gram = [[A._dot(a, b) for b in rows] for a in rows]
+    return not any(A._dot(x, a) for a in rows), A._dot(x, x) == A._det(gram)
+
+
+@pytest.mark.parametrize("r, n", GRAM_SHAPES)
+def test_gram_kernel_is_the_dot_and_determinant_check(r, n):
+    """On the shape's true product x (both checks hold), 2x (orthogonal,
+    wrong norm), x reversed (right norm, not orthogonal as a rule), a
+    random vector and, for r >= 2, x plus a vector orthogonal to the first
+    row only, each as ints, as whole ``Fraction``s and halved."""
+    tag = SHAPE_TAGS.get((r, n), "complex_structure" if r == 1 and n % 2 == 0 else "epsilon")
+    cross, check = A._case_kernel(tag, n), A._gram_kernel(r, n)
+    rng = random.Random(100 * r + n)
+    seen = set()
+    for _ in range(25):
+        rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(r)]
+        x = cross(rows)
+        ys = [x, [2 * c for c in x], x[::-1], [rng.randint(-4, 4) for _ in range(n)]]
+        if r > 1:
+            a, b = rows[0], rows[-1]
+            ys.append([c + A._dot(a, a) * q - A._dot(a, b) * p for c, p, q in zip(x, a, b)])
+        for y in ys:
+            for z in (y, [F(c) for c in y], [F(c, 2) for c in y]):
+                got = check(z, rows)
+                assert got == ref_gram_check(z, rows), (rows, z)
+                seen.add(got)
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+@pytest.mark.parametrize("n", sorted({n for _, n in GRAM_SHAPES}))
+def test_lin_kernel_is_the_combination(n):
+    lin, rng = A._lin_kernel(n), random.Random(n)
+    for _ in range(20):
+        a, b = rng.randint(-3, 3), rng.choice([rng.randint(-3, 3), F(rng.randint(-3, 3), 2)])
+        u = [rng.randint(-4, 4) for _ in range(n)]
+        v = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
+        assert lin(a, u, b, v) == [a * p + b * q for p, q in zip(u, v)]
+
+
+@pytest.mark.parametrize("n", range(2, PARAM_MAX + 1, 2))
+def test_rotation_kernel_is_the_block_rotation(n):
+    """The generated J keeps each value's type: ints on the report's
+    samples, ``Fraction``s in ``cross_product``."""
+    cross, rng = A._case_kernel("complex_structure", n), random.Random(n)
+    for _ in range(10):
+        for v in ([rng.randint(-4, 4) for _ in range(n)], [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]):
+            args = [list(v)]
+            got, want = cross(args), ref_rotate(v)
+            assert got == want and list(map(type, got)) == list(map(type, want))
+            assert args == [v]
+            assert A.cross_product(A.cross_case(f"j:{n}"), [v]) == tuple(map(F, want))
 
 
 def test_cross_errors():
