@@ -117,9 +117,9 @@ def as_element(coeffs: Iterable) -> Element:
 def _clear(coeffs: Iterable) -> tuple[list[int], int]:
     """Integers m and the positive lcm d of the denominators, with
     coeffs = m / d."""
-    fs = [_frac(c) for c in coeffs]
-    d = lcm(*(c.denominator for c in fs))
-    return [c.numerator * (d // c.denominator) for c in fs], d
+    pairs = [_frac(c).as_integer_ratio() for c in coeffs]
+    d = lcm(*(q for _, q in pairs))
+    return [p * (d // q) for p, q in pairs], d
 
 
 def _element(ints: Iterable, den: int = 1) -> Element:
@@ -1057,9 +1057,9 @@ class Chirotope:
         from . import matroids
 
         # the ground bound first: it also bounds the masks ``_column_masks`` caches
-        ground = matroids._ground(range(1, self.n + 1))
-        masks = [b for b, sg in zip(_column_masks(self.n, self.r), self.signs) if sg != 0]
-        return matroids._validated(matroids._from_masks(ground, masks))
+        matroids._within(self.n, matroids.GROUND_BOUND)
+        masks = itertools.compress(_column_masks(self.n, self.r), self.signs)
+        return matroids._validated(matroids._from_masks(tuple(range(1, self.n + 1)), masks))
 
 
 @lru_cache(maxsize=None)
@@ -1080,9 +1080,7 @@ def chirotope_of_configuration(points: Sequence[Sequence]) -> Chirotope:
         raise BadDims("configuration capped at 10 points of rank at most 4")
     # scaling every point by the positive lcm of all denominators keeps
     # every sign; the points are the columns of the r x n coordinate matrix
-    coords = [_frac(c) for p in points for c in p]
-    den = lcm(*[c.denominator for c in coords])
-    ints = [c.numerator * (den // c.denominator) for c in coords]
+    ints, _ = _clear(c for p in points for c in p)
     minors = _minors([ints[i::r] for i in range(r)], n)
     signs = tuple((d > 0) - (d < 0) for d in minors)
     if not any(signs):

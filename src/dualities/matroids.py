@@ -259,12 +259,12 @@ class Matroid:
         over the 2^n subsets: the k-element independent sets and every
         set above them, one shift per element."""
         n = len(self.ground)
-        indep, by_size = _independent(self._masks, n), _by_size(n)
+        indep, by_size, lacks = _independent(self._masks, n), _by_size(n), _lacks(n)
         levels = []
         for k in range(1, self.rank + 1):
             level = indep & by_size[k]
-            for i in range(n):
-                level |= (level & _lacking(i, n)) << (1 << i)
+            for i, lack in enumerate(lacks):
+                level |= (level & lack) << (1 << i)
             levels.append(level)
         return tuple(levels)
 
@@ -459,15 +459,17 @@ def _check_family(m: Matroid) -> None:
 
 
 @lru_cache(maxsize=None)
-def _lacking(i: int, n: int) -> int:
-    """The subsets of n elements that lack element i."""
-    if i < 3:
-        unit = bytes([(0x55, 0x33, 0x0F)[i]])
-    else:
-        half = 1 << (i - 3)
-        unit = b"\xff" * half + b"\x00" * half
-    count = max(1, (1 << n) >> 3) // len(unit)
-    return int.from_bytes(unit * count, "little") & ((1 << (1 << n)) - 1)
+def _lacks(n: int) -> tuple[int, ...]:
+    """Entry i is the family of the subsets of n elements that lack element i."""
+    size, full, out = max(1, (1 << n) >> 3), (1 << (1 << n)) - 1, []
+    for i in range(n):
+        if i < 3:
+            unit = bytes([(0x55, 0x33, 0x0F)[i]])
+        else:
+            half = 1 << (i - 3)
+            unit = b"\xff" * half + b"\x00" * half
+        out.append(int.from_bytes(unit * (size // len(unit)), "little") & full)
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -490,8 +492,8 @@ def _family(masks: Iterable[int], n: int) -> int:
 def _independent(masks: Iterable[int], n: int) -> int:
     """The family of the subsets of n elements inside some of ``masks``."""
     indep = _family(masks, n)
-    for i in range(n):
-        indep |= indep >> (1 << i) & _lacking(i, n)
+    for i, lack in enumerate(_lacks(n)):
+        indep |= indep >> (1 << i) & lack
     return indep
 
 
@@ -513,8 +515,7 @@ def _spans(m: Matroid) -> list[int]:
     n, odd = len(m.ground), 0
     for level in m._levels:
         odd ^= level
-    lacking = [_lacking(i, n) for i in range(n)]
-    return [lack ^ (odd >> (1 << i) ^ odd) & lack for i, lack in enumerate(lacking)]
+    return [lack ^ (odd >> (1 << i) ^ odd) & lack for i, lack in enumerate(_lacks(n))]
 
 
 def _rank_axioms_hold(m: Matroid) -> bool:
@@ -903,8 +904,8 @@ def _cyclic_flats(m: Matroid) -> dict[int, int]:
     """
     n = len(m.ground)
     found = (1 << (1 << n)) - 1
-    for i, s in enumerate(_spans(m)):
-        found &= (_lacking(i, n) ^ s) | s << (1 << i)
+    for i, (lack, s) in enumerate(zip(_lacks(n), _spans(m))):
+        found &= (lack ^ s) | s << (1 << i)
     levels = [level.to_bytes(max(1, (1 << n) >> 3), "little") for level in m._levels]
     return {f: sum(level[f >> 3] >> (f & 7) & 1 for level in levels) for f in _members_of(found)}
 
@@ -918,11 +919,12 @@ def _transversals(sets: list[int], n: int) -> int:
     so level k is {t + e : t in level k - 1, e in A_k - t}, one shift of
     the table per element of A_k.
     """
+    lacks = _lacks(n)
     level = 1  # the empty set
     for s in sets:
         nxt = 0
         for e in _bits(s):
-            nxt |= (level & _lacking(e, n)) << (1 << e)
+            nxt |= (level & lacks[e]) << (1 << e)
         level = nxt
     return level
 
@@ -1071,8 +1073,8 @@ def _circuits(m: Matroid) -> tuple[int, ...]:
     n = len(m.ground)
     dep = (1 << (1 << n)) - 1 & ~_independent(m._masks, n)
     above = 0  # the dependent sets with a dependent set one element smaller
-    for i in range(n):
-        above |= (dep & _lacking(i, n)) << (1 << i)
+    for i, lack in enumerate(_lacks(n)):
+        above |= (dep & lack) << (1 << i)
     return tuple(sorted(_members_of(dep & ~above), key=int.bit_count))
 
 

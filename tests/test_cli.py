@@ -241,6 +241,68 @@ def test_help_exits_0(capsys, domain, action):
     assert capsys.readouterr().out.startswith(f"usage: dualities {domain} {action}")
 
 
+TOP_USAGE = "usage: dualities [-h] {matroid,graph,complex,algebra} ...\n"
+TOP_HELP = TOP_USAGE + (
+    "\n"
+    "Exact duality computations: matroids, embedded graphs, simplicial complexes,\n"
+    "hypercomplex algebras.\n"
+    "\n"
+    "positional arguments:\n"
+    "  {matroid,graph,complex,algebra}\n"
+    "    matroid             matroid operations\n"
+    "    graph               graph and embedding operations\n"
+    "    complex             simplicial-complex operations\n"
+    "    algebra             hypercomplex algebra operations\n"
+    "\n"
+    "options:\n"
+    "  -h, --help            show this help message and exit\n"
+)
+MATROID_USAGE = (
+    "usage: dualities matroid [-h]\n"
+    "                         {validate,dual,classify,check-duality,minor,isomorphic,has-minor}\n"
+    "                         ...\n"
+)
+MATROID_HELP = MATROID_USAGE + (
+    "\n"
+    "positional arguments:\n"
+    "  {validate,dual,classify,check-duality,minor,isomorphic,has-minor}\n"
+    "\n"
+    "options:\n"
+    "  -h, --help            show this help message and exit\n"
+)
+
+# The exact (exit code, stdout, stderr) of the top-level help and usage
+# errors at 80 columns: a parser that builds only part of the command
+# tree must still name every domain in these lines.
+TOP_LEVEL_OUTPUT = {
+    (): (2, "", TOP_USAGE + "dualities: error: the following arguments are required: domain\n"),
+    ("--help",): (0, TOP_HELP, ""),
+    ("matroid",): (2, "", MATROID_USAGE + "dualities matroid: error: the following arguments are required: action\n"),
+    ("matroid", "--help"): (0, MATROID_HELP, ""),
+    ("frobnicate",): (
+        2,
+        "",
+        TOP_USAGE + "dualities: error: argument domain: invalid choice: 'frobnicate' "
+        "(choose from 'matroid', 'graph', 'complex', 'algebra')\n",
+    ),
+    ("matroid", "validate", "fano", "--bogus"): (2, "", TOP_USAGE + "dualities: error: unrecognized arguments: --bogus\n"),
+    ("graph", "euler", "cube", "--trials", "5"): (
+        2,
+        "",
+        TOP_USAGE + "dualities: error: unrecognized arguments: --trials 5\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", TOP_LEVEL_OUTPUT, ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_top_level_usage_bytes(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out = capsys.readouterr()
+    assert (exc.value.code, out.out, out.err) == TOP_LEVEL_OUTPUT[argv]
+
+
 # The positional arguments of one valid call of every command.
 EXAMPLES = {
     ("matroid", "validate"): ["fano"],

@@ -330,17 +330,27 @@ def test_rank_table_agrees_with_pair_scan(seed, n):
 
 
 def test_by_size_is_the_inline_construction():
-    """The cached per-size families: the construction ``_rank_axioms_hold``
-    ran inline, and for n <= 10 the subsets counted by popcount."""
-    for n in range(21):
-        by_size = [1]
+    """The cached per-size and per-element families: the construction
+    ``_rank_axioms_hold`` ran inline, the same element-by-element doubling
+    for the subsets lacking each element, and for n <= 10 the subsets
+    counted by popcount or read by bit."""
+    for n in range(M.TABLE_BOUND + 1):
+        by_size, lacks = [1], []
         for i in range(n):
             by_size = [a | b << (1 << i) for a, b in zip(by_size + [0], [0] + by_size)]
+            # a subset lacking j < i lacks it with or without i; lacking i, it
+            # is any subset of the first i elements
+            lacks = [f | f << (1 << i) for f in lacks] + [(1 << (1 << i)) - 1]
         assert M._by_size(n) == tuple(by_size)
+        assert M._lacks(n) == tuple(lacks)
         if n <= 10:
             for k, family in enumerate(M._by_size(n)):
                 assert family == sum(1 << x for x in range(1 << n) if x.bit_count() == k)
-    M._by_size.cache_clear()  # the n = 20 entry alone holds 2.75 MB
+            for i, family in enumerate(M._lacks(n)):
+                assert family == sum(1 << x for x in range(1 << n) if not x >> i & 1)
+    # the n = 20 entries alone hold 2.75 MB and 2.5 MB
+    M._by_size.cache_clear()
+    M._lacks.cache_clear()
 
 
 def test_rank_table_rejection_carries_the_pair_witness():
