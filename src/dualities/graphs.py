@@ -248,8 +248,9 @@ def dual_embedding(emb: Embedding) -> Embedding:
     edges = tuple(
         (face_of[(e, 0)], face_of[(e, 1)]) for e in range(len(emb.graph.edges))
     )
-    rotation = tuple(tuple(face) for face in traced.faces)
-    return Embedding(Multigraph(len(traced.faces), edges), rotation)
+    # an edgeless map has no dart orbits but one face: its dual is itself
+    rotation = tuple(tuple(face) for face in traced.faces) or ((),)
+    return Embedding(Multigraph(len(rotation), edges), rotation)
 
 
 def _walk(rot_next: dict[Dart, Dart], start: Dart) -> list[int]:

@@ -21,8 +21,8 @@ decide graphic and cographic, and an excluded-minor search runs only to
 witness a side that has none.  Transversality is decided from the
 lattice of cyclic flats, which fixes the only candidate presentation.
 Circuits, cyclic flats and the check of that presentation are computed
-for every subset at once, on bitsets over all 2^n subsets (``TABLE_BOUND``),
-the flats on the rank table that each matroid keeps (``Matroid._levels``).
+for every subset at once, on one table of all 2^n subsets per matroid,
+built once (``Matroid._independent``), and the rank table on it (``_levels``).
 """
 
 from __future__ import annotations
@@ -253,13 +253,28 @@ class Matroid:
         return _circuits(self)
 
     @cached_property
+    def _independent(self) -> int:
+        """The one subset table, built on first read: the independent sets,
+        the downward closure of the bases, as a bitset over the 2^n
+        subsets, one byte fill and one shift per element.  The bases of a
+        matroid are its rank-sized members (Oxley, Matroid Theory, 1.2)."""
+        n = len(self.ground)
+        table = bytearray(max(1, (1 << n) >> 3))
+        for b in self._masks:
+            table[b >> 3] |= 1 << (b & 7)
+        indep = int.from_bytes(table, "little")
+        for i, lack in enumerate(_lacks(n)):
+            indep |= indep >> (1 << i) & lack
+        return indep
+
+    @cached_property
     def _levels(self) -> tuple[int, ...]:
         """The rank table, built on first read: entry k - 1 is the family
         L_k of the subsets X with r(X) >= k, for k = 1..rank, as a bitset
-        over the 2^n subsets: the k-element independent sets and every
-        set above them, one shift per element."""
+        over the 2^n subsets: the k-element members of the one subset table,
+        built once (``_independent``), and, by shifts, every set above them."""
         n = len(self.ground)
-        indep, by_size, lacks = _independent(self._masks, n), _by_size(n), _lacks(n)
+        indep, by_size, lacks = self._independent, _by_size(n), _lacks(n)
         levels = []
         for k in range(1, self.rank + 1):
             level = indep & by_size[k]
@@ -387,7 +402,7 @@ def _labels(ground: Iterable[int], bound: int = TABLE_BOUND) -> tuple[int, ...]:
     g = tuple(ground)
     if len(set(g)) != len(g):
         raise MatroidError("ground labels must be distinct")
-    if any(not isinstance(e, int) for e in g):
+    if any(not isinstance(e, int) or isinstance(e, bool) for e in g):
         raise MatroidError("ground labels must be integers")
     _within(len(g), bound)
     return g
@@ -403,8 +418,8 @@ def _validated(m: Matroid) -> Matroid:
     (every matroid has n <= TABLE_BOUND elements), in ``_rank_axioms_hold``
     when that is cheaper: 2-8 ns per unit of n * 2^n at n >= 12, hence the
     weight 100 (CPython 3.11, x86-64); the check then only names a
-    rejection's witness.  An accepted matroid keeps that table for its
-    cyclic flats.
+    rejection's witness.  An accepted matroid keeps that table and the one
+    subset table under it, built once, for its circuits and cyclic flats.
     """
     masks, n = m._masks, len(m.ground)
     if not masks:
@@ -481,22 +496,6 @@ def _by_size(n: int) -> tuple[int, ...]:
     return tuple(by_size)
 
 
-def _family(masks: Iterable[int], n: int) -> int:
-    """The family of the subsets ``masks`` of n elements."""
-    table = bytearray(max(1, (1 << n) >> 3))
-    for b in masks:
-        table[b >> 3] |= 1 << (b & 7)
-    return int.from_bytes(table, "little")
-
-
-def _independent(masks: Iterable[int], n: int) -> int:
-    """The family of the subsets of n elements inside some of ``masks``."""
-    indep = _family(masks, n)
-    for i, lack in enumerate(_lacks(n)):
-        indep |= indep >> (1 << i) & lack
-    return indep
-
-
 _BYTE_BITS = tuple(tuple(_bits(v)) for v in range(256))
 
 
@@ -546,12 +545,12 @@ def _moved(m: Matroid, place: dict[int, int]) -> list[int]:
 
 
 def relabel(m: Matroid, mapping: dict[int, int]) -> Matroid:
-    """Rename ground elements through an injective mapping."""
-    if sorted(mapping) != list(m.ground):
+    """Rename ground elements through an injective mapping onto integers."""
+    if mapping.keys() != set(m.ground):
         raise MatroidError("mapping must cover the ground set exactly")
     if len(set(mapping.values())) != len(mapping):
         raise MatroidError("mapping must be injective")
-    ground = tuple(sorted(mapping.values()))
+    ground = _ground(mapping.values(), TABLE_BOUND)
     where = {v: i for i, v in enumerate(ground)}
     return _from_masks(ground, _moved(m, {e: where[v] for e, v in mapping.items()}))
 
@@ -958,8 +957,9 @@ def _decide_transversal(m: Matroid) -> _Transversal:
     The flats are visited by decreasing size and then increasing mask, so
     a negative beta names the first such flat in that order.  Those
     r-subsets are built all at once, set by set, on the table of all 2^n
-    subsets (``_transversals``; n <= TABLE_BOUND, as for every matroid)
-    and compared with the bases.  A disagreement is named by the first
+    subsets (``_transversals``), and compared with the bases: the r-sets
+    of the one subset table, built once (``m._independent``), which also
+    gave the cyclic flats.  A disagreement is named by the first
     r-subset of the non-loops, in combination order, on which they
     differ, and the witness counts the r-subsets up to it as matched;
     agreement counts them all.
@@ -989,7 +989,7 @@ def _decide_transversal(m: Matroid) -> _Transversal:
     listed = ", ".join(map(show, sets))
     nonloops = [i for i, e in enumerate(g) if e not in m.loops]
     hits = _transversals(sets, n)
-    differ = _members_of(hits ^ _family(m._masks, n))
+    differ = _members_of(hits ^ m._independent & _by_size(n)[r])
     if differ:
         mask = min(differ, key=lambda x: [*_bits(x)])
         place = {p: k for k, p in enumerate(nonloops)}
@@ -1012,12 +1012,11 @@ def transversal_presentation(
     """The maximal presentation of ``m``: r subsets whose partial
     transversals are its independent sets, or None if it has none.
 
-    Decided by ``_decide_transversal`` from the cyclic flats, read off
-    the rank table that validation built or that is built on first need,
-    by checking the only candidate presentation against the bases on a
-    table of all 2^n subsets (n <= ``TABLE_BOUND``); returns (presentation
-    or None, number of cyclic flats examined).  The full verdict, with
-    its witness text, is kept as ``m._transversal``.
+    Decided by ``_decide_transversal`` from the cyclic flats, by checking
+    the only candidate presentation against the bases on tables of all
+    2^n subsets; returns (presentation or None, number of cyclic flats
+    examined).  The full verdict, with its witness text, is kept as
+    ``m._transversal``.
     """
     t = m._transversal
     return t.presentation, t.flats
@@ -1063,15 +1062,14 @@ def _circuits(m: Matroid) -> tuple[int, ...]:
     """Every circuit as an element-index mask, by size and then mask;
     read them from ``m._circuit_masks``, which keeps them.
 
-    The circuits are the minimal dependent sets.  On the table of all
-    2^n subsets (n <= TABLE_BOUND, as for every matroid), the
-    dependent sets are those outside the downward closure of the bases,
-    and the non-minimal ones are X + i for a dependent X lacking i: one
-    shift per element marks them all, and the rest are read off the
-    table's bytes.
+    The circuits are the minimal dependent sets.  The dependent sets are
+    the complement of the one subset table, built once
+    (``m._independent``), and the non-minimal ones are X + i for a
+    dependent X lacking i: one shift per element marks them all, and the
+    rest are read off the table's bytes.
     """
     n = len(m.ground)
-    dep = (1 << (1 << n)) - 1 & ~_independent(m._masks, n)
+    dep = (1 << (1 << n)) - 1 & ~m._independent
     above = 0  # the dependent sets with a dependent set one element smaller
     for i, lack in enumerate(_lacks(n)):
         above |= (dep & lack) << (1 << i)
@@ -1234,8 +1232,8 @@ def classify(m: Matroid) -> ClassificationReport:
     it.  A side without a realization is scanned for its first excluded
     minor, the negative witness: U(2,4) if not binary, else Fano, dual
     Fano, dual M(K5), dual M(K3,3), of which a regular ``m`` skips the
-    first two.  Transversality is decided by ``transversal_presentation``:
-    the maximal presentation, or the cyclic flat or r-subset ruling every
+    first two.  Transversality is read once, from ``m._transversal``: the
+    maximal presentation, or the cyclic flat or r-subset ruling every
     presentation out, with the cyclic flats and r-subsets examined.
     """
     sides = {"graphic": m, "cographic": m.dual()}
@@ -1266,10 +1264,9 @@ def classify(m: Matroid) -> ClassificationReport:
         }
     witnesses.update(texts)
 
-    pres, _ = transversal_presentation(m)
-    transversal = pres is not None
-    witnesses["transversal"] = m._transversal.witness  # cached by that call
-
+    verdict = m._transversal
+    witnesses["transversal"] = verdict.witness
+    transversal = verdict.presentation is not None
     graphic, cographic = (key in realized for key in sides)
     return ClassificationReport(binary, regular, graphic, cographic, transversal, witnesses)
 

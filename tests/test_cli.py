@@ -137,6 +137,13 @@ def test_graph_euler_and_dual_of_thirty_edge_solids(capsys, name, faces):
     assert code == 0 and data["vertices"] == faces
 
 
+def test_graph_dual_of_the_edgeless_map(capsys):
+    code, data = run_json(capsys, "graph", "dual", "genus:0")
+    assert code == 0 and data == {"vertices": 1, "edges": [], "rotation": [[]]}
+    code, out, _ = run(capsys, "graph", "dual", "genus:0")
+    assert code == 0 and out.splitlines()[0] == "v: 1"
+
+
 def test_graph_blocks(capsys):
     code, data = run_json(capsys, "graph", "blocks", "path:4")
     assert code == 0 and len(data["blocks"]) == 3

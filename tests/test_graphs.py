@@ -162,6 +162,16 @@ def test_dual_dual_is_original():
         assert_isomorphic_graphs(G.dual_embedding(G.dual_embedding(emb)).graph, emb.graph)
 
 
+def test_dual_of_the_edgeless_map_is_itself():
+    # one vertex, no edges: one face, so the dual has one vertex (V* = F)
+    emb = G.named_embedding("genus:0")
+    assert G.trace_faces(emb).face_count == 1
+    d = G.dual_embedding(emb)
+    assert d == emb == G.Embedding(G.Multigraph(1, ()), ((),))
+    assert G.trace_faces(d).face_count == emb.graph.vertex_count
+    assert G.dual_embedding(d) == emb
+
+
 def relabelled(emb, seed):
     """``emb`` with its edges shuffled and some of them reversed."""
     rng = random.Random(seed)

@@ -1,13 +1,14 @@
 """The bitset matroid searches against the per-candidate loops they replace.
 
-``ref_circuits`` is the basis scan (each circuit is the fundamental
-circuit of one of its elements in a basis holding the rest),
-``ref_cyclic_flats`` joins the closures of the circuits, each closure
-one pass over the bases, ``ref_decide_transversal`` checks the candidate
-presentation by one bipartite matching per r-subset, and
-``ref_is_isomorphic`` backtracks pruned by colors and pair counts only.
-The library must agree with them exactly: the same circuit tuples, the
-same cyclic flats with their ranks, the same ``_Transversal`` triples
+``ref_independent`` lists every subset of every basis, ``ref_circuits``
+is the basis scan (each circuit is the fundamental circuit of one of its
+elements in a basis holding the rest), ``ref_cyclic_flats`` joins the
+closures of the circuits, each closure one pass over the bases,
+``ref_decide_transversal`` checks the candidate presentation by one
+bipartite matching per r-subset, and ``ref_is_isomorphic`` backtracks
+pruned by colors and pair counts only.  The library must agree with them
+exactly: the same independent sets, the same circuit tuples, the same
+cyclic flats with their ranks, the same ``_Transversal`` triples
 (presentation, cyclic flats, witness text) and the same (verdict,
 bijection) pairs.
 """
@@ -15,6 +16,7 @@ bijection) pairs.
 import itertools
 import random
 import time
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings
@@ -88,6 +90,20 @@ def ref_cyclic_flats(m):
                 flats[j] = rank
                 todo.append(j)
     return flats
+
+
+def ref_independent(m):
+    """The independent sets as a bitset over the 2^n subsets, bit X set
+    for each X inside some basis: every submask of every basis, listed."""
+    found = set()
+    for b in m._masks:
+        x = b
+        while True:
+            found.add(x)
+            if not x:
+                break
+            x = (x - 1) & b
+    return sum(1 << x for x in found)
 
 
 def ref_has_transversal(elems, sets):
@@ -263,6 +279,61 @@ NAMED = ["fano", "fano_dual", "mk4", "mk5", "mk33", "uniform:0,3", "uniform:2,4"
 
 
 # ---------------------------------------------------------------------------
+# the subset table
+
+
+@pytest.mark.parametrize("name", NAMED)
+def test_independent_sets_of_named_matroids_match_enumeration(name):
+    m = M.parse_named(name)
+    assert plain(m)._independent == ref_independent(m)
+    assert m.dual()._independent == ref_independent(m.dual())
+
+
+@PROPERTY
+@given(seeds, st.integers(0, 12))
+def test_independent_sets_match_enumeration(seed, n):
+    m = random_kernel_matroid(random.Random(seed), n)
+    assert plain(m)._independent == ref_independent(m)
+
+
+def test_independent_sets_of_rank_zero_and_empty_ground():
+    empty = M.Matroid((), (frozenset(),))
+    assert empty._independent == ref_independent(empty) == 1
+    for n in range(5):
+        loops = M.make_matroid(range(n), [[]])
+        assert loops._independent == ref_independent(loops) == 1
+    assert LOOP._independent == 1 and COLOOP._independent == 0b11
+
+
+def counted(monkeypatch, name):
+    """Replace the cached property ``name`` of ``Matroid`` by one that
+    lists each matroid it is built for."""
+    built = []
+    build = vars(M.Matroid)[name].func
+
+    def counting(m):
+        built.append(m)
+        return build(m)
+
+    prop = cached_property(counting)
+    prop.__set_name__(M.Matroid, name)
+    monkeypatch.setattr(M.Matroid, name, prop)
+    return built
+
+
+@pytest.mark.parametrize("name", NAMED)
+def test_classify_builds_each_table_once(monkeypatch, name):
+    """On a fresh matroid ``classify`` builds the subset table once for
+    it and once for its dual, and the rank table once, for it alone."""
+    M._graphic_targets()  # the excluded minors are validated once, here
+    m = plain(M.parse_named(name))
+    tables, levels = counted(monkeypatch, "_independent"), counted(monkeypatch, "_levels")
+    M.classify(m)
+    assert len(tables) == 2 and tables[0] is m and tables[1] == m.dual()
+    assert len(levels) == 1 and levels[0] is m
+
+
+# ---------------------------------------------------------------------------
 # circuits
 
 
@@ -406,10 +477,11 @@ def test_cyclic_flats_of_a_sixteen_element_binary_matroid():
 
 def test_minor_search_and_isomorphism_build_no_rank_table(monkeypatch):
     """The candidates of ``has_minor`` and both sides of ``is_isomorphic``
-    never build the 2^n-subset levels."""
+    never build the 2^n-subset levels or the subset table under them."""
     hosts = [M.parse_named(name) for name in ("mk5", "mk33", "fano", "uniform:6,12")] + [binary_sixteen()]
     targets = [M.parse_named(name) for name in ("uniform:2,4", "fano", "mk4")]
     monkeypatch.setattr(M.Matroid, "_levels", property(lambda m: pytest.fail("the rank table was built")))
+    monkeypatch.setattr(M.Matroid, "_independent", property(lambda m: pytest.fail("the subset table was built")))
     for host in hosts:
         for target in targets:
             M.has_minor(host, target)

@@ -41,7 +41,7 @@ def ref_make_matroid(ground, bases, bound=M.GROUND_BOUND):
     g = tuple(sorted(ground))
     if len(set(g)) != len(g):
         raise M.MatroidError("ground labels must be distinct")
-    if any(not isinstance(e, int) for e in g):
+    if any(not isinstance(e, int) or isinstance(e, bool) for e in g):
         raise M.MatroidError("ground labels must be integers")
     if len(g) > bound:
         raise M.GroundTooLarge(f"{len(g)} elements exceed the bound {bound}")

@@ -1136,3 +1136,24 @@ def test_relabel_errors():
         M.relabel(U23, {1: 5})
     with pytest.raises(M.MatroidError):
         M.relabel(U23, {1: 5, 2: 5, 3: 6})
+    with pytest.raises(M.MatroidError, match="^mapping must cover the ground set exactly$"):
+        M.relabel(U23, {1: 5, "b": 6, 3: 7})  # keys that do not sort together
+
+
+@pytest.mark.parametrize("images", [("a", "b", "c"), (1.5, 2, 3), ("a", 5, 6), (True, 5, 6), (4, 5, None)])
+def test_relabel_onto_non_integers_is_refused(images):
+    with pytest.raises(M.MatroidError, match="^ground labels must be integers$"):
+        M.relabel(U23, dict(zip(U23.ground, images)))
+
+
+@pytest.mark.parametrize("images", [("a", "a", 5), (True, 1, 5), (1.0, 1, 5)])
+def test_relabel_keeps_its_injectivity_message(images):
+    with pytest.raises(M.MatroidError, match="^mapping must be injective$"):
+        M.relabel(U23, dict(zip(U23.ground, images)))
+
+
+@pytest.mark.parametrize("ground", [[True, 2], [1, False], [True, False]])
+def test_boolean_ground_labels_are_refused(ground):
+    # json.dumps would write them as true/false, which parse_matroid refuses
+    with pytest.raises(M.MatroidError, match="^ground labels must be integers$"):
+        M.make_matroid(ground, [ground[:1]])
