@@ -1,18 +1,20 @@
 """Simplicial complexes, Betti numbers over GF(2), and surface checks.
 
-Complexes are downward-closed families of nonempty vertex sets.  Betti
-numbers use GF(2) boundary ranks, which is all the alternating-sum
-identity with the simplex counts needs and sidesteps torsion.  The
-genus-duality report reruns the planar rank/nullity exchange on
-higher-genus embeddings after padding both vertex counts with the genus.
+A complex is a downward-closed family of nonempty vertex sets, read
+through one face table of its simplices by dimension.  Betti numbers use
+GF(2) boundary ranks, which is all the alternating-sum identity with the
+simplex counts needs and sidesteps torsion.  The genus-duality report
+reruns the planar rank/nullity exchange on higher-genus embeddings after
+padding both vertex counts with the genus.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from . import gf2
 from . import graphs
@@ -29,6 +31,10 @@ class ComplexError(ValueError):
 
 class EmptyInput(ComplexError):
     """No maximal simplices given."""
+
+
+class MissingFace(ComplexError):
+    """A face of a given simplex is not in the family."""
 
 
 class TooLarge(ComplexError):
@@ -49,60 +55,93 @@ class NotASurface(ComplexError):
 
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """Downward-closed family of nonempty simplices (vertex frozensets)."""
+    """Nonempty, downward-closed family of nonempty simplices (frozensets
+    of int vertices).  The family is checked when its face table is
+    built, on the first read: ``EmptyInput`` for no simplex or an empty
+    one, ``ComplexError`` for a vertex that is not an int and
+    ``MissingFace`` for a facet of a simplex that is not in the family."""
 
     simplices: frozenset[frozenset[int]]
 
     @cached_property
+    def _faces(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """The one face table: entry d holds the d-simplices as sorted
+        vertex tuples, in increasing order."""
+        if not self.simplices or frozenset() in self.simplices:
+            raise EmptyInput("a complex needs a simplex, and no empty one")
+        vertices = set().union(*self.simplices)
+        _check_vertices(vertices)
+        by_size = itertools.groupby(sorted(self.simplices, key=len), len)
+        levels = {n: tuple(sorted(map(tuple, map(sorted, level)))) for n, level in by_size}
+        table = tuple(levels.get(n, ()) for n in range(1, max(levels) + 1))
+        # closed downward: each vertex is a 0-simplex, and each facet of a
+        # d-simplex, d >= 2, is a (d-1)-simplex; the first face missing in
+        # each dimension is collected and the lowest named
+        absent = [(v,) for v in sorted(vertices.difference(itertools.chain.from_iterable(table[0])))]
+        for d in range(2, len(table)):
+            known = set(table[d - 1]).__contains__
+            absent += itertools.islice(itertools.filterfalse(known, _facets(table[d], d)), 1)
+        if absent:
+            raise MissingFace(f"the face {list(absent[0])} is missing: a complex is closed downward")
+        return table
+
+    @property
     def dimension(self) -> int:
-        return max(len(s) for s in self.simplices) - 1
+        return len(self._faces) - 1
 
     @cached_property
     def alpha(self) -> tuple[int, ...]:
         """Simplex counts by dimension, alpha[i] = number of i-simplices."""
-        counts = [0] * (self.dimension + 1)
-        for s in self.simplices:
-            counts[len(s) - 1] += 1
-        return tuple(counts)
+        return tuple(map(len, self._faces))
 
     @cached_property
     def vertices(self) -> tuple[int, ...]:
-        return tuple(sorted({v for s in self.simplices for v in s}))
+        return tuple(v for (v,) in self._faces[0])
 
     @cached_property
     def maximal_simplices(self) -> tuple[frozenset[int], ...]:
-        # downward closure: a simplex lies in a larger one iff it is a facet
-        facets = {s - {v} for s in self.simplices for v in s}
-        return tuple(sorted(self.simplices - facets, key=lambda s: (len(s), tuple(sorted(s)))))
+        # a d-simplex lies in a larger one iff it is a facet of a (d+1)-simplex
+        faces = self._faces
+        covered = [set(_facets(faces[d], d)) for d in range(1, len(faces))] + [set()]
+        return tuple(frozenset(t) for level, cov in zip(faces, covered) for t in level if t not in cov)
 
     def simplices_of_dim(self, d: int) -> list[frozenset[int]]:
-        return sorted(
-            (s for s in self.simplices if len(s) == d + 1),
-            key=lambda s: tuple(sorted(s)),
-        )
+        return list(map(frozenset, self._faces[d])) if 0 <= d <= self.dimension else []
 
     def to_json_dict(self) -> dict:
         return {"maximal": [sorted(s) for s in self.maximal_simplices]}
 
 
+def _facets(level: tuple[tuple[int, ...], ...], d: int) -> Iterator[tuple[int, ...]]:
+    """The facets of the d-simplices in ``level``, each a sorted vertex tuple."""
+    return itertools.chain.from_iterable(map(itertools.combinations, level, itertools.repeat(d)))
+
+
+def _check_vertices(vertices: Iterable) -> None:
+    """Raise ``ComplexError`` unless every vertex's type is ``int``, so no bool."""
+    bad = set(map(type, vertices)) - {int}
+    if bad:
+        raise ComplexError(f"vertices must be integers, not {', '.join(sorted(t.__name__ for t in bad))}")
+
+
 def make_complex(maximal_simplices: Iterable[Iterable[int]]) -> SimplicialComplex:
     """Close the given simplices downward and build the complex; raises
-    ``TooLarge`` once the closure would pass ``SIMPLEX_BOUND`` simplices."""
-    maximal = [frozenset(int(v) for v in s) for s in maximal_simplices]
-    maximal = [s for s in maximal if s]
-    if not maximal:
-        raise EmptyInput("need at least one nonempty simplex")
-    closure: set[frozenset[int]] = set()
+    ``ComplexError`` for a vertex that is not an int and ``TooLarge``
+    once the closure would pass ``SIMPLEX_BOUND`` simplices."""
+    maximal = [tuple(s) for s in maximal_simplices]
+    _check_vertices(itertools.chain.from_iterable(maximal))
+    closure: set[tuple[int, ...]] = set()
     for s in maximal:
-        if (1 << len(s)) - 1 > SIMPLEX_BOUND:  # refused before any face is built
-            raise TooLarge(f"a simplex on {len(s)} vertices has more than {SIMPLEX_BOUND} faces")
-        elems = sorted(s)
+        elems = sorted(set(s))
+        if (1 << len(elems)) - 1 > SIMPLEX_BOUND:  # refused before any face is built
+            raise TooLarge(f"a simplex on {len(elems)} vertices has more than {SIMPLEX_BOUND} faces")
         for k in range(1, len(elems) + 1):
-            for sub in itertools.combinations(elems, k):
-                closure.add(frozenset(sub))
+            closure.update(itertools.combinations(elems, k))
         if len(closure) > SIMPLEX_BOUND:
             raise TooLarge(f"the closure has more than {SIMPLEX_BOUND} simplices")
-    return SimplicialComplex(frozenset(closure))
+    if not closure:
+        raise EmptyInput("need at least one nonempty simplex")
+    return SimplicialComplex(frozenset(map(frozenset, closure)))
 
 
 def euler_char_complex(k: SimplicialComplex) -> int:
@@ -112,25 +151,14 @@ def euler_char_complex(k: SimplicialComplex) -> int:
 
 def betti_numbers(k: SimplicialComplex) -> tuple[int, ...]:
     """GF(2) Betti numbers b_0..b_n from boundary-matrix ranks; the size
-    of ``k`` is capped once, by ``SIMPLEX_BOUND`` in ``make_complex``."""
-    n = k.dimension
-    by_dim = [k.simplices_of_dim(d) for d in range(n + 1)]
-    index = [
-        {s: i for i, s in enumerate(simps)} for simps in by_dim
-    ]
-    ranks = [0] * (n + 2)
-    for d in range(1, n + 1):
-        cols = []
-        for s in by_dim[d]:
-            col = 0
-            for face in itertools.combinations(sorted(s), d):
-                col |= 1 << index[d - 1][frozenset(face)]
-            cols.append(col)
-        ranks[d] = gf2.rank_of_rows(cols)
-    betti = tuple(
-        k.alpha[d] - ranks[d] - ranks[d + 1] for d in range(n + 1)
-    )
-    return betti
+    of ``k`` is capped once, by ``SIMPLEX_BOUND`` in ``make_complex``.
+    A d-simplex's column has a bit per facet, at its place in the table."""
+    faces = k._faces
+    ranks = [0] * (len(faces) + 1)
+    for d in range(1, len(faces)):
+        bit = {f: 1 << i for i, f in enumerate(faces[d - 1])}
+        ranks[d] = gf2.rank_of_rows(sum(map(bit.__getitem__, itertools.combinations(t, d))) for t in faces[d])
+    return tuple(a - ranks[d] - ranks[d + 1] for d, a in enumerate(k.alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -198,45 +226,36 @@ def named_complex(name: str, params: tuple[int, ...] = ()) -> SimplicialComplex:
 
 def is_closed_surface(k: SimplicialComplex) -> bool:
     """Pure 2-dimensional, every edge in exactly two triangles, and every
-    vertex link a single cycle.  One pass over the triangles counts them
-    per edge and groups them by vertex, so the test is linear in the
-    simplices: a vertex or an edge lies in a triangle exactly when it is
-    a vertex or an edge of one."""
+    vertex link a single cycle.  One pass over the triangles groups them
+    by vertex; the link edge of a vertex is the triangle's opposite edge,
+    so the links hold every triangle's edges once each.  Every vertex and
+    edge of a triangle is a face, so equal counts with ``alpha`` mean that
+    every vertex and edge lies in a triangle."""
     if k.dimension != 2:
         return False
-    edge_count: dict[tuple[int, int], int] = {}
-    links: dict[int, list[tuple[int, int]]] = {}
-    for t in k.simplices:
-        if len(t) == 3:
-            a, b, c = sorted(t)
-            for e in ((a, b), (a, c), (b, c)):
-                edge_count[e] = edge_count.get(e, 0) + 1
-            for v, e in ((a, (b, c)), (b, (a, c)), (c, (a, b))):
-                links.setdefault(v, []).append(e)
-    for s in k.simplices:
-        if len(s) == 1 and min(s) not in links:
-            return False
-        if len(s) == 2 and tuple(sorted(s)) not in edge_count:
-            return False
-    if any(c != 2 for c in edge_count.values()):
+    links: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
+    for a, b, c in k._faces[2]:
+        links[a].append((b, c))
+        links[b].append((a, c))
+        links[c].append((a, b))
+    edge_count = Counter(itertools.chain.from_iterable(links.values()))
+    if (len(links), len(edge_count)) != k.alpha[:2] or set(edge_count.values()) != {2}:
         return False
     # each link vertex w of v has degree 2, the count of triangles on the
-    # edge vw, so the link is a union of cycles: it must be connected
+    # edge vw, so the link is a union of cycles: walking the one through
+    # its first vertex must visit every link vertex
     for link_edges in links.values():
         adj: dict[int, list[int]] = {}
         for a, b in link_edges:
             adj.setdefault(a, []).append(b)
             adj.setdefault(b, []).append(a)
-        start = link_edges[0][0]
-        seen = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        if len(seen) != len(adj):
+        start, x = link_edges[0]
+        prev, length = start, 1
+        while x != start:
+            a, b = adj[x]
+            prev, x = x, b if a == prev else a
+            length += 1
+        if length != len(adj):
             return False
     return True
 

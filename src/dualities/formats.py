@@ -43,16 +43,26 @@ def read_records(text: str, keys: dict[str, int], error: type[Exception]) -> dic
     """Read the line format every input file shares, or a JSON object.
 
     JSON text is returned as the decoded object, whose fields are read
-    with ``json_ints``.  Otherwise each line, with ``#`` comments dropped,
-    is ``key [args]: tokens``; ``keys`` maps every accepted key to the
+    with ``json_ints``; a key repeated within one object raises
+    ``error``.  Otherwise each line, with ``#`` comments dropped, is
+    ``key [args]: tokens``; ``keys`` maps every accepted key to the
     number of integer arguments its head carries (``rot 3:`` carries
     one).  The result lists ``(key, ints)`` per line, head arguments
     first.
     """
     text = text.strip()
     if text.startswith("{"):
+
+        def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+            obj = {}
+            for key, value in pairs:
+                if key in obj:
+                    raise error(f"repeated JSON key {key!r}")
+                obj[key] = value
+            return obj
+
         try:
-            return json.loads(text)
+            return json.loads(text, object_pairs_hook=unique_keys)
         except json.JSONDecodeError as exc:
             raise error(f"bad JSON: {exc}") from None
     records = []

@@ -71,10 +71,13 @@ class Multigraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if self.vertex_count < 0:
-            raise EndpointOutOfRange("vertex_count must be nonnegative")
+        n = self.vertex_count
+        if type(n) is not int or n < 0:
+            raise EndpointOutOfRange("vertex_count must be a nonnegative integer")
         for i, (u, v) in enumerate(self.edges):
-            if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
+            if type(u) is not int or type(v) is not int:
+                raise EndpointOutOfRange(f"edge {i} endpoints must be integers: {(u, v)}")
+            if not (0 <= u < n and 0 <= v < n):
                 raise EndpointOutOfRange(f"edge {i} endpoint out of range: {(u, v)}")
 
     @cached_property
@@ -110,7 +113,7 @@ class Multigraph:
 
 
 def make_graph(vertex_count: int, edge_list: Iterable[tuple[int, int]]) -> Multigraph:
-    return Multigraph(vertex_count, tuple((int(u), int(v)) for u, v in edge_list))
+    return Multigraph(vertex_count, tuple((u, v) for u, v in edge_list))
 
 
 @dataclass(frozen=True)
@@ -872,6 +875,8 @@ def _graph_of(data) -> Multigraph:
             if key == "v":
                 if len(vals) != 1:
                     raise GraphError("'v:' takes one vertex count")
+                if nv is not None:
+                    raise GraphError("more than one 'v:' line")
                 (nv,) = vals
             elif key == "e":
                 edges.append(vals)
@@ -912,6 +917,8 @@ def parse_embedding(text: str) -> Embedding:
             raise GraphError(f"rot vertex {v} outside 0..{g.vertex_count - 1}")
         if 0 in refs:
             raise GraphError("signed edge references are 1-based")
+        if v in seen_rot:
+            raise GraphError(f"more than one 'rot {v}:' line")
         rot[v] = tuple((abs(k) - 1, 0 if k > 0 else 1) for k in refs)
         seen_rot.add(v)
     if not {v for edge in g.edges for v in edge} <= seen_rot:

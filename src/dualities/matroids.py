@@ -1285,4 +1285,6 @@ def parse_matroid(text: str, bound: int = GROUND_BOUND) -> Matroid:
     grounds = [vals for key, vals in data if key == "ground"]
     if not grounds:
         raise BadInput("missing 'ground:' line")
-    return make_matroid(grounds[-1], [vals for key, vals in data if key == "basis"], bound=bound)
+    if len(grounds) > 1:
+        raise BadInput("more than one 'ground:' line")
+    return make_matroid(grounds[0], [vals for key, vals in data if key == "basis"], bound=bound)

@@ -536,6 +536,26 @@ def test_malformed_input_exit_2(capsys, tmp_path, argv):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (("matroid", "validate", "ground: 1 2\nground: 3\nbasis: 3\n"), "'ground:'"),
+        (("graph", "invariants", "v: 2\nv: 3\ne: 0 1\n"), "'v:'"),
+        (("graph", "euler", "v: 1\ne: 0 0\nrot 0: 1 -1\nrot 0: -1 1\n"), "'rot 0:'"),
+        (("matroid", "validate", '{"ground": [1, 2], "ground": [3], "bases": [[3]]}'), "key 'ground'"),
+        (("graph", "invariants", '{"vertices": 2, "vertices": 3, "edges": []}'), "key 'vertices'"),
+        (("complex", "betti", '{"maximal": [[1, 2]], "maximal": [[1]]}'), "key 'maximal'"),
+    ],
+    ids=lambda v: v[1] if isinstance(v, tuple) else None,
+)
+def test_a_repeated_one_per_file_record_exit_2(capsys, tmp_path, argv, key):
+    """A second record that would silently replace the first is an input error naming it."""
+    path = tmp_path / "in.txt"
+    path.write_text(argv[2])
+    code, out, err = run(capsys, argv[0], argv[1], str(path))
+    assert code == 2 and out == "" and key in err
+
+
 @pytest.mark.parametrize("source", ["v: 3000000\n", '{"vertices": 3000000, "edges": []}'])
 def test_vertex_count_bound_exit_2(capsys, tmp_path, source):
     path = tmp_path / "huge.txt"

@@ -1,3 +1,4 @@
+import functools
 import inspect
 import itertools
 import random
@@ -7,6 +8,7 @@ import pytest
 
 from dualities import complexes as C
 from dualities import graphs as G
+from dualities.gf2 import rank_of_rows
 
 from generators import disjoint_union_embeddings, random_cellular_embedding
 
@@ -66,6 +68,42 @@ def test_empty_input():
         C.make_complex([[]])
 
 
+def test_a_family_that_is_not_a_complex_is_refused_on_first_read():
+    F = frozenset
+    with pytest.raises(C.EmptyInput):
+        C.SimplicialComplex(F()).dimension
+    with pytest.raises(C.EmptyInput):
+        C.SimplicialComplex(F({F(), F({1})})).alpha
+    with pytest.raises(C.MissingFace, match=r"the face \[1\] is missing"):
+        C.betti_numbers(C.SimplicialComplex(F({F({1, 2})})))
+    # the lowest missing face is named: vertex 3, then the edge [1, 3]
+    with pytest.raises(C.MissingFace, match=r"the face \[3\] is missing"):
+        C.SimplicialComplex(F({F({1}), F({2}), F({1, 2, 3})})).vertices
+    with pytest.raises(C.MissingFace, match=r"the face \[1, 3\] is missing"):
+        C.is_closed_surface(C.SimplicialComplex(F({F({1}), F({2}), F({3}), F({1, 2}), F({1, 2, 3})})))
+    with pytest.raises(C.MissingFace, match=r"the face \[0, 1, 2\] is missing"):
+        C.SimplicialComplex(C.make_complex([range(4)]).simplices - {F({0, 1, 2})}).alpha
+
+
+@pytest.mark.parametrize("vertices", [(1.5,), ("a", 1), (True,), (2, None)])
+def test_a_simplex_vertex_must_be_an_int(vertices):
+    F = frozenset
+    family = F({F(vertices)} | {F({v}) for v in vertices})
+    with pytest.raises(C.ComplexError, match="vertices must be integers"):
+        C.SimplicialComplex(family).dimension
+    with pytest.raises(C.ComplexError, match="vertices must be integers"):
+        C.make_complex([vertices])
+
+
+def test_make_complex_neither_truncates_nor_converts_vertices():
+    with pytest.raises(C.ComplexError, match="not float"):
+        C.make_complex([[1.7, 2.2]])
+    with pytest.raises(C.ComplexError, match="not bool, str"):
+        C.make_complex([["3", True]])
+    with pytest.raises(C.ComplexError, match="not bool"):
+        C.make_complex([[1, True]])
+
+
 def test_closure_bound(monkeypatch):
     """A simplex whose faces alone pass the bound is refused before any
     face is built; otherwise the closure may grow up to the bound."""
@@ -98,6 +136,39 @@ def test_maximal_simplices_match_the_definition():
     for _ in range(200):
         k = random_complex(rng)
         assert k.maximal_simplices == naive_maximal(k)
+
+
+def test_table_readers_match_their_frozenset_definitions():
+    rng = random.Random(4)
+    for _ in range(300):
+        k = random_complex(rng)
+        sizes = [len(s) for s in k.simplices]
+        assert k.dimension == max(sizes) - 1
+        assert k.alpha == tuple(sizes.count(n) for n in range(1, max(sizes) + 1))
+        assert k.vertices == tuple(sorted(set().union(*k.simplices)))
+        for d in range(-1, k.dimension + 2):
+            same_dim = [s for s in k.simplices if len(s) == d + 1]
+            assert k.simplices_of_dim(d) == sorted(same_dim, key=sorted)
+
+
+def test_face_table_is_built_once_whatever_is_read(monkeypatch):
+    build = C.SimplicialComplex._faces.func
+    calls = []
+
+    def counting(self):
+        calls.append(self)
+        return build(self)
+
+    table = functools.cached_property(counting)
+    table.__set_name__(C.SimplicialComplex, "_faces")
+    monkeypatch.setattr(C.SimplicialComplex, "_faces", table)
+    for k in (C.named_complex("torus"), C.named_complex("sphere", (3,)), C.make_complex([[1, 2], [3]])):
+        for _ in range(2):
+            k.dimension, k.alpha, k.vertices, k.maximal_simplices, k.to_json_dict()
+            [k.simplices_of_dim(d) for d in range(-1, k.dimension + 2)]
+            C.betti_numbers(k), C.euler_char_complex(k), C.is_closed_surface(k)
+        assert calls.count(k) == 1
+    assert len(calls) == 3
 
 
 def test_maximal_simplices_of_a_torus_grid_are_its_triangles():
@@ -146,6 +217,34 @@ def test_euler_poincare_random():
         k = random_complex(rng)
         b = C.betti_numbers(k)
         assert sum((-1) ** i * x for i, x in enumerate(b)) == C.euler_char_complex(k)
+
+
+def ref_betti_numbers(k):
+    """GF(2) ranks of boundary matrices whose rows and columns are found
+    through frozenset-keyed indices, one sort of the simplices per
+    dimension."""
+    n = k.dimension
+    by_dim = [sorted((s for s in k.simplices if len(s) == d + 1), key=sorted) for d in range(n + 1)]
+    index = [{s: i for i, s in enumerate(simps)} for simps in by_dim]
+    ranks = [0] * (n + 2)
+    for d in range(1, n + 1):
+        cols = []
+        for s in by_dim[d]:
+            col = 0
+            for face in itertools.combinations(sorted(s), d):
+                col |= 1 << index[d - 1][frozenset(face)]
+            cols.append(col)
+        ranks[d] = rank_of_rows(cols)
+    return tuple(len(by_dim[d]) - ranks[d] - ranks[d + 1] for d in range(n + 1))
+
+
+def test_betti_numbers_match_the_frozenset_reference():
+    named = [C.named_complex("sphere", (n,)) for n in range(6)]
+    named += [C.named_complex("genus", (g,)) for g in range(5)] + [C.named_complex("torus")]
+    rng = random.Random(21)
+    randoms = [random_complex(rng, max_vertices=9) for _ in range(250)]
+    for k in named + [k for _, k in surface_cases()] + randoms:
+        assert C.betti_numbers(k) == ref_betti_numbers(k), sorted(map(sorted, k.maximal_simplices))
 
 
 def test_betti_numbers_are_capped_only_by_the_simplex_bound():

@@ -43,6 +43,21 @@ def test_endpoint_out_of_range():
         G.make_graph(2, [(0, 2)])
 
 
+@pytest.mark.parametrize("edge", [(0.9, 1.5), (0.5, 1), (True, 1), (0, "1"), (0, None)])
+def test_endpoints_must_be_ints(edge):
+    """Neither truncated (``make_graph``) nor left for a later TypeError."""
+    with pytest.raises(G.EndpointOutOfRange, match="must be integers"):
+        G.make_graph(2, [edge])
+    with pytest.raises(G.EndpointOutOfRange, match="must be integers"):
+        G.Multigraph(2, (edge,))
+
+
+@pytest.mark.parametrize("count", [2.0, True, "2", -1])
+def test_vertex_count_must_be_a_nonnegative_int(count):
+    with pytest.raises(G.EndpointOutOfRange, match="nonnegative integer"):
+        G.Multigraph(count, ())
+
+
 def test_invariants_path():
     g = G.named_graph("path:4")
     inv = G.graph_invariants(g)
@@ -630,6 +645,15 @@ def test_parse_errors():
         G.parse_graph("v: 2\nbogus\n")
     with pytest.raises(G.GraphError):
         G.parse_embedding("v: 2\ne: 0 1\nrot 0: 1\n")
+
+
+def test_a_repeated_record_is_refused():
+    with pytest.raises(G.GraphError, match="more than one 'v:' line"):
+        G.parse_graph("v: 2\nv: 3\ne: 0 1\n")
+    with pytest.raises(G.GraphError, match="more than one 'rot 0:' line"):
+        G.parse_embedding("v: 1\ne: 0 0\nrot 0: 1 -1\nrot 0: -1 1\n")
+    with pytest.raises(G.GraphError, match="repeated JSON key 'edges'"):
+        G.parse_graph('{"vertices": 2, "edges": [[0, 1]], "edges": []}')
 
 
 def test_parse_embedding_is_linear_in_the_edges():

@@ -1129,6 +1129,10 @@ def test_parse_comments_and_errors():
         M.parse_matroid("basis: 1 2\n")
     with pytest.raises(M.MatroidError):
         M.parse_matroid("junk\n")
+    with pytest.raises(M.BadInput, match="more than one 'ground:' line"):
+        M.parse_matroid("ground: 1 2\nground: 3\nbasis: 3\n")
+    with pytest.raises(M.BadInput, match="repeated JSON key 'ground'"):
+        M.parse_matroid('{"ground": [1, 2], "ground": [3], "bases": [[3]]}')
 
 
 def test_relabel_errors():
