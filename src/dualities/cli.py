@@ -2,7 +2,9 @@
 
 Every command is declared once, in ``COMMANDS``, with the handler that
 runs it and the arguments and options that handler reads; the parser
-and the dispatch are both built from that table.  A handler returns
+and the dispatch are both built from that table.  ``main`` builds only
+the parser subtree of the domain its first argument names, and the whole
+tree when that argument is not a domain.  A handler returns
 ``(report, text lines, ok)`` and ``main`` prints one or the other.
 
 Exit codes: 0 on success or a verified property, 1 when a checked
@@ -352,7 +354,7 @@ def _int_in(text: str, lo: int, hi: int) -> int:
 
 # Module-level argparse types: a factory returning one closure per option
 # measured about a fifth lower throughput on the benchmark's cli workload,
-# which builds a parser per command.
+# which builds a domain's parser subtree per command.
 def _trials(text: str) -> int:
     return _int_in(text, 0, algebras.TRIALS_MAX)
 
@@ -441,14 +443,22 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser for ``argv``: when its first word names a domain, that
+    domain's subtree only, under a top-level usage line that still lists
+    every domain; otherwise (no argument, ``--help``, an unknown domain, an
+    option first) the whole tree."""
     parser = argparse.ArgumentParser(
         prog="dualities",
         description="Exact duality computations: matroids, embedded graphs, "
         "simplicial complexes, hypercomplex algebras.",
     )
-    domains = parser.add_subparsers(dest="domain", required=True)
+    named = argv[0] if argv and argv[0] in COMMANDS else None
+    metavar = "{" + ",".join(COMMANDS) + "}" if named else None
+    domains = parser.add_subparsers(dest="domain", required=True, metavar=metavar)
     for domain, (help_text, actions) in COMMANDS.items():
+        if named and domain != named:
+            continue
         pd = domains.add_parser(domain, help=help_text)
         sub = pd.add_subparsers(dest="action", required=True)
         for action, (handler, arguments) in actions.items():
@@ -461,7 +471,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     try:
         report, lines, ok = args.handler(args)
     except (

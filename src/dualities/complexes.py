@@ -56,12 +56,18 @@ class NotASurface(ComplexError):
 @dataclass(frozen=True)
 class SimplicialComplex:
     """Nonempty, downward-closed family of nonempty simplices (frozensets
-    of int vertices).  The family is checked when its face table is
-    built, on the first read: ``EmptyInput`` for no simplex or an empty
-    one, ``ComplexError`` for a vertex that is not an int and
-    ``MissingFace`` for a facet of a simplex that is not in the family."""
+    of int vertices).  A family that is not a frozenset of frozensets is
+    refused with ``ComplexError`` when the complex is built.  The rest is
+    checked when its face table is built, on the first read: ``EmptyInput``
+    for no simplex or an empty one, ``ComplexError`` for a vertex that is
+    not an int and ``MissingFace`` for a facet of a simplex that is not in
+    the family."""
 
     simplices: frozenset[frozenset[int]]
+
+    def __post_init__(self):
+        if type(self.simplices) is not frozenset or set(map(type, self.simplices)) - {frozenset}:
+            raise ComplexError("a complex is a frozenset of frozensets of vertices")
 
     @cached_property
     def _faces(self) -> tuple[tuple[tuple[int, ...], ...], ...]:

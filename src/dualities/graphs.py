@@ -149,7 +149,7 @@ class Embedding:
         for v, cyc in enumerate(self.rotation):
             for d in cyc:
                 e, s = d
-                if not (0 <= e < len(g.edges)) or s not in (0, 1):
+                if type(e) is not int or type(s) is not int or not 0 <= e < len(g.edges) or s not in (0, 1):
                     raise NonCellular(f"bad dart {d} at vertex {v}")
                 if g.edges[e][s] != v:
                     raise NonCellular(f"dart {d} listed at vertex {v}, belongs at {g.edges[e][s]}")

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -364,6 +365,72 @@ def test_option_accepted_only_where_listed(capsys, domain, action, option):
             main(argv)
         assert exc.value.code == 2
         assert f"unrecognized arguments: {option} 1" in capsys.readouterr().err
+
+
+def _options(domain, action):
+    """Each option the action reads, --json included, with a value."""
+    arguments = COMMANDS[domain][1][action][1]
+    listed = [[flags[0], "1"] for flags, _ in arguments if flags[0].startswith("-")]
+    return listed + [["--json"]]
+
+
+@pytest.mark.parametrize("domain,action", ACTIONS)
+def test_domain_subtree_parses_as_the_full_tree(domain, action):
+    """The parser built for an argument vector reads it into the namespace
+    the full tree does, handler included, with and without each option."""
+    example = [domain, action, *EXAMPLES[domain, action]]
+    for argv in [example] + [example + option for option in _options(domain, action)]:
+        assert vars(build_parser(argv).parse_args(argv)) == vars(build_parser().parse_args(argv))
+
+
+def _parse_outcome(capsys, parser, argv):
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+def _refused_argvs(domain):
+    """Argument vectors the domain's parser refuses or answers with help."""
+    actions = COMMANDS[domain][1]
+    positional = next(a for a, (_, args) in actions.items() if any(not f[0].startswith("-") for f, _ in args))
+    out_of_range = {"--bound": "0", "--trials": "-1"}
+    argvs = [[domain], [domain, "frobnicate"], [domain, positional], [domain, "--help"]]
+    for action, (_, arguments) in actions.items():
+        example = [domain, action, *EXAMPLES[domain, action]]
+        argvs += [[domain, action, "--help"], example + ["--bogus"]]
+        argvs += [example + [f[0], out_of_range[f[0]]] for f, _ in arguments if f[0] in out_of_range]
+    return argvs
+
+
+@pytest.mark.parametrize("domain", COMMANDS)
+def test_domain_subtree_refuses_as_the_full_tree(capsys, monkeypatch, domain):
+    """Help, usage errors and out-of-range values give the same exit code
+    and bytes from the domain's subtree as from the full tree."""
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv in _refused_argvs(domain):
+        full = _parse_outcome(capsys, build_parser(), argv)
+        assert _parse_outcome(capsys, build_parser(argv), argv) == full, argv
+
+
+@pytest.mark.parametrize("domain", COMMANDS)
+def test_main_builds_only_the_named_domain(capsys, monkeypatch, domain):
+    """A command builds the top parser, its domain's parser and one parser
+    per action of that domain, not the 31 of the full tree."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    build_parser()
+    assert len(built) == 1 + len(COMMANDS) + len(ACTIONS) == 31
+    built.clear()
+    action = next(iter(COMMANDS[domain][1]))
+    assert main([domain, action, *EXAMPLES[domain, action]]) == 0
+    assert len(built) == 2 + len(COMMANDS[domain][1])
 
 
 @pytest.mark.parametrize(

@@ -85,6 +85,19 @@ def test_a_family_that_is_not_a_complex_is_refused_on_first_read():
         C.SimplicialComplex(C.make_complex([range(4)]).simplices - {F({0, 1, 2})}).alpha
 
 
+@pytest.mark.parametrize(
+    "family",
+    [
+        frozenset({(1,), (2,), (1, 2)}),  # tuples, which would compare unequal to make_complex([[1, 2]])
+        {frozenset({1})},  # a set, which cannot be hashed
+        frozenset({frozenset({1}), (1,)}),
+    ],
+)
+def test_a_family_must_be_a_frozenset_of_frozensets(family):
+    with pytest.raises(C.ComplexError, match="frozenset of frozensets"):
+        C.SimplicialComplex(family)
+
+
 @pytest.mark.parametrize("vertices", [(1.5,), ("a", 1), (True,), (2, None)])
 def test_a_simplex_vertex_must_be_an_int(vertices):
     F = frozenset

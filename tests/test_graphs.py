@@ -118,6 +118,22 @@ def test_rotation_validation():
         G.Embedding(g, (((0, 0),),))
 
 
+@pytest.mark.parametrize(
+    "rotation",
+    [
+        (((0, 0), (0.0, 1)),),  # a float edge index
+        (((0, 0), (0, 1.0)),),  # a float end
+        (((False, 0), (0, 1)),),  # a bool edge index, equal to 0
+        (((0, 0), (0, True)),),  # a bool end, equal to 1
+    ],
+)
+def test_a_dart_must_be_a_pair_of_ints(rotation):
+    """A dart's edge index and end are ints, as a multigraph's endpoints
+    are: a float is not read as an index, and a bool is not kept."""
+    with pytest.raises(G.NonCellular, match="bad dart"):
+        G.Embedding(G.Multigraph(1, ((0, 0),)), rotation)
+
+
 # ---------------------------------------------------------------------------
 # duals
 
