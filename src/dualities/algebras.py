@@ -11,20 +11,20 @@ calls an integer kernel, and divides the result by the product of those
 lcms.  Every operation here is multilinear in its argument vectors, so
 this is exact.
 
-The reports check their exhaustive basis families on the multiplication
-table rather than on dense unit vectors: the division-algebra report
-reads the alternative laws on basis pairs and on the e_i +- e_j family
-off the table's associators, and finds the first zero divisor among
-products of e_i +- e_j pairs by dict lookup, in O(dim) steps per left
-factor.  The cross-product report reads the product of every basis
-tuple off the tables as signed index terms (``_basis_terms``): x . e_a is
-the coefficient of e_a, and the Gram determinant of unit vectors is 1 or
-0.  These table facts are cached properties of the algebra or case
-object, computed on the first report that needs them, so only the
-reports' seeded random samples run on every call, on the dense integer
-kernels; the witnesses are converted back to ``Fraction``.  A cross
-report resolves its case's kernel once (``_case_kernel``, cached per tag
-and dimension, never on the case object) and calls it directly in its
+The reports check their exhaustive basis families once per algebra or
+case object: the division-algebra report reads the alternative laws on
+basis pairs and on the e_i +- e_j family off the table's associators,
+and finds the first zero divisor among products of e_i +- e_j pairs by
+dict lookup, in O(dim) steps per left factor.  The cross-product report
+runs its case's kernel once on every basis tuple of unit vectors and
+feeds each product to the shape's Gram check and to the repeated-index
+test, so each product is defined in one place (``_case_kernel``).  These
+basis facts are cached properties of the algebra or case object,
+computed on the first report that needs them, so only the reports'
+seeded random samples run on every call, on the dense integer kernels;
+the witnesses are converted back to ``Fraction``.  A cross report
+resolves its case's kernel once (``_case_kernel``, cached per tag and
+dimension, never on the case object) and calls it directly in its
 loops.  The samples are drawn by ``_randints`` and the argument indices
 by ``_randbelow``, which make the ``getrandbits`` calls of
 ``Random.randint``, ``randrange`` and ``sample`` without their call
@@ -218,8 +218,8 @@ class HypercomplexAlgebra:
                 if not (
                     isinstance(entry, tuple)
                     and len(entry) == 2
+                    and type(entry[0]) is type(entry[1]) is int
                     and entry[0] in (-1, 1)
-                    and isinstance(entry[1], int)
                     and 0 <= entry[1] < dim
                 ):
                     raise AlgebraError(
@@ -239,7 +239,7 @@ class HypercomplexAlgebra:
 
     def e(self, i: int) -> Element:
         """The i-th basis element, 0 <= i < dim."""
-        if not (isinstance(i, int) and 0 <= i < self.dim):
+        if not (type(i) is int and 0 <= i < self.dim):
             raise IndexOutOfRange(f"basis index {i!r} outside 0..{self.dim - 1}")
         return _element(_unit(i, self.dim))
 
@@ -573,11 +573,6 @@ def det_rational(rows: Sequence[Sequence]) -> Fraction:
     return Fraction(_det([m for m, _ in cleared]), prod(d for _, d in cleared))
 
 
-def dot(x: Sequence, y: Sequence) -> Fraction:
-    (xs, dx), (ys, dy) = _clear(x), _clear(y)
-    return Fraction(_dot(xs, ys), dx * dy)
-
-
 # ---------------------------------------------------------------------------
 # epsilon symbol and Hodge dual
 
@@ -586,8 +581,8 @@ def epsilon_symbol(indices: Sequence[int]) -> int:
     """Sign of the permutation of 1..n given by ``indices``; 0 on repeats."""
     n = len(indices)
     for i in indices:
-        if not 1 <= i <= n:
-            raise IndexOutOfRange(f"index {i} outside 1..{n}")
+        if type(i) is not int or not 1 <= i <= n:
+            raise IndexOutOfRange(f"index {i!r} is not an int in 1..{n}")
     return _perm_sign(indices)
 
 
@@ -607,8 +602,13 @@ def hodge_dual(
 ) -> dict[tuple[int, ...], Fraction]:
     """Map a k-vector (coefficients over sorted k-subsets of 1..n) to its
     (n-k)-vector pairing through the epsilon symbol."""
+    if type(n) is not int:
+        raise BadDims(f"n must be an int, got {n!r}")
     if not components:
         raise BadDims("empty multivector")
+    for key in components:
+        if not isinstance(key, tuple) or {*map(type, key)} - {int}:
+            raise BadDims(f"component key {key!r} must be a tuple of ints")
     sizes = {len(key) for key in components}
     if len(sizes) != 1:
         raise BadDims("all component subsets must share one size")
@@ -617,7 +617,6 @@ def hodge_dual(
         raise BadDims(f"need 0 <= k <= n <= 8, got k={k} n={n}")
     out: dict[tuple[int, ...], Fraction] = {}
     for key, coeff in components.items():
-        key = tuple(key)
         if tuple(sorted(key)) != key or len(set(key)) != len(key):
             raise BadDims(f"component key {key} must be a sorted subset")
         if any(not 1 <= i <= n for i in key):
@@ -666,30 +665,20 @@ class CrossProductCase:
         """What the basis tuples show, computed on the first report that
         needs it: orthogonality, the norm identity, the first witness text
         among those two, the number of tuples, and whether a tuple that
-        repeats an index has a nonzero product, in one pass.  Such a tuple
-        also breaks the norm identity (its Gram determinant is 0), so the
-        witness text is already set when it is found.  There are no tuples
-        when n^r > 5000.  The products are read off the tables as
-        integer index terms (``_basis_terms``): x . e_a is the coefficient
-        of e_a, and the Gram determinant of unit vectors is 1 when their
-        indices are distinct, else 0."""
+        repeats an index has a nonzero product.  There are no tuples when
+        n^r > 5000.  Each tuple of unit vectors, in ``itertools.product``
+        order, runs the case's kernel once, and that product feeds both
+        the repeated-index test, over every tuple, and the shape's Gram
+        check (``_gram_scan``)."""
         n, r = self.n, self.r
         if n**r > 5000:
             return True, True, None, 0, False
-        orth = norm = True
-        witness, repeat = None, False
-        for combo, terms in zip(itertools.product(range(n), repeat=r), _basis_terms(self)):
-            gram = 1 if len(set(combo)) == r else 0
-            if terms and not gram:
-                repeat = True
-            norm_sq = 0
-            for k, c in terms:
-                norm_sq += c * c
-                if orth and k in combo:
-                    orth, witness = False, f"orthogonality at {_shown(_unit(i, n) for i in combo)}"
-            if norm and norm_sq != gram:
-                norm, witness = False, witness or f"norm at {_shown(_unit(i, n) for i in combo)}"
-        return orth, norm, witness, n**r, repeat
+        units = [_unit(i, n) for i in range(n)]
+        combos = list(itertools.product(range(n), repeat=r))
+        tuples = [[units[i] for i in combo] for combo in combos]
+        products = list(map(_case_kernel(self.tag, n), tuples))
+        repeat = any(any(x) for combo, x in zip(combos, products) if len(set(combo)) < r)
+        return (*_gram_scan(_gram_kernel(r, n), products, tuples), len(combos), repeat)
 
 
 def cross_case(ident: str) -> CrossProductCase:
@@ -799,6 +788,21 @@ def _gram_kernel(r: int, n: int):
     )
 
 
+def _gram_scan(check, products, tuples, orth=True, norm=True, witness=None):
+    """Orthogonality, the norm identity and the first witness text among
+    them, after the Gram check ``check`` of each product with its argument
+    tuple, in order; the scan stops once both have failed."""
+    for x, args in zip(products, tuples):
+        orthogonal, normed = check(x, args)
+        if orth and not orthogonal:
+            orth, witness = False, f"orthogonality at {_shown(args)}"
+        if norm and not normed:
+            norm, witness = False, witness or f"norm at {_shown(args)}"
+        if not orth and not norm:
+            break
+    return orth, norm, witness
+
+
 @lru_cache(maxsize=None)
 def _lin_kernel(n: int):
     """``lin(a, u, b, v)``, the vector a u + b v for scalars a, b and
@@ -868,51 +872,6 @@ def cross_product(case: CrossProductCase, vectors: Sequence[Sequence]) -> Elemen
     return _element(cross([m for m, _ in cleared]), prod(d for _, d in cleared))
 
 
-def _basis_terms(case: CrossProductCase) -> list[tuple[tuple[int, int], ...]]:
-    """The product of every basis tuple (e_c1, ..., e_cr), in
-    ``itertools.product`` order over c, as its nonzero integer terms
-    (index, coefficient) on distinct indices: the product is the sum of
-    coefficient * e_index.  The terms are read off the tables, with no
-    vectors:
-
-    three / epsilon: eps(c, j) e_j for the one index j that c misses, and
-    nothing when c repeats an index;
-    complex_structure: J e_i is e_(i+1) for even i and -e_(i-1) for odd i;
-    seven: Im(e_(a+1) e_(b+1)) from the Fano octonion table;
-    triple8: (s - t) / 2 e_k for the table's halves s e_k and t e_k, which
-    is s e_k when s != t and nothing when s = t."""
-    n, r = case.n, case.r
-    if case.tag in ("three", "epsilon"):
-        # itertools.permutations lists the permutations of range(n) in
-        # lexicographic order, where the sign of each is (-1) to the sum of
-        # its Lehmer digits; a permutation p is the tuple p[:-1] with its
-        # missing index p[-1]
-        signs = [1]
-        for k in range(2, n + 1):
-            signs = [-s if d & 1 else s for d in range(k) for s in signs]
-        terms = {
-            p[:-1]: ((p[-1], s),) for p, s in zip(itertools.permutations(range(n)), signs)
-        }
-        return [terms.get(c, ()) for c in itertools.product(range(n), repeat=r)]
-    if case.tag == "complex_structure":
-        return [((i + 1, 1),) if i % 2 == 0 else ((i - 1, -1),) for i in range(n)]
-    table = fano_octonion_algebra().table
-    if case.tag == "seven":
-        return [((k - 1, s),) if k else () for row in table[1:] for s, k in row[1:]]
-    if case.tag == "triple8":
-        # e_p (conj(e_q) e_x) and e_x (conj(e_q) e_p) are +-e_k for one k:
-        # under a relabelling the Fano lines are the triples {a, b, a ^ b}
-        # of Z_2^3, so three basis units multiply to one unit up to sign
-        out = []
-        for p, q, x in itertools.product(range(8), repeat=3):
-            c = 1 if q == 0 else -1  # conj(e_q) = c e_q
-            (u, a), (v, b) = table[q][x], table[q][p]
-            (s, k), (t, _) = table[p][a], table[x][b]
-            out.append(((k, c * u * s),) if u * s != v * t else ())
-        return out
-    raise UnknownCase(case.tag)
-
-
 @dataclass(frozen=True)
 class CrossAxiomsReport:
     case: str
@@ -944,8 +903,8 @@ def cross_axioms_report(
     its squared norm is the Gram determinant of the arguments, it is
     multilinear, and it flips sign under argument swaps (vacuous for
     r = 1).  Runs over every basis tuple (when there are at most 5000 of
-    them) plus seeded random tuples.  The basis tuples' verdict is read
-    off the tables once per case object (``CrossProductCase._basis_verdict``),
+    them) plus seeded random tuples.  The basis tuples' verdict is
+    computed once per case object (``CrossProductCase._basis_verdict``),
     the first time a report needs it; a later report on the same object
     runs only the random tuples, drawn through ``_randints`` and
     ``_randbelow``.  The report resolves its kernels once before its
@@ -969,15 +928,12 @@ def cross_axioms_report(
 
     orth, norm, witness, tuples, repeat = case._basis_verdict
     samples, size = _randints(rng, -4, 4, trials * r * n), r * n
-    for start in range(0, trials * size, size) if orth or norm else ():
-        args = [samples[i : i + n] for i in range(start, start + size, n)]
-        orthogonal, normed = check(cross(args), args)
-        if orth and not orthogonal:
-            orth, witness = False, f"orthogonality at {_shown(args)}"
-        if norm and not normed:
-            norm, witness = False, witness or f"norm at {_shown(args)}"
-        if not orth and not norm:
-            break
+    if orth or norm:
+        drawn = [
+            [samples[i : i + n] for i in range(start, start + size, n)]
+            for start in range(0, trials * size, size)
+        ]
+        orth, norm, witness = _gram_scan(check, map(cross, drawn), drawn, orth, norm, witness)
 
     multi = True
     for _ in range(max(trials, 1)):
@@ -1028,7 +984,7 @@ class Chirotope:
         # C(n, r) >= n for 0 < r < n, so a short vector fails before comb runs
         if (0 < r < n and len(signs) < n) or len(signs) != comb(n, r):
             raise BadDims(f"need one sign per {r}-subset of 1..{n}, got {len(signs)} signs")
-        if not {-1, 0, 1}.issuperset(signs) or {*map(type, signs)} != {int}:
+        if {*map(type, signs)} != {int} or not {-1, 0, 1}.issuperset(signs):
             raise BadDims("every sign must be the int -1, 0 or 1")
 
     @cached_property

@@ -148,9 +148,15 @@ class Embedding:
         seen: set[Dart] = set()
         for v, cyc in enumerate(self.rotation):
             for d in cyc:
+                if not (
+                    isinstance(d, tuple)
+                    and len(d) == 2
+                    and type(d[0]) is type(d[1]) is int
+                    and 0 <= d[0] < len(g.edges)
+                    and d[1] in (0, 1)
+                ):
+                    raise NonCellular(f"bad dart {d!r} at vertex {v}")
                 e, s = d
-                if type(e) is not int or type(s) is not int or not 0 <= e < len(g.edges) or s not in (0, 1):
-                    raise NonCellular(f"bad dart {d} at vertex {v}")
                 if g.edges[e][s] != v:
                     raise NonCellular(f"dart {d} listed at vertex {v}, belongs at {g.edges[e][s]}")
                 if d in seen:

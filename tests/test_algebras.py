@@ -243,18 +243,6 @@ def ref_cross_axioms_report(case, trials=200, seed=0):
     )
 
 
-def ref_basis_terms(case):
-    """The epsilon terms of every index tuple in product order, each
-    permutation sign by counting inversions."""
-    n, r = case.n, case.r
-    every = n * (n - 1) // 2
-    out = []
-    for combo in itertools.product(range(n), repeat=r):
-        j = every - sum(combo)
-        out.append(((j, A._perm_sign(combo + (j,))),) if len(set(combo)) == r else ())
-    return out
-
-
 def same_report(got, want):
     """Equal field by field, with the same JSON bytes (so a witness
     coordinate is a ``Fraction`` on both sides)."""
@@ -340,7 +328,7 @@ def test_identity_element():
         assert alg.multiply(x, alg.e(0)) == x
 
 
-@pytest.mark.parametrize("i", [99, -1, 8, "1"])
+@pytest.mark.parametrize("i", [99, -1, 8, "1", True, 1.0])
 def test_basis_index_outside_range_raises(i):
     O = A.algebra_by_name("o")
     with pytest.raises(A.IndexOutOfRange):
@@ -359,6 +347,9 @@ def test_table_shape_and_entries_are_checked():
         (((1, 0), (1, 0)), ((1, 1), (-1, 0))),  # e_0 e_1 = e_0
         (row0, ((1, 0), (-1, 0))),  # e_1 e_0 = e_0
         (row0, ((1, 1), (-1,))),  # an entry that is not a pair
+        (row0, ((1, 1), (-1.0, 0))),  # a float sign
+        (row0, ((1, True), (-1, 0))),  # a bool index, equal to 1
+        (row0, ((True, 1), (-1, 0))),  # a bool sign
     ]
     for table in bad:
         with pytest.raises(A.AlgebraError):
@@ -426,8 +417,6 @@ def test_scalars_must_be_int_or_fraction():
             A.cross_product(case, [[bad, 0, 0], [0, 1, 0]])
         with pytest.raises(A.AlgebraError):
             A.det_rational([[1, bad], [0, 1]])
-        with pytest.raises(A.AlgebraError):
-            A.dot([1, bad], [1, 1])
         with pytest.raises(A.AlgebraError):
             A.hodge_dual({(1,): bad}, 3)
         with pytest.raises(A.AlgebraError):
@@ -766,18 +755,33 @@ def test_first_division_report_skips_the_family_when_samples_fail():
 
 
 def test_cross_report_reads_the_basis_tuples_once(monkeypatch):
-    calls = counted(monkeypatch, A, "_basis_terms")
+    """The first report on a case object runs the kernel once on each
+    basis tuple, in product order, before any random tuple; a later report
+    on that object runs only its random tuples, and a fresh object makes
+    its own basis pass."""
+    runs = []
+    break_kernels(monkeypatch, lambda x, vs: runs.append(vs) or x)
+
+    def report(case, trials, seed):
+        before = len(runs)
+        return A.cross_axioms_report(case, trials, seed), runs[before:]
+
     case = A.cross_case("triple8")
-    first = A.cross_axioms_report(case, 3, seed=1)
-    same_report(A.cross_axioms_report(case, 3, seed=1), first)
-    A.cross_axioms_report(case, 5, seed=2)
-    assert len(calls) == 1 and calls[0] is case
-    fresh = A.cross_case("triple8")
-    same_report(A.cross_axioms_report(fresh, 3, seed=1), first)
-    assert len(calls) == 2 and calls[1] is fresh
-    # more than 5000 basis tuples: the report reads no table terms
-    assert A.cross_axioms_report(A.cross_case("epsilon:8"), 1).basis_tuples == 0
-    assert len(calls) == 2
+    basis = [[A._unit(i, 8) for i in combo] for combo in itertools.product(range(8), repeat=3)]
+    first, cold = report(case, 3, seed=1)
+    assert cold[: len(basis)] == basis
+    rep, warm = report(case, 3, seed=1)
+    same_report(rep, first)
+    assert warm == cold[len(basis) :]
+    assert len(report(case, 5, seed=2)[1]) < len(basis)
+    rep, fresh = report(A.cross_case("triple8"), 3, seed=1)
+    same_report(rep, first)
+    assert fresh == cold
+    # more than 5000 basis tuples: no basis pass
+    case = A.cross_case("epsilon:8")
+    rep, cold = report(case, 1, seed=0)
+    assert rep.basis_tuples == 0
+    assert report(case, 1, seed=0)[1] == cold
 
 
 @st.composite
@@ -922,6 +926,12 @@ def test_epsilon_symbol():
     assert A.epsilon_symbol([1, 1, 3]) == 0
     with pytest.raises(A.IndexOutOfRange):
         A.epsilon_symbol([1, 2, 4])
+
+
+@pytest.mark.parametrize("indices", [["a"], [2.0, 1], [1, True], [F(1)], [(1,)], [None, 1]])
+def test_epsilon_symbol_takes_only_int_indices(indices):
+    with pytest.raises(A.IndexOutOfRange):
+        A.epsilon_symbol(indices)
 
 
 def test_det_matches_naive():
@@ -1190,7 +1200,7 @@ def test_triple8_orthogonality_example():
     x = A.cross_product(case, args)
     assert any(c != 0 for c in x)
     for a in args:
-        assert A.dot(x, a) == 0
+        assert A._dot(x, a) == 0
 
 
 MONOMIAL_COEFFS = [1, -1, 2, -2, 3, -3]
@@ -1254,29 +1264,17 @@ BASIS_IDENTS = (
 
 
 @pytest.mark.parametrize("ident", BASIS_IDENTS)
-def test_basis_terms_are_the_scaled_dense_products(ident):
-    """Every case with at most 5000 basis tuples: the table terms are
-    distinct nonzero int terms, and the kernel's product of the unit
-    tuple, value for value."""
+def test_basis_products_match_the_defining_formula(ident):
+    """Every case with at most 5000 basis tuples: the kernel's product of
+    each unit tuple, the value the basis pass reads, is the defining
+    formula's."""
     case = A.cross_case(ident)
     n, r = case.n, case.r
     assert n**r <= 5000
-    basis = A._basis_terms(case)
     cross = A._case_kernel(case.tag, n)
-    combos = list(itertools.product(range(n), repeat=r))
-    assert len(basis) == len(combos)
-    for combo, terms in zip(combos, basis):
-        x = cross([A._unit(i, n) for i in combo])
-        coeffs = dict(terms)
-        assert len(coeffs) == len(terms), (combo, terms)
-        assert all(type(c) is int and c for c in coeffs.values()), (combo, terms)
-        assert [coeffs.get(i, 0) for i in range(n)] == x, combo
-
-
-@pytest.mark.parametrize("ident", ["three"] + [f"epsilon:{n}" for n in range(2, 9)])
-def test_epsilon_basis_terms_match_reference(ident):
-    case = A.cross_case(ident)
-    assert A._basis_terms(case) == ref_basis_terms(case)
+    for combo in itertools.product(range(n), repeat=r):
+        units = [A._unit(i, n) for i in combo]
+        assert cross(units) == list(ref_cross(case, units)), combo
 
 
 # (r, n) of every admitted case: epsilon (three is epsilon:3), seven,
@@ -1403,12 +1401,10 @@ def break_kernels(mp, broken):
 
 def break_products(mp, breaks):
     """Add d e_m to the product of each basis index tuple in ``breaks``
-    (tuple -> (m, d)) wherever a basis product comes from: the library's
-    table terms (``_basis_terms``) and the dense kernels on unit vectors,
-    which the reference runs on every basis tuple.  Any argument list of
-    unit vectors counts in the kernels, random ones included, so the
-    library and the reference see one product."""
-    real_terms = A._basis_terms
+    (tuple -> (m, d)) in ``_case_kernel``, where every product comes from:
+    the library's basis pass and the reference both run it on unit
+    vectors.  Any argument list of unit vectors counts, random ones
+    included, so the library and the reference see one product."""
 
     def cross(x, vs):
         if all(map(is_unit, vs)):
@@ -1418,21 +1414,7 @@ def break_products(mp, breaks):
                 x[m] += d
         return x
 
-    def basis_terms(case):
-        basis = real_terms(case)
-        combos = itertools.product(range(case.n), repeat=case.r)
-        out = []
-        for combo, terms in zip(combos, basis):
-            if combo in breaks:
-                m, d = breaks[combo]
-                x = dict(terms)
-                x[m] = x.get(m, 0) + d
-                terms = tuple((k, c) for k, c in x.items() if c)
-            out.append(terms)
-        return out
-
     break_kernels(mp, cross)
-    mp.setattr(A, "_basis_terms", basis_terms)
 
 
 @pytest.mark.parametrize(
@@ -1558,6 +1540,27 @@ def test_hodge_errors():
         A.hodge_dual({(2, 1): 1}, 3)
     with pytest.raises(A.BadDims):
         A.hodge_dual({(1, 9): 1}, 3)
+
+
+@pytest.mark.parametrize(
+    "components, n",
+    [
+        ({(1,): 1}, 3.0),
+        ({(1,): 1}, True),
+        ({(1,): 1}, "3"),
+        ({(1,): 1}, None),
+        ({("a",): 1}, 3),
+        ({(1.0,): 1}, 3),
+        ({(True,): 1}, 3),
+        ({(1, F(2)): 1}, 3),
+        ({1: 1}, 3),
+        ({"12": 1}, 3),
+        ({frozenset({1}): 1}, 3),
+    ],
+)
+def test_hodge_takes_only_int_dimensions_and_keys(components, n):
+    with pytest.raises(A.BadDims):
+        A.hodge_dual(components, n)
 
 
 # ---------------------------------------------------------------------------

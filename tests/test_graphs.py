@@ -125,11 +125,16 @@ def test_rotation_validation():
         (((0, 0), (0, 1.0)),),  # a float end
         (((False, 0), (0, 1)),),  # a bool edge index, equal to 0
         (((0, 0), (0, True)),),  # a bool end, equal to 1
+        (((0, 0), (0,)),),  # too short to unpack
+        (((0, 0), (0, 1, 0)),),  # too long
+        (((0, 0), 5),),  # not a sequence
+        (((0, 0), [0, 1]),),  # a list, which a set cannot hold
     ],
 )
 def test_a_dart_must_be_a_pair_of_ints(rotation):
     """A dart's edge index and end are ints, as a multigraph's endpoints
-    are: a float is not read as an index, and a bool is not kept."""
+    are: a float is not read as an index, and a bool is not kept.  A dart
+    that is not a pair is refused before it is unpacked."""
     with pytest.raises(G.NonCellular, match="bad dart"):
         G.Embedding(G.Multigraph(1, ((0, 0),)), rotation)
 
