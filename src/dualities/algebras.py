@@ -831,7 +831,7 @@ def _case_kernel(tag: str, n: int):
     this stays the one per-case seam of its products.  No kernel mutates
     ``vs``, so callers may share argument vectors between calls.  Kept
     here rather than on the case object, which stays picklable and holds
-    only its table facts."""
+    only its basis verdict."""
     if tag in ("three", "epsilon"):
         return _epsilon_kernel(n)
     if tag == "complex_structure":
@@ -927,12 +927,10 @@ def cross_axioms_report(
         return [drawn[i : i + n] for i in range(0, count * n, n)]
 
     orth, norm, witness, tuples, repeat = case._basis_verdict
-    samples, size = _randints(rng, -4, 4, trials * r * n), r * n
+    samples = _randints(rng, -4, 4, trials * r * n)
     if orth or norm:
-        drawn = [
-            [samples[i : i + n] for i in range(start, start + size, n)]
-            for start in range(0, trials * size, size)
-        ]
+        rows = [samples[i : i + n] for i in range(0, len(samples), n)]
+        drawn = [rows[i : i + r] for i in range(0, len(rows), r)]
         orth, norm, witness = _gram_scan(check, map(cross, drawn), drawn, orth, norm, witness)
 
     multi = True

@@ -1128,6 +1128,8 @@ def test_support_matroid_of_any_signs_fails_as_make_matroid_does(shape):
         (3, 1, (1, 2, 0)),  # a sign outside -1..1
         (3, 1, (1, True, 0)),  # a bool sign
         (10**9, 5 * 10**8, (1,)),  # a short vector, refused before C(n, r) is computed
+        (3, 2, ([1], 1, 1)),  # a list sign, refused by its type before the set test hashes it
+        (3, 2, (1, -1, [0])),
     ],
 )
 def test_chirotope_fields_are_checked(n, r, signs):

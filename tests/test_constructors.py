@@ -10,7 +10,6 @@ there, and asserts that the call either succeeds or raises its domain's
 from fractions import Fraction as F
 from math import comb
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -142,10 +141,3 @@ def test_epsilon_symbol_over_arbitrary_indices(indices):
     sign = holds(lambda: A.epsilon_symbol(indices), A.IndexOutOfRange, all(map(is_int, indices)))
     assert sign in (None, -1, 0, 1)
 
-
-@pytest.mark.parametrize("signs", [([1], 1, 1), (1, -1, [0])])
-def test_chirotope_refuses_unhashable_signs(signs):
-    """A sign that is a list is refused by its type, before the set test
-    would need its hash."""
-    with pytest.raises(A.BadDims):
-        A.Chirotope(3, 2, signs)
