@@ -57,11 +57,12 @@ from __future__ import annotations
 import itertools
 import operator
 import random
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, lcm, prod
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Optional
 
 from .formats import PARAM_MAX, split_ident
 
@@ -211,8 +212,10 @@ class HypercomplexAlgebra:
         # 16 (the sedenions) at most keeps each generated sum within what CPython compiles
         if type(dim) is not int or not 1 <= dim <= 16:
             raise BadDims(f"dimension must be an int in 1..16, got {dim!r}")
-        if len(table) != dim or any(len(row) != dim for row in table):
-            raise AlgebraError(f"table must have {dim} rows of {dim} entries")
+        if type(table) is not tuple or len(table) != dim or any(
+            type(row) is not tuple or len(row) != dim for row in table
+        ):
+            raise AlgebraError(f"table must be a tuple of {dim} rows, each a tuple of {dim} entries")
         for i, row in enumerate(table):
             for j, entry in enumerate(row):
                 if not (
@@ -578,7 +581,10 @@ def det_rational(rows: Sequence[Sequence]) -> Fraction:
 
 
 def epsilon_symbol(indices: Sequence[int]) -> int:
-    """Sign of the permutation of 1..n given by ``indices``; 0 on repeats."""
+    """Sign of the permutation of 1..n given by ``indices``, a list or
+    tuple; 0 on repeats."""
+    if not isinstance(indices, (list, tuple)):
+        raise IndexOutOfRange(f"indices must be a list or tuple of ints, got {indices!r}")
     n = len(indices)
     for i in indices:
         if type(i) is not int or not 1 <= i <= n:
@@ -604,6 +610,8 @@ def hodge_dual(
     (n-k)-vector pairing through the epsilon symbol."""
     if type(n) is not int:
         raise BadDims(f"n must be an int, got {n!r}")
+    if not isinstance(components, Mapping):
+        raise BadDims(f"components must map index tuples to coefficients, got {components!r}")
     if not components:
         raise BadDims("empty multivector")
     for key in components:
@@ -979,6 +987,8 @@ class Chirotope:
         n, r, signs = self.n, self.r, self.signs
         if type(n) is not int or type(r) is not int or not 0 <= r <= n:
             raise BadDims(f"need ints 0 <= r <= n, got n={n!r} r={r!r}")
+        if type(signs) is not tuple:
+            raise BadDims(f"signs must be a tuple, got {signs!r}")
         # C(n, r) >= n for 0 < r < n, so a short vector fails before comb runs
         if (0 < r < n and len(signs) < n) or len(signs) != comb(n, r):
             raise BadDims(f"need one sign per {r}-subset of 1..{n}, got {len(signs)} signs")

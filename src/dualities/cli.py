@@ -16,8 +16,10 @@ with every report field; random trials echo their seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
+import shutil
 import sys
 from fractions import Fraction
 
@@ -447,22 +449,29 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     """The parser for ``argv``: when its first word names a domain, that
     domain's subtree only, under a top-level usage line that still lists
     every domain; otherwise (no argument, ``--help``, an unknown domain, an
-    option first) the whole tree."""
+    option first) the whole tree.
+
+    The terminal is probed once per call: every parser formats its help
+    and errors at the width ``argparse.HelpFormatter`` would read for
+    itself, and each subparsers group gets the ``prog`` argparse would
+    format for it, so neither makes a formatter of its own."""
+    formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
         prog="dualities",
         description="Exact duality computations: matroids, embedded graphs, "
         "simplicial complexes, hypercomplex algebras.",
+        formatter_class=formatter,
     )
     named = argv[0] if argv and argv[0] in COMMANDS else None
     metavar = "{" + ",".join(COMMANDS) + "}" if named else None
-    domains = parser.add_subparsers(dest="domain", required=True, metavar=metavar)
+    domains = parser.add_subparsers(dest="domain", required=True, metavar=metavar, prog="dualities")
     for domain, (help_text, actions) in COMMANDS.items():
         if named and domain != named:
             continue
-        pd = domains.add_parser(domain, help=help_text)
-        sub = pd.add_subparsers(dest="action", required=True)
+        pd = domains.add_parser(domain, help=help_text, formatter_class=formatter)
+        sub = pd.add_subparsers(dest="action", required=True, prog=f"dualities {domain}")
         for action, (handler, arguments) in actions.items():
-            p = sub.add_parser(action)
+            p = sub.add_parser(action, formatter_class=formatter)
             for flags, kwargs in arguments:
                 p.add_argument(*flags, **kwargs)
             p.add_argument("--json", action="store_true", help="emit one JSON object")

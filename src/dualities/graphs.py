@@ -71,14 +71,21 @@ class Multigraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        n = self.vertex_count
+        n, edges = self.vertex_count, self.edges
         if type(n) is not int or n < 0:
             raise EndpointOutOfRange("vertex_count must be a nonnegative integer")
-        for i, (u, v) in enumerate(self.edges):
-            if type(u) is not int or type(v) is not int:
-                raise EndpointOutOfRange(f"edge {i} endpoints must be integers: {(u, v)}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise EndpointOutOfRange(f"edge {i} endpoint out of range: {(u, v)}")
+        if type(edges) is not tuple:
+            raise GraphError(f"edges must be a tuple of (u, v) pairs, got {edges!r}")
+        try:
+            for i, (u, v) in enumerate(edges):
+                if type(u) is not int or type(v) is not int:
+                    raise EndpointOutOfRange(f"edge {i} endpoints must be integers: {(u, v)}")
+                if not (0 <= u < n and 0 <= v < n):
+                    raise EndpointOutOfRange(f"edge {i} endpoint out of range: {(u, v)}")
+        except GraphError:
+            raise
+        except (TypeError, ValueError):  # edge i does not unpack into two endpoints
+            raise GraphError(f"edge {i} must be a pair of endpoints, got {edges[i]!r}") from None
 
     @cached_property
     def components(self) -> tuple[tuple[int, ...], ...]:
@@ -142,11 +149,13 @@ class Embedding:
     rotation: tuple[tuple[Dart, ...], ...]
 
     def __post_init__(self):
-        g = self.graph
-        if len(self.rotation) != g.vertex_count:
-            raise NonCellular("one rotation list required per vertex")
+        g, rotation = self.graph, self.rotation
+        if type(rotation) is not tuple or len(rotation) != g.vertex_count:
+            raise NonCellular("one rotation tuple required per vertex")
         seen: set[Dart] = set()
-        for v, cyc in enumerate(self.rotation):
+        for v, cyc in enumerate(rotation):
+            if type(cyc) is not tuple:
+                raise NonCellular(f"the rotation at vertex {v} must be a tuple of darts, got {cyc!r}")
             for d in cyc:
                 if not (
                     isinstance(d, tuple)

@@ -1542,6 +1542,9 @@ def test_hodge_errors():
         A.hodge_dual({(2, 1): 1}, 3)
     with pytest.raises(A.BadDims):
         A.hodge_dual({(1, 9): 1}, 3)
+    # a list of (key, coefficient) pairs is refused as a whole, not key by key
+    with pytest.raises(A.BadDims, match="components must map"):
+        A.hodge_dual([((1,), 1)], 3)
 
 
 @pytest.mark.parametrize(

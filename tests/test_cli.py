@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -431,6 +432,75 @@ def test_main_builds_only_the_named_domain(capsys, monkeypatch, domain):
     action = next(iter(COMMANDS[domain][1]))
     assert main([domain, action, *EXAMPLES[domain, action]]) == 0
     assert len(built) == 2 + len(COMMANDS[domain][1])
+
+
+def _stock_tree():
+    """The full command tree on stock ``argparse`` formatters, each of
+    which reads the terminal width for itself."""
+    top = build_parser()
+    parser = argparse.ArgumentParser(prog=top.prog, description=top.description)
+    domains = parser.add_subparsers(dest="domain", required=True)
+    for domain, (help_text, actions) in COMMANDS.items():
+        sub = domains.add_parser(domain, help=help_text).add_subparsers(dest="action", required=True)
+        for action, (handler, arguments) in actions.items():
+            p = sub.add_parser(action)
+            for flags, kwargs in arguments:
+                p.add_argument(*flags, **kwargs)
+            p.add_argument("--json", action="store_true", help="emit one JSON object")
+            p.set_defaults(handler=handler)
+    return parser
+
+
+@pytest.mark.parametrize("columns", ["10", "40", "80", "200"])
+def test_help_and_errors_match_stock_argparse(capsys, monkeypatch, columns):
+    """At any terminal width, ``main`` prints the help and usage errors
+    of a tree whose formatters each read the width for themselves."""
+    monkeypatch.setenv("COLUMNS", columns)
+    stock = _stock_tree()
+    argvs = [[], ["--help"], ["frobnicate"]] + [argv for domain in COMMANDS for argv in _refused_argvs(domain)]
+    for argv in argvs:
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        out = capsys.readouterr()
+        assert (exc.value.code, out.out, out.err) == _parse_outcome(capsys, stock, argv), argv
+
+
+@pytest.mark.parametrize("domain", COMMANDS)
+def test_one_terminal_probe_per_call(capsys, monkeypatch, domain):
+    """``build_parser`` reads the terminal size once, however many
+    parsers, arguments and formatters it makes, and parsing, help and
+    usage errors read it no more."""
+    probes = []
+    probe = shutil.get_terminal_size
+
+    def counted(*args, **kwargs):
+        probes.append(args)
+        return probe(*args, **kwargs)
+
+    monkeypatch.setattr(shutil, "get_terminal_size", counted)
+    build_parser()
+    assert len(probes) == 1
+    action = next(iter(COMMANDS[domain][1]))
+    argvs = [[domain, action, *EXAMPLES[domain, action]], [domain, action, "--bogus"], [domain]]
+    for argv in argvs + [[domain, a, "--help"] for a in COMMANDS[domain][1]]:
+        probes.clear()
+        try:
+            main(argv)
+        except SystemExit:
+            pass
+        assert len(probes) == 1, argv
+    capsys.readouterr()
+
+
+def test_each_call_reads_the_width(capsys, monkeypatch):
+    """Nothing keeps the width from one call to the next."""
+    texts = []
+    for columns in ("40", "200", "40"):
+        monkeypatch.setenv("COLUMNS", columns)
+        with pytest.raises(SystemExit):
+            main(["matroid", "minor", "--help"])
+        texts.append(capsys.readouterr().out)
+    assert texts[0] != texts[1] and texts[0] == texts[2]
 
 
 @pytest.mark.parametrize(
