@@ -132,9 +132,13 @@ def _check_vertices(vertices: Iterable) -> None:
 
 def make_complex(maximal_simplices: Iterable[Iterable[int]]) -> SimplicialComplex:
     """Close the given simplices downward and build the complex; raises
-    ``ComplexError`` for a vertex that is not an int and ``TooLarge``
-    once the closure would pass ``SIMPLEX_BOUND`` simplices."""
-    maximal = [tuple(s) for s in maximal_simplices]
+    ``ComplexError`` for a family or simplex that is not iterable or a
+    vertex that is not an int, and ``TooLarge`` once the closure would
+    pass ``SIMPLEX_BOUND`` simplices."""
+    try:
+        maximal = [tuple(s) for s in maximal_simplices]
+    except TypeError:  # the family or one of its simplices is not iterable
+        raise ComplexError("a complex needs an iterable of simplices, each an iterable of vertices") from None
     _check_vertices(itertools.chain.from_iterable(maximal))
     closure: set[tuple[int, ...]] = set()
     for s in maximal:

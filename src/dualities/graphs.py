@@ -10,10 +10,13 @@ Public darts are (edge_index, end) pairs with end 0 or 1; the dart (e, s)
 sits at the endpoint edges[e][s].  The dual embedding keeps edge indices,
 so "which dual edge crosses which primal edge" is the identity map.
 
-Planarity runs on the graph itself, on integer darts 2e + s (twin d ^ 1):
-path addition draws the faces of each block, and a non-planar graph's
-witness comes from deleting edges until a Kuratowski subdivision is left.
-No matroid is built on that path; cycle matroids serve the matroid side.
+Planarity runs on the graph itself, on its own vertex numbers and on
+integer darts 2e + s (twin d ^ 1): path addition draws the faces of each
+block, one integer face walk checks genus 0 on the rotation it returns,
+and a non-planar graph's witness is the failing block itself when that
+block is an exact subdivision of K5 or K3,3, else what is left after
+deleting edges until a Kuratowski subdivision remains.  No matroid is
+built on that path; cycle matroids serve the matroid side.
 """
 
 from __future__ import annotations
@@ -76,16 +79,14 @@ class Multigraph:
             raise EndpointOutOfRange("vertex_count must be a nonnegative integer")
         if type(edges) is not tuple:
             raise GraphError(f"edges must be a tuple of (u, v) pairs, got {edges!r}")
-        try:
-            for i, (u, v) in enumerate(edges):
-                if type(u) is not int or type(v) is not int:
-                    raise EndpointOutOfRange(f"edge {i} endpoints must be integers: {(u, v)}")
-                if not (0 <= u < n and 0 <= v < n):
-                    raise EndpointOutOfRange(f"edge {i} endpoint out of range: {(u, v)}")
-        except GraphError:
-            raise
-        except (TypeError, ValueError):  # edge i does not unpack into two endpoints
-            raise GraphError(f"edge {i} must be a pair of endpoints, got {edges[i]!r}") from None
+        for i, uv in enumerate(edges):
+            if type(uv) is not tuple or len(uv) != 2:
+                raise GraphError(f"edge {i} must be a (u, v) pair of endpoints, got {uv!r}")
+            u, v = uv
+            if type(u) is not int or type(v) is not int:
+                raise EndpointOutOfRange(f"edge {i} endpoints must be integers: {uv}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise EndpointOutOfRange(f"edge {i} endpoint out of range: {uv}")
 
     @cached_property
     def components(self) -> tuple[tuple[int, ...], ...]:
@@ -120,7 +121,13 @@ class Multigraph:
 
 
 def make_graph(vertex_count: int, edge_list: Iterable[tuple[int, int]]) -> Multigraph:
-    return Multigraph(vertex_count, tuple((u, v) for u, v in edge_list))
+    """The multigraph of ``edge_list``, an iterable of two-endpoint
+    iterables; anything else is refused with ``GraphError``."""
+    try:
+        edges = tuple((u, v) for u, v in edge_list)
+    except (TypeError, ValueError):  # not iterable, or an edge that does not unpack into two
+        raise GraphError(f"edge_list must be an iterable of (u, v) pairs, got {edge_list!r}") from None
+    return Multigraph(vertex_count, edges)
 
 
 @dataclass(frozen=True)
@@ -187,6 +194,22 @@ def _rot_next(rotation) -> dict[Dart, Dart]:
     return {d: cyc[(i + 1) % len(cyc)] for cyc in rotation for i, d in enumerate(cyc)}
 
 
+def _orbits(succ: list[int], label: list) -> list[tuple]:
+    """Orbits of the permutation ``succ`` of darts 2e + s, each from its
+    least dart, in dart order, with each dart d written as label[d]."""
+    orbits = []
+    seen = [False] * len(succ)
+    for first in range(len(succ)):
+        d, orbit = first, []
+        while not seen[d]:
+            seen[d] = True
+            orbit.append(label[d])
+            d = succ[d]
+        if orbit:
+            orbits.append(tuple(orbit))
+    return orbits
+
+
 def _face_orbits(edges: tuple[tuple[int, int], ...], rotation) -> list[tuple[Dart, ...]]:
     """Orbits of the face successor d -> rot_next(twin(d)), each from its
     least dart, in dart order.  The walk runs on darts 2e + s."""
@@ -195,18 +218,23 @@ def _face_orbits(edges: tuple[tuple[int, int], ...], rotation) -> list[tuple[Dar
         for i, (e, s) in enumerate(cyc):  # (e, s) = rot_next((f, t))
             f, t = cyc[i - 1]
             succ[2 * f + 1 - t] = 2 * e + s
-    darts = [(e, s) for e in range(len(edges)) for s in (0, 1)]
-    faces = []
-    seen = [False] * len(succ)
-    for first in range(len(succ)):
-        d, face = first, []
-        while not seen[d]:
-            seen[d] = True
-            face.append(darts[d])
-            d = succ[d]
-        if face:
-            faces.append(tuple(face))
-    return faces
+    return _orbits(succ, [(e, s) for e in range(len(edges)) for s in (0, 1)])
+
+
+def _chi_by_component(g: Multigraph, starts: Iterable[int]) -> tuple[int, ...]:
+    """V - E + F of each component of ``g``, whose faces start at the
+    vertices ``starts``, one per face; an edgeless component bounds one
+    region."""
+    comp_of = g.component_of
+    k = max(comp_of, default=-1) + 1
+    v_c, e_c, f_c = [0] * k, [0] * k, [0] * k
+    for c in comp_of:
+        v_c[c] += 1
+    for u, _ in g.edges:
+        e_c[comp_of[u]] += 1
+    for v in starts:
+        f_c[comp_of[v]] += 1
+    return tuple(v - e + (f if e else 1) for v, e, f in zip(v_c, e_c, f_c))
 
 
 @dataclass(frozen=True)
@@ -233,24 +261,13 @@ def trace_faces(emb: Embedding) -> TracedFaces:
     """Walk the rotation system and report faces, chi and genus."""
     g = emb.graph
     faces = _face_orbits(g.edges, emb.rotation)
-    comp_of = g.component_of
-    k = max(comp_of, default=-1) + 1
-    v_c, e_c, f_c = [0] * k, [0] * k, [0] * k
-    for c in comp_of:
-        v_c[c] += 1
-    for u, _ in g.edges:
-        e_c[comp_of[u]] += 1
-    for face in faces:
-        e, s = face[0]
-        f_c[comp_of[g.edges[e][s]]] += 1
-    for ci in range(k):
-        if e_c[ci] == 0:
-            f_c[ci] = 1  # an edgeless component bounds one region
-    chi_by_comp = tuple(v_c[i] - e_c[i] + f_c[i] for i in range(k))
+    chi_by_comp = _chi_by_component(g, [g.edges[face[0][0]][face[0][1]] for face in faces])
+    k = len(chi_by_comp)
     genus_by_comp = tuple((2 - chi) // 2 for chi in chi_by_comp)
     chi = sum(chi_by_comp) - (k - 1)
     genus = genus_by_comp[0] if k == 1 else None
-    return TracedFaces(tuple(faces), sum(f_c), k, chi, genus, chi_by_comp, genus_by_comp)
+    face_count = sum(chi_by_comp) - g.vertex_count + len(g.edges)  # with one per edgeless component
+    return TracedFaces(tuple(faces), face_count, k, chi, genus, chi_by_comp, genus_by_comp)
 
 
 def dual_embedding(emb: Embedding) -> Embedding:
@@ -347,9 +364,11 @@ class PlanarityReport:
 
 
 def _block_faces(n: int, edges) -> Optional[list[list[int]]]:
-    """Oriented face walks of a plane embedding of a block on vertices
-    0..n-1, or None if it is not planar.  Dart d = 2e + s leaves
-    ``edges[e][s]``; its twin is d ^ 1.  A bridge has one face, a loop two.
+    """Oriented face walks of a plane embedding of the block whose edges
+    are ``edges``, or None if it is not planar.  The block keeps the
+    graph's vertex numbers 0..n-1, and the vertices it does not touch are
+    skipped.  Dart d = 2e + s leaves ``edges[e][s]``; its twin is d ^ 1.
+    A bridge has one face, a loop two.
 
     Path addition (Demoucron, Malgrange and Pertuiset, 1964).  A cycle
     through edge 0, walked both ways, gives the first two faces.  A
@@ -367,7 +386,8 @@ def _block_faces(n: int, edges) -> Optional[list[list[int]]]:
     if len(edges) == 1:
         return [[0], [1]] if edges[0][0] == edges[0][1] else [[0, 1]]
     tail = [v for uv in edges for v in uv]
-    incident: list[list[int]] = [[] for _ in range(n)]
+    touched = sorted(set(tail))
+    incident = {v: [] for v in touched}
     for d, v in enumerate(tail):
         incident[v].append(d)
 
@@ -390,7 +410,8 @@ def _block_faces(n: int, edges) -> Optional[list[list[int]]]:
                     todo.append(w)
         raise AssertionError("a 2-connected block has a path between two attachments")
 
-    at_u0 = [v == tail[0] for v in range(n)]
+    at_u0 = [False] * n
+    at_u0[tail[0]] = True
     cycle = [0] + bfs_path(tail[1], at_u0, False, at_u0, 0)  # back to edge 0's other end
     faces = [cycle, [d ^ 1 for d in reversed(cycle)]]
     face_at = [0] * n  # bit f is set when the vertex lies on face f
@@ -410,7 +431,7 @@ def _block_faces(n: int, edges) -> Optional[list[list[int]]]:
                         break
         if chosen is None or chosen[0] & chosen[0] - 1:
             comp = [-1] * n
-            for x in range(n):
+            for x in touched:
                 if face_at[x] or comp[x] >= 0:
                     continue
                 fit, least, todo = -1, n, [x]
@@ -464,28 +485,31 @@ def find_planar_embedding(g: Multigraph) -> Optional[Embedding]:
     incidence order (by edge index, end 0 first) is returned: for a
     3-connected graph, whose embedding is unique up to mirror image, the
     first genus-0 rotation in incidence order.  The embedding is returned
-    only after ``trace_faces`` gives genus 0 on every component.
+    only after one integer walk of the faces of that final rotation gives
+    V - E + F = 2 on every component (``_chi_by_component``).
     """
     return _plane_embedding(g)[0]
 
 
-def _plane_embedding(g: Multigraph) -> tuple[Optional[Embedding], Optional[Block]]:
-    """The search of ``find_planar_embedding`` on darts 2e + s: its embedding
-    and None, or None and the first block that path addition cannot embed.
+def _plane_embedding(g: Multigraph) -> tuple[Optional[Embedding], Optional[list[int]]]:
+    """The search of ``find_planar_embedding`` on the graph's own vertex
+    numbers and darts 2e + s: its embedding and None, or None and the
+    edge indices of the first block that path addition cannot embed.
     Both are None only if the rotation fails the genus-0 check."""
-    tail = [v for uv in g.edges for v in uv]
+    n, edges = g.vertex_count, g.edges
+    tail = [v for uv in edges for v in uv]
     rot_next = [0] * len(tail)
-    for blk in blocks(g):
-        faces = _block_faces(len(blk.vertices), blk.edges)
+    for es in _block_edges(n, edges):
+        faces = _block_faces(n, [edges[e] for e in es])
         if faces is None:
-            return None, blk
-        glob = [2 * e + s for e in blk.edge_indices for s in (0, 1)]
+            return None, es
+        glob = [2 * e + s for e in es for s in (0, 1)]
         for face in faces:
             d = face[-1]
             for f in face:  # rot_next(reverse(d)) = succ(d)
                 rot_next[glob[d] ^ 1] = glob[f]
                 d = f
-    rotation: list[list[int]] = [[] for _ in range(g.vertex_count)]
+    rotation: list[list[int]] = [[] for _ in range(n)]
     seen = [False] * len(tail)
     for first in range(len(tail)):  # each block's cycle joins at its first dart
         d, cyc = first, rotation[tail[first]]
@@ -497,32 +521,53 @@ def _plane_embedding(g: Multigraph) -> tuple[Optional[Embedding], Optional[Block
     if next((cyc[-1] < cyc[1] for cyc in rotation if len(cyc) > 2), False):
         rotation = [cyc[:1] + cyc[:0:-1] for cyc in rotation]
     emb = Embedding(g, tuple([tuple([(d >> 1, d & 1) for d in cyc]) for cyc in rotation]))
-    if any(trace_faces(emb).genus_by_component):
+    succ = [0] * len(tail)  # the face successor d -> rot_next(twin(d)) of the final rotation
+    for cyc in rotation:
+        for i, d in enumerate(cyc):
+            succ[cyc[i - 1] ^ 1] = d
+    if any(chi != 2 for chi in _chi_by_component(g, [walk[0] for walk in _orbits(succ, tail)])):
         return None, None
     return emb, None
 
 
-def _kuratowski_edges(blk: Block) -> list[int]:
-    """The block-local edges left when each edge, in index order, is
+def _kuratowski_edges(n: int, edges) -> list[int]:
+    """The positions in ``edges``, a block on vertices 0..n-1 that path
+    addition cannot embed, left when each edge, in index order, is
     dropped if the rest stays non-planar: an edge-minimal non-planar
     subgraph, so a subdivision of K5 or K3,3 (Kuratowski).
 
-    Runs of edges are tried together, the run doubling after a success
-    and halving after a failure.  A run whose removal leaves a non-planar
-    graph loses each of its edges one at a time too, because every graph
-    in between contains that non-planar one; so the result is the
-    edge-by-edge one.  A trial strips pendant vertices, which lie on no
+    An exact subdivision is its own witness: if exactly five vertices have
+    a degree other than 2, all of degree 4, or exactly six, all of degree
+    3, every edge is kept at once.  The block contains a subdivision H of
+    K5 or K3,3.  With five vertices of degree 3 or more, all of degree 4,
+    H cannot be one of K3,3, which needs six, so it is one of K5 with
+    these five as branch vertices, and it holds every edge at them; with
+    six of degree 3, none of degree 4 or more, H is one of K3,3 in the
+    same way.  Every inner vertex of H has degree 2, so H also holds every
+    edge at its inner vertices.  An edge of the block outside H would then
+    lead, the block being connected, to an edge outside H at a vertex of
+    H; so H is the whole block.  It is edge-minimal non-planar, so the
+    edge-by-edge deletion keeps every edge too: the result is the same.
+
+    Otherwise runs of edges are tried together, the run doubling after a
+    success and halving after a failure.  A run whose removal leaves a
+    non-planar graph loses each of its edges one at a time too, because
+    every graph in between contains that non-planar one; so the result is
+    the edge-by-edge one.  A trial strips pendant vertices, which lie on no
     Kuratowski subdivision, and needs no path addition when fewer than 5
     vertices of degree 4 or more and 6 of degree 3 or more are left.  The
     stripped graph carries over: degrees, edges gone, and the XOR of the
     edges at each vertex, which is a pendant vertex's one edge.
     """
-    n, edges = len(blk.vertices), blk.edges
     degree, link = [0] * n, [0] * n
     for e, uv in enumerate(edges):
         for v in uv:
             degree[v] += 1
             link[v] ^= e
+    verts = [v for v, k in enumerate(degree) if k]  # a trial counts degrees on these, not on all n
+    branch = [degree[v] for v in verts if degree[v] != 2]
+    if branch == [4] * 5 or branch == [3] * 6:
+        return list(range(len(edges)))
     core = degree, link, [False] * len(edges)
 
     def drop(core, run: list[int]):
@@ -537,11 +582,12 @@ def _kuratowski_edges(blk: Block) -> list[int]:
                     link[v] ^= e
                     if degree[v] == 1:
                         todo.append(link[v])
-        three = n - degree.count(0) - degree.count(2)  # no vertex is left pendant
-        if three - degree.count(3) < 5 and three < 6:
+        left = [degree[v] for v in verts]
+        three = len(verts) - left.count(0) - left.count(2)  # no vertex is left pendant
+        if three - left.count(3) < 5 and three < 6:
             return None
-        h = Multigraph(n, tuple(uv for uv, out in zip(edges, gone) if not out))
-        nonplanar = any(_block_faces(len(b.vertices), b.edges) is None for b in blocks(h))
+        rest = [uv for uv, out in zip(edges, gone) if not out]
+        nonplanar = any(_block_faces(n, [rest[e] for e in es]) is None for es in _block_edges(n, rest))
         return (degree, link, gone) if nonplanar else None
 
     kept = list(range(len(edges)))
@@ -569,47 +615,50 @@ def is_planar(g: Multigraph, bound: int = PLANAR_EDGE_BOUND) -> PlanarityReport:
     ``bound`` edges (else ``TooLarge``).
 
     The search of ``find_planar_embedding`` decides it: a planar verdict
-    always carries a genus-0 rotation system.  For a non-planar graph,
-    edge deletion in the first block without a plane embedding leaves a
-    Kuratowski subdivision (``_kuratowski_edges``): 5 branch vertices make
-    it M(K5), 6 make it M(K3,3).  The negative witness deletes every other
-    edge of the graph and contracts every edge of each subdivided path
-    but the highest-indexed one.  On a graph that is itself a subdivision
-    this contraction set is the lexicographically first one that leaves
-    the minor, as the exhaustive minor scan of ``matroids.has_minor``
-    would find it.
+    always carries a rotation system that an integer face walk has checked
+    to be genus 0.  For a non-planar graph, the first block without a
+    plane embedding is, or after edge deletion leaves, a Kuratowski
+    subdivision (``_kuratowski_edges``; a block that already is one is
+    kept whole without a deletion trial): 5 branch vertices make it
+    M(K5), 6 make it M(K3,3).  Every step runs on the graph's own vertex
+    numbers.  The negative witness deletes every other edge of the graph
+    and contracts every edge of each subdivided path but the
+    highest-indexed one.  On a graph that is itself a subdivision this
+    contraction set is the lexicographically first one that leaves the
+    minor, as the exhaustive minor scan of ``matroids.has_minor`` would
+    find it.
     """
     if len(g.edges) > bound:
         raise TooLarge(f"planarity search capped at {bound} edges")
-    emb, blk = _plane_embedding(g)
+    emb, es = _plane_embedding(g)
     if emb is not None:
         note = "every block embeds by path addition; genus-0 rotation system exhibited"
         return PlanarityReport(True, None, None, None, emb, note)
-    if blk is None:
+    if es is None:
         raise GraphError("every block has a plane embedding, but their rotation is not genus 0")
-    kept = _kuratowski_edges(blk)
-    at: list[list[int]] = [[] for _ in blk.vertices]
+    n, edges = g.vertex_count, g.edges
+    kept = [es[k] for k in _kuratowski_edges(n, [edges[e] for e in es])]
+    at: list[list[int]] = [[] for _ in range(n)]
     for e in kept:
-        for v in blk.edges[e]:
+        for v in edges[e]:
             at[v].append(e)
-    branch = [v for v, es in enumerate(at) if len(es) > 2]
+    branch = [v for v, at_v in enumerate(at) if len(at_v) > 2]
     cons, walked = [], set()
     for v in branch:
         for e in at[v]:
             if e in walked:
                 continue
-            path, w = [e], blk.edges[e][blk.edges[e][0] == v]
+            path, w = [e], edges[e][edges[e][0] == v]
             while len(at[w]) == 2:  # follow the subdivided edge to its far branch vertex
                 e = at[w][at[w][0] == e]
                 path.append(e)
-                w = blk.edges[e][blk.edges[e][0] == w]
+                w = edges[e][edges[e][0] == w]
             walked.update(path)
             cons += sorted(path)[:-1]
     name = "M(K5)" if len(branch) == 5 else "M(K3,3)"
-    keep = {blk.edge_indices[e] for e in kept}
-    dels = tuple([e for e in range(len(g.edges)) if e not in keep])
-    cons = tuple(sorted(blk.edge_indices[e] for e in cons))
-    return PlanarityReport(False, name, dels, cons, None, f"{name} minor found")
+    keep = set(kept)
+    dels = tuple([e for e in range(len(edges)) if e not in keep])
+    return PlanarityReport(False, name, dels, tuple(sorted(cons)), None, f"{name} minor found")
 
 
 # ---------------------------------------------------------------------------
@@ -698,11 +747,23 @@ class Block:
 
 
 def blocks(g: Multigraph) -> list[Block]:
-    """Biconnected components; bridges and loops are single-edge blocks.
-    A depth-first search over darts 2e + s, whose twins are d ^ 1."""
-    n = g.vertex_count
-    tail = [v for uv in g.edges for v in uv]
-    adj: list[list[int]] = [[] for _ in range(n)]
+    """Biconnected components (``_block_edges``), each with its vertices
+    renumbered from 0 in their order."""
+    out = []
+    for es in _block_edges(g.vertex_count, g.edges):
+        vs = sorted({v for e in es for v in g.edges[e]})
+        vmap = {v: i for i, v in enumerate(vs)}
+        out.append(Block(tuple(vs), tuple(es), tuple([(vmap[u], vmap[v]) for u, v in map(g.edges.__getitem__, es)])))
+    return out
+
+
+def _block_edges(n: int, edges) -> list[list[int]]:
+    """The edge indices of each biconnected component of the graph with
+    vertices 0..n-1 and edge list ``edges``, each list sorted and the
+    lists in sorted order; bridges and loops are single-edge blocks.  A
+    depth-first search over darts 2e + s, whose twins are d ^ 1."""
+    tail = [v for uv in edges for v in uv]
+    adj: dict[int, list[int]] = {v: [] for v in set(tail)}  # only the vertices with darts
     edge_sets: list[list[int]] = []
     for d, v in enumerate(tail):
         if tail[d ^ 1] != v:
@@ -710,7 +771,7 @@ def blocks(g: Multigraph) -> list[Block]:
         elif not d & 1:
             edge_sets.append([d >> 1])
     disc, low, estack, tick = [-1] * n, [0] * n, [], itertools.count()
-    for root in range(n):
+    for root in adj:  # in any order: the blocks and their sorted lists do not depend on it
         if disc[root] != -1:
             continue
         disc[root] = low[root] = next(tick)
@@ -739,12 +800,7 @@ def blocks(g: Multigraph) -> list[Block]:
                         while not blk or blk[-1] != back >> 1:
                             blk.append(estack.pop())
                         edge_sets.append(sorted(blk))
-    out = []
-    for es in sorted(edge_sets):
-        vs = sorted({v for e in es for v in g.edges[e]})
-        vmap = {v: i for i, v in enumerate(vs)}
-        out.append(Block(tuple(vs), tuple(es), tuple([(vmap[u], vmap[v]) for u, v in map(g.edges.__getitem__, es)])))
-    return out
+    return sorted(edge_sets)
 
 
 def cycle_matroid(g: Multigraph, bound: int = matroids.GROUND_BOUND) -> Matroid:

@@ -150,7 +150,8 @@ class Matroid:
     ``Matroid(ground, bases)`` takes the bases as element sets and turns
     them into masks once; a ground of more than ``TABLE_BOUND`` elements
     raises ``GroundTooLarge`` before any basis is read, repeated or
-    non-integer labels ``MatroidError``, and an element outside the ground
+    non-integer labels ``MatroidError``, as does a ground, family or basis
+    that is not iterable, and an element outside the ground
     ``ElementNotInGround``; the ground keeps its order.  Instances are
     immutable, and equality and hashing compare the ground tuple and the
     masks.  ``bases``, the element sets in canonical order, is derived on
@@ -162,7 +163,11 @@ class Matroid:
 
     def __init__(self, ground: Iterable[int], bases: Iterable[Iterable[int]]):
         object.__setattr__(self, "ground", _labels(ground))
-        object.__setattr__(self, "_masks", tuple(sorted({self._mask(b) for b in bases})))
+        try:
+            masks = {self._mask(b) for b in bases}
+        except TypeError:  # the family or one of its bases is not iterable, or an element not hashable
+            raise MatroidError("bases must be an iterable of iterables of ground elements") from None
+        object.__setattr__(self, "_masks", tuple(sorted(masks)))
 
     def __repr__(self):
         return (
@@ -380,12 +385,19 @@ def make_matroid(
     directly.
     """
     g = _ground(ground, bound)
-    fam = list(bases)
+    try:
+        fam = list(bases)
+    except TypeError:
+        raise MatroidError("bases must be an iterable of iterables of ground elements") from None
     try:
         m = Matroid(g, fam)
-    except ElementNotInGround:
+    except ElementNotInGround as stray:
         # name the stray element met first in canonical basis order
-        Matroid(g, sorted(map(frozenset, fam), key=lambda b: (len(b), sorted(b))))
+        try:
+            canonical = sorted(map(frozenset, fam), key=lambda b: (len(b), sorted(b)))
+        except TypeError:  # a basis that is not iterable, or labels without an order
+            raise stray from None
+        Matroid(g, canonical)
         raise
     return _validated(m)
 
@@ -399,8 +411,12 @@ def _labels(ground: Iterable[int], bound: int = TABLE_BOUND) -> tuple[int, ...]:
     """The ground labels, in their order, once they are distinct integers
     and at most ``bound`` of them, and at most ``TABLE_BOUND`` whatever
     the bound."""
-    g = tuple(ground)
-    if len(set(g)) != len(g):
+    try:
+        g = tuple(ground)
+        distinct = len(set(g)) == len(g)
+    except TypeError:  # not iterable, or a label that is not hashable
+        raise MatroidError("the ground must be an iterable of integer labels") from None
+    if not distinct:
         raise MatroidError("ground labels must be distinct")
     if any(not isinstance(e, int) or isinstance(e, bool) for e in g):
         raise MatroidError("ground labels must be integers")

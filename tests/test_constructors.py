@@ -6,7 +6,10 @@ there, and asserts that the call either succeeds or raises its domain's
 ``ValueError`` subclass.  Where a slot takes only ``int`` values (not
 ``bool``), any other value there must raise, and so must a container
 slot (an edge list, a rotation, a table, a sign vector, an index list, a
-multivector) that holds anything but its container type.
+multivector) that holds anything but its container type.  A slot that
+takes any iterable (the edge list of ``make_graph``, a matroid's ground
+and bases, a complex's simplices) must raise when it, or an item that
+must itself be iterable, is not.
 """
 
 from fractions import Fraction as F
@@ -16,7 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualities import algebras as A
+from dualities import complexes as C
 from dualities import graphs as G
+from dualities import matroids as M
 
 SWEEP = settings(max_examples=300, derandomize=True, deadline=None, database=None)
 
@@ -32,6 +37,10 @@ def is_int(x):
 
 def is_int_pair(x):
     return isinstance(x, tuple) and len(x) == 2 and all(map(is_int, x))
+
+
+def is_iterable(x):
+    return hasattr(x, "__iter__")
 
 
 def holds(call, error, well_typed):
@@ -71,29 +80,79 @@ def test_embedding_over_arbitrary_darts(rotation):
         assert G.trace_faces(emb).face_count >= 1
 
 
-def is_edge(x):
-    """An edge is any pair of ints: the edge list is checked as a tuple,
-    each edge only by unpacking it."""
-    return isinstance(x, (tuple, list)) and len(x) == 2 and all(map(is_int, x))
-
-
 EDGES = [(0, 1), (1, 1), (0, 0)]
+EDGE_LIKE = st.one_of(st.sampled_from(EDGES), st.sampled_from(EDGES).map(list))
+EDGE_ITEMS = st.one_of(EDGE_LIKE, anything)
 
 
 @SWEEP
 @given(
     n=st.one_of(st.just(2), anything),
     edges=st.one_of(
-        st.lists(st.one_of(st.sampled_from(EDGES), anything), max_size=4).map(tuple),
+        st.lists(EDGE_LIKE, max_size=3).map(tuple),
+        st.lists(EDGE_ITEMS, max_size=4).map(tuple),
         st.lists(st.sampled_from(EDGES), max_size=3),
         anything,
     ),
 )
 def test_multigraph_over_arbitrary_edge_lists(n, edges):
-    well_typed = is_int(n) and type(edges) is tuple and all(map(is_edge, edges))
+    """A ``Multigraph`` edge is a tuple of two ints, so a list edge is refused."""
+    well_typed = is_int(n) and type(edges) is tuple and all(map(is_int_pair, edges))
     g = holds(lambda: G.Multigraph(n, edges), G.GraphError, well_typed)
     if g is not None:
         assert len(g.component_of) == n
+        assert hash(g) == hash(G.Multigraph(n, edges))
+
+
+def is_edge(x):
+    """An edge of ``make_graph``: a tuple or list of two ints."""
+    return isinstance(x, (tuple, list)) and len(x) == 2 and all(map(is_int, x))
+
+
+@SWEEP
+@given(st.one_of(st.lists(EDGE_ITEMS, max_size=4), st.lists(EDGE_ITEMS, max_size=4).map(tuple), anything))
+def test_make_graph_over_arbitrary_edge_lists(edge_list):
+    well_typed = is_iterable(edge_list) and all(map(is_edge, edge_list))
+    g = holds(lambda: G.make_graph(2, edge_list), G.GraphError, well_typed)
+    if g is not None:
+        assert g.edges == tuple(map(tuple, edge_list))
+        hash(g)
+
+
+BASES = [(1, 2), (1, 3), (2, 3)]
+FAMILIES = st.lists(st.one_of(st.sampled_from(BASES), st.sampled_from(BASES).map(list), anything), max_size=3)
+
+
+@SWEEP
+@given(
+    ground=st.one_of(st.just((1, 2, 3)), st.lists(st.integers(1, 3), max_size=3), anything),
+    bases=st.one_of(FAMILIES, FAMILIES.map(tuple), anything),
+)
+def test_matroid_over_arbitrary_families(ground, bases):
+    """``Matroid`` and ``make_matroid`` take any iterable ground and any
+    iterable of iterable bases."""
+    well_typed = is_iterable(ground) and is_iterable(bases) and all(map(is_iterable, bases))
+    holds(lambda: M.Matroid(ground, bases), M.MatroidError, well_typed)
+    m = holds(lambda: M.make_matroid(ground, bases), M.MatroidError, well_typed)
+    if m is not None:
+        assert m.bases == M.make_matroid(m.ground, m.bases).bases
+
+
+SIMPLICES = [(1, 2), (2, 3), (1,)]
+
+
+@SWEEP
+@given(
+    st.one_of(
+        st.lists(st.one_of(st.sampled_from(SIMPLICES), st.sampled_from(SIMPLICES).map(list), anything), max_size=3),
+        anything,
+    )
+)
+def test_make_complex_over_arbitrary_families(family):
+    well_typed = is_iterable(family) and all(is_iterable(s) and all(map(is_int, s)) for s in family)
+    cx = holds(lambda: C.make_complex(family), C.ComplexError, well_typed)
+    if cx is not None:
+        assert set(cx.vertices) == {v for s in family for v in s}
 
 
 C_TABLE = (((1, 0), (1, 1)), ((1, 1), (-1, 0)))

@@ -13,7 +13,6 @@ import dataclasses
 import itertools
 import random
 import time
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -656,7 +655,9 @@ def test_multi_block_witness_gives_the_obstruction(g):
 
 
 def test_rotation_failing_the_genus_check_is_an_error(monkeypatch):
-    monkeypatch.setattr(G, "trace_faces", lambda emb: SimpleNamespace(genus_by_component=(1,)))
+    """The integer face walk of the final rotation reports V - E + F = 0,
+    a torus, on the one component."""
+    monkeypatch.setattr(G, "_chi_by_component", lambda g, starts: (0,))
     assert G.find_planar_embedding(G.named_graph("k4")) is None
     with pytest.raises(G.GraphError, match="not genus 0"):
         G.is_planar(G.named_graph("k4"))

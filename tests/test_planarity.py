@@ -439,6 +439,13 @@ def assert_matches_reference(g):
             faces = G._block_faces(len(blk.vertices), blk.edges)
             want = ref_block_faces(blk)
             assert want is None if faces is None else [[(d >> 1, d & 1) for d in f] for f in faces] == want
+            # on the graph's own vertex numbers, the vertices off the block skipped
+            assert G._block_faces(g.vertex_count, global_edges(g, blk)) == faces
+
+
+def global_edges(g, blk):
+    """The block's edges in the graph's own vertex numbers."""
+    return [g.edges[e] for e in blk.edge_indices]
 
 
 @PROPERTY
@@ -447,8 +454,22 @@ def test_matches_the_tuple_dart_reference(g):
     assert_matches_reference(g)
 
 
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(st.sampled_from(["k5", "k33"]), st.integers(0, 250), st.integers(0, 2**32))
+def test_an_exact_subdivision_is_its_own_witness(base, count, seed):
+    """Every edge is kept, as the edge-by-edge reference keeps it, and no
+    deletion trial runs path addition."""
+    g = subdivision(random.Random(seed), base, count)
+    (blk,) = G.blocks(g)
+    with pytest.MonkeyPatch.context() as patch:
+        passes = count_passes(patch)
+        kept = G._kuratowski_edges(g.vertex_count, global_edges(g, blk))
+    assert passes == []
+    assert kept == list(range(len(g.edges))) == ref_kuratowski_edges(blk)
+
+
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
-@given(st.sampled_from(["k5", "k33"]), st.integers(0, 6), st.integers(0, 3), st.integers(0, 2**32))
+@given(st.sampled_from(["k5", "k33"]), st.integers(0, 40), st.integers(0, 3), st.integers(0, 2**32))
 def test_kuratowski_subdivisions_with_extra_edges_match_the_reference(base, count, extra, seed):
     assert_matches_reference(subdivision(random.Random(seed), base, count, extra))
 
@@ -566,10 +587,8 @@ def test_k5_with_six_subdivided_edges_within_a_tenth_of_a_second():
 
 @pytest.mark.parametrize("seed", range(3))
 def test_subdivided_k33_with_21_edges_runs_one_failing_pass(monkeypatch, seed):
-    """Deleting any edge leaves a dangling subdivided path; stripping it
-    leaves four vertices of degree 3, so the degree pre-test settles every
-    deletion and the one pass that finds the block non-planar is the only
-    one."""
+    """The block is an exact subdivision, its own witness, so the one
+    pass that finds it non-planar is the only one."""
     g = subdivision(random.Random(seed), "k33", 12)
     passes = count_passes(monkeypatch)
     rep = G.is_planar(g)
@@ -588,4 +607,14 @@ def test_eleven_by_eleven_grid_within_two_seconds(monkeypatch, diagonals):
     rep, seconds = timed(lambda: G.is_planar(g))
     assert rep.planar != diagonals and seconds < 2.0
     assert (len(passes), passes.count(False)) == ((80, 48) if diagonals else (1, 0))
+    assert_verdict_checks(g, rep)
+
+
+@pytest.mark.parametrize(("base", "count"), [("k5", 246), ("k33", 247)])
+def test_exact_subdivision_with_256_edges_runs_one_failing_pass(monkeypatch, base, count):
+    g = subdivision(random.Random(0), base, count)
+    passes = count_passes(monkeypatch)
+    rep = G.is_planar(g)
+    assert len(g.edges) == 256 and passes == [False]
+    assert rep.obstruction == {"k5": "M(K5)", "k33": "M(K3,3)"}[base] and len(rep.deletions) == 0
     assert_verdict_checks(g, rep)
