@@ -300,7 +300,10 @@ class GenusDualityReport:
 
     With the padded counts the planar identities return: padded V minus E
     plus padded V* equals 2, padded rank* equals padded nullity, and
-    everything collapses back to chi + 2g = 2.
+    everything collapses back to chi + 2g = 2.  On any valid connected
+    ``Embedding`` each of the four flags is a restatement of
+    V - E + F = 2 - 2g, with g read off the traced faces, so all are
+    True; ``all_ok`` is False as soon as any one of them is not.
     """
 
     vertices: int

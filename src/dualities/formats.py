@@ -63,7 +63,9 @@ def read_records(text: str, keys: dict[str, int], error: type[Exception]) -> dic
 
         try:
             return json.loads(text, object_pairs_hook=unique_keys)
-        except json.JSONDecodeError as exc:
+        except error:
+            raise
+        except (ValueError, RecursionError) as exc:  # bad syntax, an over-long integer, deep nesting
             raise error(f"bad JSON: {exc}") from None
     records = []
     for raw in text.splitlines():

@@ -15,13 +15,15 @@ integer darts 2e + s (twin d ^ 1): path addition draws the faces of each
 block, one integer face walk checks genus 0 on the rotation it returns,
 and a non-planar graph's witness is the failing block itself when that
 block is an exact subdivision of K5 or K3,3, else what is left after
-deleting edges until a Kuratowski subdivision remains.  No matroid is
+deleting edges until a Kuratowski subdivision remains, only the
+non-planar blocks being kept between deletion trials.  No matroid is
 built on that path; cycle matroids serve the matroid side.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Optional
@@ -319,7 +321,9 @@ def _same_map(a: Embedding, b: Embedding) -> bool:
 
 @dataclass(frozen=True)
 class DualityReport:
-    """Rank/nullity of a genus-0 embedding against its dual."""
+    """Rank/nullity of a genus-0 embedding against its dual.  On a valid
+    connected ``Embedding`` each identity of ``duality_ok`` restates
+    V - E + F = 2 - 2g with g = 0; any one failing makes it False."""
 
     rank: int
     nullity: int
@@ -553,50 +557,35 @@ def _kuratowski_edges(n: int, edges) -> list[int]:
     success and halving after a failure.  A run whose removal leaves a
     non-planar graph loses each of its edges one at a time too, because
     every graph in between contains that non-planar one; so the result is
-    the edge-by-edge one.  A trial strips pendant vertices, which lie on no
-    Kuratowski subdivision, and needs no path addition when fewer than 5
-    vertices of degree 4 or more and 6 of degree 3 or more are left.  The
-    stripped graph carries over: degrees, edges gone, and the XOR of the
-    edges at each vertex, which is a pendant vertex's one edge.
+    the edge-by-edge one.  After a success only the blocks that path
+    addition cannot embed are kept.  A graph is non-planar exactly when
+    one of its blocks is, and each block of a subgraph lies inside one
+    block of the graph, so the edge-by-edge deletion would drop every edge
+    of a planar block and make its other choices as before.  An edge kept
+    after a failed trial lies in every non-planar subgraph, so from then
+    on one block is non-planar and the kept prefix stays in place.  A
+    trial graph, or one of its several blocks, with fewer than 5 vertices
+    of degree 4 or more and 6 of degree 3 or more needs no path addition.
     """
-    degree, link = [0] * n, [0] * n
-    for e, uv in enumerate(edges):
-        for v in uv:
-            degree[v] += 1
-            link[v] ^= e
-    verts = [v for v, k in enumerate(degree) if k]  # a trial counts degrees on these, not on all n
-    branch = [degree[v] for v in verts if degree[v] != 2]
+    branch = [k for k in Counter(itertools.chain.from_iterable(edges)).values() if k != 2]
     if branch == [4] * 5 or branch == [3] * 6:
         return list(range(len(edges)))
-    core = degree, link, [False] * len(edges)
 
-    def drop(core, run: list[int]):
-        """The stripped ``core`` without ``run`` if it is non-planar, else None."""
-        degree, link, gone = core[0][:], core[1][:], core[2][:]
-        todo = list(run)
-        for e in todo:  # the run, then the edge of each vertex left pendant
-            if not gone[e]:
-                gone[e] = True
-                for v in edges[e]:
-                    degree[v] -= 1
-                    link[v] ^= e
-                    if degree[v] == 1:
-                        todo.append(link[v])
-        left = [degree[v] for v in verts]
-        three = len(verts) - left.count(0) - left.count(2)  # no vertex is left pendant
-        if three - left.count(3) < 5 and three < 6:
-            return None
-        rest = [uv for uv, out in zip(edges, gone) if not out]
-        nonplanar = any(_block_faces(n, [rest[e] for e in es]) is None for es in _block_edges(n, rest))
-        return (degree, link, gone) if nonplanar else None
+    def nonplanar_blocks(trial: list[int]) -> list[int]:
+        """The sorted positions in ``trial`` of its blocks that path addition cannot embed."""
+        rest, out = [edges[e] for e in trial], []
+        blocks = [] if _sparse(rest) else _block_edges(n, rest)
+        for es in blocks:
+            blk = [rest[k] for k in es]
+            if (len(blocks) == 1 or not _sparse(blk)) and _block_faces(n, blk) is None:
+                out += [trial[k] for k in es]
+        return sorted(out)
 
-    kept = list(range(len(edges)))
-    i, run = 0, 1
+    kept, i, run = list(range(len(edges))), 0, 1
     while i < len(kept):
-        rest = drop(core, kept[i:i + run])
-        if rest is not None:
-            core = rest
-            kept, run = kept[:i] + kept[i + run:], 2 * run
+        rest = nonplanar_blocks(kept[:i] + kept[i + run:])
+        if rest:
+            kept, run = rest, 2 * run
         elif run > 1:
             run //= 2
         else:
@@ -604,9 +593,17 @@ def _kuratowski_edges(n: int, edges) -> list[int]:
     return kept
 
 
-# Default edge cap of ``is_planar``, set by measured cost: on k x k grids
-# (CPython 3.11, 2-vCPU x86-64 host) a planar verdict takes about 10 ms at
-# 264 edges, and a Kuratowski witness with two crossing chords about 0.07 s.
+def _sparse(edges) -> bool:
+    """Whether too few vertices have degree 3 or more for a subdivision of
+    K5 or K3,3: the fifth largest degree is below 4 and the sixth below 3."""
+    top = sorted(Counter(itertools.chain.from_iterable(edges)).values(), reverse=True) + [0] * 6
+    return top[4] < 4 and top[5] < 3
+
+
+# Default edge cap of ``is_planar``, set by measured cost: on the 12 x 12
+# grid (CPython 3.11, shared 2-vCPU x86-64 host, medians of 15 runs) a
+# planar verdict takes 7 to 11 ms at 264 edges, and a Kuratowski witness
+# with both diagonals of the middle cell added 0.05 to 0.075 s.
 PLANAR_EDGE_BOUND = 256
 
 

@@ -693,6 +693,34 @@ def test_a_repeated_one_per_file_record_exit_2(capsys, tmp_path, argv, key):
     assert code == 2 and out == "" and key in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("matroid", "validate"), ("graph", "invariants"), ("graph", "euler"), ("complex", "betti")],
+    ids=" ".join,
+)
+@pytest.mark.parametrize(
+    "source",
+    [
+        '{"ground": ' + "[" * 100_000 + "]" * 100_000 + "}",
+        '{"vertices": 3, "edges": [[0, ' + "7" * 5001 + "]]}",
+    ],
+    ids=["nested-100000-deep", "integer-of-5001-digits"],
+)
+def test_json_the_decoder_refuses_exit_2(tmp_path, argv, source):
+    """JSON nested past the recursion limit, or with an integer past
+    Python's digit limit, is an input error like any other bad JSON."""
+    path = tmp_path / "in.json"
+    path.write_text(source)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dualities", *argv, str(path)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and "bad JSON" in proc.stderr and "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("source", ["v: 3000000\n", '{"vertices": 3000000, "edges": []}'])
 def test_vertex_count_bound_exit_2(capsys, tmp_path, source):
     path = tmp_path / "huge.txt"

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import inspect
 import itertools
@@ -490,6 +491,14 @@ def test_genus_duality_random():
         rep = C.genus_duality_check(emb)
         assert rep.genus <= 3
         assert rep.all_ok
+
+
+@pytest.mark.parametrize(
+    "flag", ["virtual_euler_ok", "rank_exchange_ok", "nullity_exchange_ok", "genus_law_ok"]
+)
+def test_genus_duality_any_failed_flag_fails_all_ok(flag):
+    rep = C.genus_duality_check(G.named_embedding("genus:2"))
+    assert rep.all_ok and not dataclasses.replace(rep, **{flag: False}).all_ok
 
 
 def test_genus_duality_rejects_disconnected():

@@ -9,9 +9,11 @@ slot (an edge list, a rotation, a table, a sign vector, an index list, a
 multivector) that holds anything but its container type.  A slot that
 takes any iterable (the edge list of ``make_graph``, a matroid's ground
 and bases, a complex's simplices) must raise when it, or an item that
-must itself be iterable, is not.
+must itself be iterable, is not.  The ``formats`` readers take arbitrary
+text, JSON values, deep nesting and long digit strings the same way.
 """
 
+import json
 from fractions import Fraction as F
 from math import comb
 
@@ -22,6 +24,7 @@ from dualities import algebras as A
 from dualities import complexes as C
 from dualities import graphs as G
 from dualities import matroids as M
+from dualities.formats import PARAM_MAX, json_ints, read_records, split_ident
 
 SWEEP = settings(max_examples=300, derandomize=True, deadline=None, database=None)
 
@@ -263,3 +266,67 @@ def test_epsilon_symbol_over_arbitrary_indices(indices):
     sign = holds(lambda: A.epsilon_symbol(indices), A.IndexOutOfRange, well_typed)
     assert sign in (None, -1, 0, 1)
 
+
+
+# ---------------------------------------------------------------------------
+# the formats readers
+
+
+class Bad(ValueError):
+    """The error class a caller hands to the readers."""
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+    max_leaves=8,
+)
+# deep nesting past the recursion limit, and integers past Python's digit limit
+deep = st.integers(0, 200_000).map(lambda k: '{"a": ' + "[" * k + "]" * k + "}")
+long_digits = st.integers(1, 10_000).map(lambda k: "9" * k)
+line = st.tuples(
+    st.sampled_from(["ground", "basis", "rot", "s", "x", ""]),
+    st.lists(st.one_of(st.text(max_size=3), long_digits), max_size=3),
+).map(lambda rec: f"{rec[0]}: {' '.join(rec[1])}")
+# objects whose keys may repeat
+flat_objects = st.lists(st.text(max_size=2), max_size=3).map(
+    lambda keys: "{" + ", ".join(f'"{k}": 1' for k in keys) + "}"
+)
+texts = st.one_of(
+    st.text(),
+    st.lists(line, max_size=4).map("\n".join),
+    json_values.map(lambda v: json.dumps({"a": v})),
+    deep,
+    long_digits.map(lambda digits: '{"a": [' + digits + "]}"),
+    flat_objects,
+)
+
+
+@SWEEP
+@given(texts)
+def test_read_records_over_arbitrary_text(text):
+    keys = {"ground": 0, "basis": 0, "rot": 1}
+    out = holds(lambda: read_records(text, keys, Bad), Bad, True)
+    if isinstance(out, list):
+        assert all(key in keys and len(args) >= keys[key] and all(map(is_int, args)) for key, args in out)
+
+
+@SWEEP
+@given(st.dictionaries(st.sampled_from(["a", "b"]), json_values, max_size=2), st.integers(0, 3))
+def test_json_ints_over_arbitrary_json(data, depth):
+    level = [holds(lambda: json_ints(data, "a", depth, Bad), Bad, True)]
+    if level != [None]:  # plain ints, ``depth`` tuples deep
+        for _ in range(depth):
+            assert all(type(v) is tuple for v in level)
+            level = [x for v in level for x in v]
+        assert all(map(is_int, level))
+
+
+@SWEEP
+@given(st.one_of(st.text(), st.text(max_size=8).map("uniform:".__add__), long_digits.map("genus:".__add__)))
+def test_split_ident_over_arbitrary_text(ident):
+    out = holds(lambda: split_ident(ident, Bad), Bad, True)
+    if out is not None:
+        name, params = out
+        assert name == ident.partition(":")[0].lower()
+        assert all(is_int(p) and 0 <= p <= PARAM_MAX for p in params)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import time
@@ -278,6 +279,18 @@ def test_duality_report_tetrahedron():
     rep = G.rank_nullity_duality_report(G.named_embedding("tetrahedron"))
     assert (rep.rank, rep.nullity, rep.rank_dual, rep.nullity_dual) == (3, 3, 3, 3)
     assert rep.euler_chi == 2 and rep.duality_ok
+
+
+@pytest.mark.parametrize(
+    "shift",
+    [{"rank_dual": 1}, {"nullity_dual": 1, "euler_chi": -1}, {"euler_chi": 1}],
+    ids=["rank-star-is-nullity", "nullity-star-is-rank", "euler"],
+)
+def test_duality_report_any_failed_identity_fails_duality_ok(shift):
+    """Each shift breaks exactly one of the three identities."""
+    rep = G.rank_nullity_duality_report(G.named_embedding("cube"))
+    bad = dataclasses.replace(rep, **{k: getattr(rep, k) + d for k, d in shift.items()})
+    assert rep.duality_ok and not bad.duality_ok
 
 
 def test_duality_report_cube():

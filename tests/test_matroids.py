@@ -556,6 +556,15 @@ def test_parse_named():
     assert M.parse_named("fano") == FANO
 
 
+def test_parse_named_refuses_a_large_uniform_before_building_it(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("built U(3,14) before checking its size")
+
+    monkeypatch.setattr(M, "named_matroid", refuse)
+    with pytest.raises(M.GroundTooLarge):
+        M.parse_named("uniform:3,14")
+
+
 # ---------------------------------------------------------------------------
 # direct sums
 
